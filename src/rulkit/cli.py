@@ -150,9 +150,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def _load_eval_inputs(args: argparse.Namespace):
     model, _, config = train_eval.load_checkpoint(args.checkpoint)
-    scaler = preprocess.ScalerParams.from_dict(
-        json.loads(Path(args.scaler).read_text(encoding="utf-8"))
-    )
+    scaler = preprocess.load_scaler(args.scaler)
     test_trajectories = dataset_io.read_trajectories(args.test_file)
     return model, config, scaler, test_trajectories
 

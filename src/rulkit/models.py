@@ -16,6 +16,13 @@ LSTM cell (gate blocks ordered i, f, g, o inside the stacked tensors):
 A linear head on the final hidden state produces the scalar prediction.
 Hidden and cell state always start at zero, so consecutive calls on the
 same window are identical (no state leaks between samples or batches).
+
+The forward pass keeps all four gates in one time-major (T, B, 4H) tensor:
+the input projection W x_t of every step is computed in one product, and
+step t overwrites its slice with the activations (i, f, g, o): one sigmoid
+call activates all four blocks, then the g block is overwritten with the
+tanh of its pre-activation, taken before the sigmoid. The backward pass
+reads the same tensor.
 """
 
 from __future__ import annotations
@@ -202,68 +209,43 @@ def mlp_backward(
 
 
 @dataclass
-class LstmStepCache:
-    """Gate activations and states of a single cell step."""
-
-    i: np.ndarray
-    f: np.ndarray
-    g: np.ndarray
-    o: np.ndarray
-    c: np.ndarray
-    tanh_c: np.ndarray
-    h: np.ndarray
-
-
-@dataclass
 class LstmCache:
-    """Everything the backward pass needs, per timestep, time-major."""
+    """Everything the backward pass needs, time-major.
+
+    `gates` is the input-projection buffer overwritten, step by step, with
+    the activations i, f, g, o in GATE_ORDER blocks of H columns. `cells`
+    and `hiddens` hold the zero initial state in row 0, so step t reads its
+    previous state from row t and writes its own to row t + 1.
+    """
 
     x: np.ndarray  # (T, B, F)
-    i: np.ndarray  # (T, B, H)
-    f: np.ndarray
-    g: np.ndarray
-    o: np.ndarray
-    c: np.ndarray
-    tanh_c: np.ndarray
-    h: np.ndarray  # (T, B, H)
+    gates: np.ndarray  # (T, B, 4H)
+    cells: np.ndarray  # (T + 1, B, H)
+    tanh_c: np.ndarray  # (T, B, H)
+    hiddens: np.ndarray  # (T + 1, B, H)
+
+    @property
+    def c(self) -> np.ndarray:
+        """Cell state after each step, (T, B, H)."""
+        return self.cells[1:]
+
+    @property
+    def h(self) -> np.ndarray:
+        """Hidden state after each step, (T, B, H)."""
+        return self.hiddens[1:]
 
 
-def lstm_cell_forward(
-    params: LstmParams,
-    x_t: np.ndarray,
-    h_prev: np.ndarray,
-    c_prev: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, LstmStepCache]:
-    """One cell step for a batch: returns (h_t, c_t, gate cache)."""
-    x_t = np.atleast_2d(np.asarray(x_t, dtype=np.float64))
-    h_prev = np.atleast_2d(np.asarray(h_prev, dtype=np.float64))
-    c_prev = np.atleast_2d(np.asarray(c_prev, dtype=np.float64))
-    hsz = params.hidden_size
-    if x_t.shape[1] != params.input_size:
-        raise ShapeError(
-            f"input width {x_t.shape[1]} does not match model input {params.input_size}"
-        )
-    if h_prev.shape[1] != hsz or c_prev.shape[1] != hsz:
-        raise ShapeError(
-            f"state width {h_prev.shape[1]}/{c_prev.shape[1]} does not match "
-            f"hidden size {hsz}"
-        )
-    z = x_t @ params.w_x.T + h_prev @ params.w_h.T + params.b
-    i = sigmoid(z[:, :hsz])
-    f = sigmoid(z[:, hsz : 2 * hsz])
-    g = np.tanh(z[:, 2 * hsz : 3 * hsz])
-    o = sigmoid(z[:, 3 * hsz :])
-    c = f * c_prev + i * g
-    tanh_c = np.tanh(c)
-    h = o * tanh_c
-    return h, c, LstmStepCache(i, f, g, o, c, tanh_c, h)
+def _gate_blocks(a: np.ndarray, hsz: int) -> tuple[np.ndarray, ...]:
+    """Views of the i, f, g, o column blocks of a (..., 4H) array."""
+    return tuple(a[..., k * hsz : (k + 1) * hsz] for k in range(4))
 
 
 def lstm_forward(params: LstmParams, x: np.ndarray) -> tuple[np.ndarray, LstmCache]:
     """Unroll over a batch of windows: x is (B, T, F), returns ((B,), cache).
 
     h_0 = c_0 = 0 for every call. The input projection for all timesteps
-    is computed in one product; the loop carries only the recurrence.
+    is computed in one product; the loop carries only the recurrence and
+    writes every result in place, into buffers allocated once per call.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3:
@@ -277,78 +259,87 @@ def lstm_forward(params: LstmParams, x: np.ndarray) -> tuple[np.ndarray, LstmCac
         )
     hsz = params.hidden_size
     xt = np.ascontiguousarray(x.transpose(1, 0, 2))  # (T, B, F)
-    zx = (xt.reshape(steps * bsz, feats) @ params.w_x.T).reshape(steps, bsz, 4 * hsz)
+    gates = (xt.reshape(steps * bsz, feats) @ params.w_x.T).reshape(steps, bsz, 4 * hsz)
+    cells = np.zeros((steps + 1, bsz, hsz))
+    hiddens = np.zeros((steps + 1, bsz, hsz))
+    tanh_cells = np.empty((steps, bsz, hsz))
 
-    gates_i = np.empty((steps, bsz, hsz))
-    gates_f = np.empty_like(gates_i)
-    gates_g = np.empty_like(gates_i)
-    gates_o = np.empty_like(gates_i)
-    cells = np.empty_like(gates_i)
-    tanh_cells = np.empty_like(gates_i)
-    hiddens = np.empty_like(gates_i)
-
-    h = np.zeros((bsz, hsz))
-    c = np.zeros((bsz, hsz))
+    w_h_t = params.w_h.T
+    rec = np.empty((bsz, 4 * hsz))
+    tmp = np.empty((bsz, hsz))
+    gi, gf, gg, go = _gate_blocks(gates, hsz)
     for t in range(steps):
-        z = zx[t] + h @ params.w_h.T + params.b
-        i = sigmoid(z[:, :hsz])
-        f = sigmoid(z[:, hsz : 2 * hsz])
-        g = np.tanh(z[:, 2 * hsz : 3 * hsz])
-        o = sigmoid(z[:, 3 * hsz :])
-        c = f * c + i * g
-        tanh_c = np.tanh(c)
-        h = o * tanh_c
-        gates_i[t], gates_f[t], gates_g[t], gates_o[t] = i, f, g, o
-        cells[t], tanh_cells[t], hiddens[t] = c, tanh_c, h
+        z = gates[t]  # holds x_t W^T; becomes the step's activations
+        np.matmul(hiddens[t], w_h_t, out=rec)
+        z += rec
+        z += params.b
+        np.tanh(gg[t], out=tmp)
+        sigmoid(z, out=z)
+        gg[t] = tmp
+        c = cells[t + 1]
+        np.multiply(gf[t], cells[t], out=c)
+        np.multiply(gi[t], tmp, out=tmp)  # i * g
+        c += tmp
+        np.tanh(c, out=tanh_cells[t])
+        np.multiply(go[t], tanh_cells[t], out=hiddens[t + 1])
 
-    pred = h @ params.w_head + params.b_head[0]
-    cache = LstmCache(xt, gates_i, gates_f, gates_g, gates_o, cells, tanh_cells, hiddens)
-    return pred, cache
+    pred = hiddens[steps] @ params.w_head + params.b_head[0]
+    return pred, LstmCache(xt, gates, cells, tanh_cells, hiddens)
 
 
 def lstm_backward(
     params: LstmParams, cache: LstmCache, dpred: np.ndarray
 ) -> dict[str, np.ndarray]:
     """Full backpropagation through time, accumulating into every tensor."""
-    steps, bsz, hsz = cache.h.shape
+    steps, bsz, hsz = cache.tanh_c.shape
     if hsz != params.hidden_size or cache.x.shape[2] != params.input_size:
         raise ShapeError("cache shapes do not match parameters")
     dpred = np.asarray(dpred, dtype=np.float64)
     if dpred.shape != (bsz,):
         raise ShapeError(f"dpred shape {dpred.shape} does not match batch {bsz}")
 
-    h_last = cache.h[-1]
-    grad_w_head = h_last.T @ dpred
+    grad_w_head = cache.hiddens[steps].T @ dpred
     grad_b_head = np.array([dpred.sum()])
 
     dz_all = np.empty((steps, bsz, 4 * hsz))
     dh = dpred[:, None] * params.w_head[None, :]
     dc = np.zeros((bsz, hsz))
+    tmp = np.empty((bsz, hsz))
+    dz_g = np.empty((bsz, hsz))
+    one_minus = np.empty((bsz, 4 * hsz))
+    gi, gf, gg, go = _gate_blocks(cache.gates, hsz)
+    di, df, dg, do = _gate_blocks(dz_all, hsz)
     for t in range(steps - 1, -1, -1):
-        i, f, g, o = cache.i[t], cache.f[t], cache.g[t], cache.o[t]
         tanh_c = cache.tanh_c[t]
-        c_prev = cache.c[t - 1] if t > 0 else np.zeros((bsz, hsz))
-
-        do = dh * tanh_c
-        dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
-        di = dc * g
-        df = dc * c_prev
-        dg = dc * i
-
+        np.multiply(dh, tanh_c, out=do[t])
+        # dc += dh * o * (1 - tanh_c^2)
+        np.multiply(tanh_c, tanh_c, out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+        dh *= go[t]
+        dh *= tmp
+        dc += dh
+        np.multiply(dc, gg[t], out=di[t])
+        np.multiply(dc, cache.cells[t], out=df[t])
+        np.multiply(dc, gi[t], out=dg[t])
+        # g block: dg * (1 - g^2), set aside before the fused update below
+        np.multiply(gg[t], gg[t], out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+        np.multiply(dg[t], tmp, out=dz_g)
+        # i, f, o blocks: (d * a) * (1 - a) over all four, then restore g
         dz = dz_all[t]
-        dz[:, :hsz] = di * i * (1.0 - i)
-        dz[:, hsz : 2 * hsz] = df * f * (1.0 - f)
-        dz[:, 2 * hsz : 3 * hsz] = dg * (1.0 - g * g)
-        dz[:, 3 * hsz :] = do * o * (1.0 - o)
+        a = cache.gates[t]
+        dz *= a
+        np.subtract(1.0, a, out=one_minus)
+        dz *= one_minus
+        dg[t] = dz_g
 
-        dh = dz @ params.w_h
-        dc = dc * f
+        np.matmul(dz, params.w_h, out=dh)
+        dc *= gf[t]
 
-    h_prev = np.concatenate([np.zeros((1, bsz, hsz)), cache.h[:-1]], axis=0)
     dz_flat = dz_all.reshape(steps * bsz, 4 * hsz)
     return {
         "w_x": dz_flat.T @ cache.x.reshape(steps * bsz, -1),
-        "w_h": dz_flat.T @ h_prev.reshape(steps * bsz, hsz),
+        "w_h": dz_flat.T @ cache.hiddens[:steps].reshape(steps * bsz, hsz),
         "b": dz_flat.sum(axis=0),
         "w_head": grad_w_head,
         "b_head": grad_b_head,

@@ -1,4 +1,4 @@
-"""Dense matrix math, stable nonlinearities, and the seeded RNG.
+"""The stable logistic function and the seeded RNG.
 
 Matrices are plain float64 numpy arrays. All randomness in the toolkit
 (weight init, epoch shuffles, the engine split) flows through SeededRng,
@@ -10,51 +10,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 
 Matrix = np.ndarray
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Standard matrix product; raises ShapeError reporting both shapes."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return a @ b
+def sigmoid(m: Matrix, out: Matrix | None = None) -> Matrix:
+    """Numerically stable logistic: never exponentiates a positive argument.
 
-
-def sigmoid(m: Matrix) -> Matrix:
-    """Numerically stable logistic: never exponentiates a positive argument."""
+    With e = exp(-|m|) the result is 1 / (1 + e) where m >= 0 and
+    e / (1 + e) elsewhere; the numerator max(e, m >= 0) picks 1 or e
+    without a branch. `out` may be `m` itself, for an in-place update.
+    """
     m = np.asarray(m, dtype=np.float64)
-    out = np.empty_like(m)
-    pos = m >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-m[pos]))
-    em = np.exp(m[~pos])
-    out[~pos] = em / (1.0 + em)
-    return out
-
-
-def tanh(m: Matrix) -> Matrix:
-    return np.tanh(np.asarray(m, dtype=np.float64))
-
-
-def relu(m: Matrix) -> Matrix:
-    return np.maximum(np.asarray(m, dtype=np.float64), 0.0)
-
-
-ACTIVATIONS = {"sigmoid": sigmoid, "tanh": tanh, "relu": relu}
-
-
-def elementwise(name: str, m: Matrix) -> Matrix:
-    """Apply one of the named activations elementwise, preserving shape."""
-    try:
-        fn = ACTIVATIONS[name]
-    except KeyError:
-        raise ConfigError(f"unknown activation {name!r}; expected one of {sorted(ACTIVATIONS)}") from None
-    return fn(m)
+    e = np.exp(np.minimum(m, -m))  # -|m| that keeps the sign of a NaN
+    return np.divide(np.maximum(e, m >= 0), 1.0 + e, out=out)
 
 
 class SeededRng:

@@ -6,7 +6,10 @@ Update rule per step t (canonical constants unless overridden):
     v <- beta2*v + (1-beta2)*g^2      v_hat = v / (1 - beta2^t)
     theta <- theta - lr * m_hat / (sqrt(v_hat) + eps)
 
-State serializes losslessly to JSON so a resumed run continues bit-exactly.
+State round-trips losslessly through JSON and every checkpoint stores it,
+but no command resumes training from it. The epoch-shuffle RNG state is not
+saved either, so continuing from a checkpoint would not reproduce an
+uninterrupted run.
 """
 
 from __future__ import annotations

@@ -202,8 +202,18 @@ class ScalerParams:
     def __post_init__(self):
         if len(self.feature_names) != self.mins.shape[0] or self.mins.shape != self.maxs.shape:
             raise ValidationError("scaler feature names and bounds disagree in length")
-        if np.any(self.maxs < self.mins):
-            raise ValidationError("scaler has max < min for some feature")
+        for name, lo, hi in zip(self.feature_names, self.mins, self.maxs):
+            if not (np.isfinite(lo) and np.isfinite(hi)):
+                problem = "a non-finite bound"
+            elif hi < lo:
+                problem = "max < min"
+            elif hi == lo:
+                problem = "max == min (zero range)"
+            else:
+                continue
+            raise ValidationError(
+                f"scaler has {problem} for feature {name!r}: min={lo}, max={hi}"
+            )
 
     def transform(self, features: np.ndarray) -> np.ndarray:
         scaled = (features - self.mins) / (self.maxs - self.mins)
@@ -549,6 +559,14 @@ class Bundle:
     val_rows: RowSet
 
 
+def load_scaler(path: Path | str) -> ScalerParams:
+    """Read a scaler.json; invalid bounds fail with an error naming the file."""
+    try:
+        return ScalerParams.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+
+
 def load_bundle(bundle_dir: Path | str) -> Bundle:
     out = Path(bundle_dir)
     meta_path = out / "meta.json"
@@ -557,9 +575,7 @@ def load_bundle(bundle_dir: Path | str) -> Bundle:
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
     if meta.get("format") != BUNDLE_FORMAT:
         raise ValidationError(f"unrecognized bundle format in {meta_path}")
-    scaler = ScalerParams.from_dict(
-        json.loads((out / "scaler.json").read_text(encoding="utf-8"))
-    )
+    scaler = load_scaler(out / "scaler.json")
     parts = {}
     for prefix, attr, _ in _BUNDLE_ARRAYS:
         main = np.load(out / f"{prefix}.npy")

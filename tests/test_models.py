@@ -147,16 +147,16 @@ def _tiny_lstm() -> models.LstmParams:
 
 
 def test_lstm_cell_single_step_hand_oracle():
+    # One step (T=1) from the zero state, read from the fused gate tensor.
     # x=2: z_i=1, z_f=0.5, z_g=2, z_o=1.5 (recurrent weights are zero).
-    h, c, cache = models.lstm_cell_forward(
-        _tiny_lstm(), np.array([[2.0]]), np.zeros((1, 1)), np.zeros((1, 1))
-    )
-    assert cache.i[0, 0] == pytest.approx(0.7310585786300049, rel=1e-15)
-    assert cache.f[0, 0] == pytest.approx(0.62245933120185459, rel=1e-15)
-    assert cache.g[0, 0] == pytest.approx(0.9640275800758169, rel=1e-15)
-    assert cache.o[0, 0] == pytest.approx(0.81757447619364365, rel=1e-15)
-    assert c[0, 0] == pytest.approx(0.70476063245034992, rel=1e-15)
-    assert h[0, 0] == pytest.approx(0.49657907793517897, rel=1e-15)
+    _, cache = models.lstm_forward(_tiny_lstm(), np.array([[[2.0]]]))
+    i, f, g, o = cache.gates[0, 0]
+    assert i == pytest.approx(0.7310585786300049, rel=1e-15)
+    assert f == pytest.approx(0.62245933120185459, rel=1e-15)
+    assert g == pytest.approx(0.9640275800758169, rel=1e-15)
+    assert o == pytest.approx(0.81757447619364365, rel=1e-15)
+    assert cache.c[0, 0, 0] == pytest.approx(0.70476063245034992, rel=1e-15)
+    assert cache.h[0, 0, 0] == pytest.approx(0.49657907793517897, rel=1e-15)
 
 
 def test_lstm_forward_two_step_hand_oracle():
@@ -196,11 +196,9 @@ def test_lstm_forward_shape_errors():
 
 
 def test_lstm_cell_shape_errors():
-    params = _tiny_lstm()
-    with pytest.raises(ShapeError, match="input width"):
-        models.lstm_cell_forward(params, np.zeros((1, 3)), np.zeros((1, 1)), np.zeros((1, 1)))
-    with pytest.raises(ShapeError, match="state width"):
-        models.lstm_cell_forward(params, np.zeros((1, 1)), np.zeros((1, 2)), np.zeros((1, 1)))
+    # A single step (T=1) with the wrong input width.
+    with pytest.raises(ShapeError, match="feature count 3"):
+        models.lstm_forward(_tiny_lstm(), np.zeros((1, 1, 3)))
 
 
 def test_lstm_gradients_match_finite_differences_fixed_instance():

@@ -1,26 +1,10 @@
-"""Matrix helpers, stable activations, and the seeded RNG."""
+"""The stable sigmoid and the seeded RNG."""
 
 import numpy as np
 import pytest
 
-from rulkit.errors import ConfigError, ShapeError
-from rulkit.numerics import SeededRng, elementwise, matmul, relu, sigmoid, tanh
-
-
-def test_matmul_matches_hand_product():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    b = np.array([[5.0], [6.0]])
-    assert np.array_equal(matmul(a, b), np.array([[17.0], [39.0]]))
-
-
-def test_matmul_rejects_mismatched_inner_dims():
-    with pytest.raises(ShapeError, match=r"\(2, 3\) x \(2, 2\)"):
-        matmul(np.zeros((2, 3)), np.zeros((2, 2)))
-
-
-def test_matmul_rejects_non_2d():
-    with pytest.raises(ShapeError):
-        matmul(np.zeros(3), np.zeros((3, 2)))
+from rulkit.errors import ConfigError
+from rulkit.numerics import SeededRng, sigmoid
 
 
 def test_sigmoid_hand_values():
@@ -41,18 +25,6 @@ def test_sigmoid_extreme_arguments_do_not_overflow():
 def test_sigmoid_symmetry():
     x = np.linspace(-30, 30, 101)
     np.testing.assert_allclose(sigmoid(x) + sigmoid(-x), 1.0, rtol=0, atol=1e-15)
-
-
-def test_tanh_and_relu_hand_values():
-    assert tanh(np.array([0.0]))[0] == 0.0
-    assert np.array_equal(relu(np.array([-1.5, 0.0, 2.0])), [0.0, 0.0, 2.0])
-
-
-def test_elementwise_dispatch_and_unknown_name():
-    x = np.array([[0.0, -3.0]])
-    assert np.array_equal(elementwise("relu", x), [[0.0, 0.0]])
-    with pytest.raises(ConfigError, match="unknown activation"):
-        elementwise("gelu", x)
 
 
 def test_seeded_rng_is_deterministic():

@@ -1,5 +1,7 @@
 """Preprocessing chain: smoothing, trimming, scaling, labeling, windowing."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -272,6 +274,36 @@ def test_scaler_rejects_inconsistent_bounds():
         ScalerParams(("sensor_1",), np.array([1.0]), np.array([0.0]))
     with pytest.raises(ValidationError, match="disagree in length"):
         ScalerParams(("sensor_1",), np.array([0.0, 1.0]), np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize(
+    "mins, maxs, problem",
+    [
+        ([0.0, 2.0], [1.0, 2.0], "max == min"),
+        ([0.0, np.nan], [1.0, 2.0], "non-finite"),
+        ([0.0, 1.0], [1.0, np.inf], "non-finite"),
+        ([0.0, 3.0], [1.0, 2.0], "max < min"),
+    ],
+)
+def test_scaler_from_dict_rejects_degenerate_bounds_naming_feature(mins, maxs, problem):
+    d = {"feature_names": ["setting_1", "sensor_2"], "mins": mins, "maxs": maxs}
+    with pytest.raises(ValidationError, match=f"{problem}.*'sensor_2'"):
+        ScalerParams.from_dict(d)
+
+
+def test_load_bundle_rejects_zero_range_scaler(tiny_corpus, tmp_path):
+    # A hand-edited scaler.json with max == min would divide by zero at
+    # transform time; loading the bundle must fail instead.
+    result = run_pipeline(tiny_corpus, trim=5, window=10, n_val=1, seed=2)
+    pipeline = {"alpha": 0.1, "trim": 5, "window": 10, "n_val": 1, "seed": 2, "rul_cap": None}
+    write_bundle(tmp_path / "bundle", result, pipeline)
+    path = tmp_path / "bundle" / "scaler.json"
+    d = json.loads(path.read_text(encoding="utf-8"))
+    d["maxs"][1] = d["mins"][1]
+    path.write_text(json.dumps(d), encoding="utf-8")
+    name = d["feature_names"][1]
+    with pytest.raises(ValidationError, match=f"scaler.json: .*max == min.*'{name}'"):
+        load_bundle(tmp_path / "bundle")
 
 
 def test_apply_minmax_rejects_feature_mismatch():
