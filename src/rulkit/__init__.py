@@ -11,7 +11,6 @@ Adam, all on top of plain numpy.
 from .dataset_io import (
     EngineTrajectory,
     RulLabelFile,
-    dataset_summary,
     parse_rul_file,
     parse_trajectory_file,
     read_rul_labels,
@@ -66,7 +65,6 @@ __all__ = [
     "TrainingError",
     "ValidationError",
     "WindowSet",
-    "dataset_summary",
     "evaluate",
     "gradient_check_suite",
     "load_bundle",

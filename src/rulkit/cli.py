@@ -221,12 +221,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     trajectories = dataset_io.parse_trajectory_file(train_text)
     result = preprocess.run_pipeline(trajectories, n_val=1, seed=args.seed)
 
-    w = result.train_windows.windows
-    all_ok &= _check(
-        "scaled features lie in [0, 1]",
-        bool(w.size) and float(w.min()) >= 0.0 and float(w.max()) <= 1.0,
-    )
-
     gen = SeededRng(args.seed).generator
     series = gen.uniform(-5.0, 5.0, size=(40, 3))
     identity = preprocess.ewma_smooth(series, alpha=1.0)
@@ -236,28 +230,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         np.array_equal(identity, series) and bool(np.all(constant == 3.25)),
     )
 
-    features = np.vstack([
-        preprocess.feature_matrix(
-            preprocess.trim_head(
-                preprocess.smooth_trajectory(t, preprocess.DEFAULT_ALPHA),
-                preprocess.DEFAULT_TRIM,
-            ),
-            result.selection,
-        )
-        for t in trajectories
-    ])
-    round_trip = result.scaler.inverse(result.scaler.transform(features))
-    all_ok &= _check(
-        "scaler inverse round-trips its own transform",
-        bool(np.allclose(round_trip, features, rtol=1e-12, atol=1e-12)),
-    )
-
-    train_ids, val_ids = set(result.train_ids), set(result.val_ids)
-    all_ok &= _check(
-        "engine split is disjoint and exhaustive",
-        not (train_ids & val_ids)
-        and train_ids | val_ids == {t.engine_id for t in trajectories},
-    )
+    failures = preprocess.invariant_failures(trajectories, result)
+    for name in preprocess.INVARIANTS:
+        all_ok &= _check(name, name not in failures)
 
     return 0 if all_ok else 1
 

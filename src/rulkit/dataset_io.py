@@ -8,17 +8,20 @@ File layout (train/test trajectory files):
 The companion RUL file holds one non-negative integer per line: the
 remaining life of the i-th test engine at its last recorded cycle.
 
+Each engine is held column-wise: a cycle-number vector and one matrix
+each for the settings and the sensors, all read-only, so trajectories
+can share slices of one parsed block without copying.
+
 Parsing is fail-fast: a malformed row raises ParseError with its line
 number, and structural violations (cycle gaps, duplicated engine blocks)
-raise ValidationError naming the engine. Values are kept at full double
-precision; downstream gradient checks depend on it.
+raise ValidationError naming the engine. When a file has several faults,
+the one reported is the first a row-by-row reader would meet. Values are
+kept at full double precision; downstream gradient checks depend on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
-from math import isfinite
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,91 +32,112 @@ N_SETTINGS = 3
 N_SENSORS = 21
 N_COLUMNS = 2 + N_SETTINGS + N_SENSORS
 
-FD001_EXPECTED_TRAIN_ENGINES = 100
-FD001_EXPECTED_TEST_ENGINES = 100
+
+def _read_only(values, dtype) -> np.ndarray:
+    """`values` as a read-only array; a writable input is copied first, so the
+    caller keeps no writable alias of the result."""
+    arr = np.asarray(values, dtype=dtype)
+    if arr.flags.writeable:
+        arr = arr.copy()
+        arr.flags.writeable = False
+    return arr
 
 
-@dataclass(frozen=True)
-class CycleRecord:
-    """One engine cycle: 3 operating settings and 21 sensor readings."""
-
-    cycle: int
-    op_settings: tuple[float, ...]
-    sensors: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.cycle < 1:
-            raise ValidationError(f"cycle must be positive, got {self.cycle}")
-        if len(self.op_settings) != N_SETTINGS:
-            raise ValidationError(
-                f"expected {N_SETTINGS} operating settings, got {len(self.op_settings)}"
-            )
-        if len(self.sensors) != N_SENSORS:
-            raise ValidationError(
-                f"expected {N_SENSORS} sensor values, got {len(self.sensors)}"
-            )
-        for v in self.op_settings + self.sensors:
-            if not isfinite(v):
-                raise ValidationError(f"non-finite value {v!r} at cycle {self.cycle}")
+def _non_finite(values: np.ndarray, cycle) -> str:
+    """Message naming the first non-finite entry of one cycle's values."""
+    return f"non-finite value {float(values[~np.isfinite(values)][0])!r} at cycle {int(cycle)}"
 
 
-@dataclass(frozen=True)
+def _check_contiguous(engine_id: int, cycles: np.ndarray) -> None:
+    steps = cycles[1:] - cycles[:-1]
+    if not (steps == 1).all():
+        i = int(np.argmax(steps != 1))
+        raise ValidationError(
+            f"engine {engine_id}: non-contiguous cycles "
+            f"{int(cycles[i])} -> {int(cycles[i + 1])}"
+        )
+
+
+@dataclass(frozen=True, eq=False)
 class EngineTrajectory:
-    """One engine's cycle-ordered record list.
+    """One engine's cycles as columns: cycle numbers (L,) int64, operating
+    settings (L, 3) and sensor readings (L, 21), both float64.
 
+    The arrays are read-only (writing raises ValueError): trimmed copies
+    are views that share them. A writable array passed in is copied.
     Cycle numbers must be contiguous ascending integers. Freshly parsed
     trajectories start at cycle 1; head-trimmed ones keep their original
     numbering and start later.
     """
 
     engine_id: int
-    cycles: tuple[CycleRecord, ...]
+    cycles: np.ndarray
+    settings_matrix: np.ndarray
+    sensors_matrix: np.ndarray
 
     def __post_init__(self):
         if self.engine_id < 1:
             raise ValidationError(f"engine id must be positive, got {self.engine_id}")
-        if not self.cycles:
+        for name, dtype in (
+            ("cycles", np.int64), ("settings_matrix", np.float64), ("sensors_matrix", np.float64)
+        ):
+            object.__setattr__(self, name, _read_only(getattr(self, name), dtype))
+        cycles, settings, sensors = self.cycles, self.settings_matrix, self.sensors_matrix
+        if cycles.ndim != 1:
+            raise ValidationError(
+                f"engine {self.engine_id}: cycle numbers must be 1-D, got shape {cycles.shape}"
+            )
+        n = cycles.shape[0]
+        if n == 0:
             raise ValidationError(f"engine {self.engine_id}: empty trajectory")
-        for prev, cur in zip(self.cycles, self.cycles[1:]):
-            if cur.cycle != prev.cycle + 1:
+        for arr, width, what in (
+            (settings, N_SETTINGS, "operating settings"), (sensors, N_SENSORS, "sensor values")
+        ):
+            if arr.shape != (n, width):
                 raise ValidationError(
-                    f"engine {self.engine_id}: non-contiguous cycles "
-                    f"{prev.cycle} -> {cur.cycle}"
+                    f"engine {self.engine_id}: expected {width} {what} for each of "
+                    f"{n} cycles, got shape {arr.shape}"
                 )
+        _check_contiguous(self.engine_id, cycles)
+        if cycles[0] < 1:
+            raise ValidationError(f"cycle must be positive, got {int(cycles[0])}")
+        if not (np.isfinite(settings).all() and np.isfinite(sensors).all()):
+            finite = np.isfinite(settings).all(axis=1) & np.isfinite(sensors).all(axis=1)
+            row = int(np.argmin(finite))
+            values = np.concatenate([settings[row], sensors[row]])
+            raise ValidationError(_non_finite(values, cycles[row]))
 
     def __len__(self) -> int:
-        return len(self.cycles)
+        return self.cycles.shape[0]
 
-    @property
-    def first_cycle(self) -> int:
-        return self.cycles[0].cycle
+    def tail(self, start: int) -> "EngineTrajectory":
+        """The cycles from row `start` on, as read-only views of these arrays.
 
-    @property
-    def last_cycle(self) -> int:
-        return self.cycles[-1].cycle
-
-    @cached_property
-    def settings_matrix(self) -> np.ndarray:
-        """(L, 3) operating settings, row per cycle."""
-        return np.array([r.op_settings for r in self.cycles], dtype=np.float64)
-
-    @cached_property
-    def sensors_matrix(self) -> np.ndarray:
-        """(L, 21) sensor readings, row per cycle."""
-        return np.array([r.sensors for r in self.cycles], dtype=np.float64)
+        A non-empty suffix of a valid trajectory is valid, so the
+        constructor's checks are not run again.
+        """
+        if not 0 <= start < len(self):
+            raise ValidationError(
+                f"engine {self.engine_id}: cannot trim {start} cycles from a "
+                f"{len(self)}-cycle trajectory"
+            )
+        suffix = object.__new__(EngineTrajectory)
+        suffix.__dict__.update(
+            engine_id=self.engine_id,
+            cycles=self.cycles[start:],
+            settings_matrix=self.settings_matrix[start:],
+            sensors_matrix=self.sensors_matrix[start:],
+        )
+        return suffix
 
     def with_sensors(self, sensors: np.ndarray) -> "EngineTrajectory":
-        """Copy of this trajectory with sensor values replaced (L, 21)."""
-        if sensors.shape != (len(self.cycles), N_SENSORS):
+        """This trajectory with its sensor matrix replaced by `sensors` (L, 21)."""
+        if sensors.shape != (len(self), N_SENSORS):
             raise ValidationError(
                 f"engine {self.engine_id}: replacement sensors shape {sensors.shape} "
-                f"does not match ({len(self.cycles)}, {N_SENSORS})"
+                f"does not match ({len(self)}, {N_SENSORS})"
             )
-        records = tuple(
-            CycleRecord(r.cycle, r.op_settings, tuple(float(v) for v in row))
-            for r, row in zip(self.cycles, sensors)
-        )
-        return EngineTrajectory(self.engine_id, records)
+        return replace(self, sensors_matrix=sensors)
 
 
 @dataclass(frozen=True)
@@ -133,59 +157,99 @@ class RulLabelFile:
         return len(self.ruls)
 
 
+def _check_rows(rows: np.ndarray, linenos: list[int]) -> None:
+    """Raise the first per-row fault, in file order, of converted rows.
+
+    Within one row the checks run in a fixed order: unit id, cycle, a
+    repeated engine block, then non-finite settings or sensors.
+    """
+    ids = rows[:, 0]
+    new_block = np.ones(len(ids), dtype=bool)
+    new_block[1:] = ids[1:] != ids[:-1]
+    starts = np.flatnonzero(new_block)
+    _, first = np.unique(ids[starts], return_index=True)
+    repeated = new_block.copy()
+    repeated[starts[first]] = False
+    id_cycle = rows[:, :2]
+    positive_int = np.isfinite(id_cycle) & (id_cycle == np.trunc(id_cycle)) & (id_cycle >= 1)
+    faults = np.column_stack([~positive_int, repeated, ~np.isfinite(rows[:, 2:]).all(axis=1)])
+    bad_rows = np.flatnonzero(faults.any(axis=1))
+    if not bad_rows.size:
+        return
+    row = bad_rows[0]
+    kind = int(np.argmax(faults[row]))
+    lineno = linenos[row]
+    if kind == 0:
+        raise ParseError(f"line {lineno}: unit id must be a positive integer")
+    if kind == 1:
+        raise ParseError(f"line {lineno}: cycle must be a positive integer")
+    if kind == 2:
+        raise ValidationError(
+            f"line {lineno}: engine {int(ids[row])} appears in more than one block"
+        )
+    raise ParseError(f"line {lineno}: {_non_finite(rows[row, 2:], rows[row, 1])}")
+
+
 def parse_trajectory_file(text: str) -> list[EngineTrajectory]:
     """Parse raw trajectory file contents into per-engine trajectories.
 
-    Tolerates repeated delimiters and trailing whitespace (the published
-    files use double-space separators). Every row must contribute to the
-    output; engine blocks may appear in any order but must not repeat.
+    Tolerates repeated delimiters, blank lines and trailing whitespace (the
+    published files use double-space separators). Tokens are read with
+    Python's float(). Every row must contribute to the output; engine
+    blocks may appear in any order but must not repeat.
     """
-    rows_by_engine: dict[int, list[CycleRecord]] = {}
-    last_engine: int | None = None
+    linenos: list[int] = []
+    tokens: list[str] = []
+    fault = None
     for lineno, line in enumerate(text.splitlines(), start=1):
-        tokens = line.split()
-        if not tokens:
+        fields = line.split()
+        if not fields:
             continue
-        if len(tokens) != N_COLUMNS:
-            raise ParseError(
-                f"line {lineno}: expected {N_COLUMNS} columns, got {len(tokens)}"
+        if len(fields) != N_COLUMNS:
+            fault = ParseError(
+                f"line {lineno}: expected {N_COLUMNS} columns, got {len(fields)}"
             )
-        try:
-            values = [float(t) for t in tokens]
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: non-numeric token ({exc})") from None
-        engine_id = int(values[0])
-        if engine_id != values[0] or engine_id < 1:
-            raise ParseError(f"line {lineno}: unit id must be a positive integer")
-        cycle = int(values[1])
-        if cycle != values[1] or cycle < 1:
-            raise ParseError(f"line {lineno}: cycle must be a positive integer")
-        if engine_id in rows_by_engine and engine_id != last_engine:
-            raise ValidationError(
-                f"line {lineno}: engine {engine_id} appears in more than one block"
-            )
-        try:
-            record = CycleRecord(
-                cycle,
-                tuple(values[2 : 2 + N_SETTINGS]),
-                tuple(values[2 + N_SETTINGS :]),
-            )
-        except ValidationError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
-        rows_by_engine.setdefault(engine_id, []).append(record)
-        last_engine = engine_id
-
-    if not rows_by_engine:
+            break
+        linenos.append(lineno)
+        tokens += fields
+    try:
+        values = np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
+    except ValueError:
+        for i, token in enumerate(tokens):
+            try:
+                float(token)
+            except ValueError as exc:
+                fault = ParseError(
+                    f"line {linenos[i // N_COLUMNS]}: non-numeric token ({exc})"
+                )
+                break
+        del tokens[i - i % N_COLUMNS :]
+        values = np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
+    rows = values.reshape(-1, N_COLUMNS)
+    _check_rows(rows, linenos)
+    if fault is not None:
+        raise fault
+    if not rows.shape[0]:
         raise ValidationError("trajectory file contains no data rows")
 
+    values.flags.writeable = False
+    starts = np.flatnonzero(np.diff(rows[:, 0], prepend=0.0))
+    ends = np.append(starts[1:], rows.shape[0])
     trajectories = []
-    for engine_id in sorted(rows_by_engine):
-        records = rows_by_engine[engine_id]
-        if records[0].cycle != 1:
+    for k in np.argsort(rows[starts, 0]):
+        block = rows[starts[k] : ends[k]]
+        engine_id = int(block[0, 0])
+        if block[0, 1] != 1:
             raise ValidationError(
-                f"engine {engine_id}: first cycle must be 1, got {records[0].cycle}"
+                f"engine {engine_id}: first cycle must be 1, got {int(block[0, 1])}"
             )
-        trajectories.append(EngineTrajectory(engine_id, tuple(records)))
+        _check_contiguous(engine_id, block[:, 1])
+        trajectories.append(EngineTrajectory(
+            engine_id,
+            block[:, 1].astype(np.int64),
+            block[:, 2 : 2 + N_SETTINGS],
+            block[:, 2 + N_SETTINGS :],
+        ))
     return trajectories
 
 
@@ -206,22 +270,6 @@ def parse_rul_file(text: str) -> RulLabelFile:
     return RulLabelFile(tuple(labels))
 
 
-def serialize_trajectories(trajectories: list[EngineTrajectory]) -> str:
-    """Re-emit trajectories in the whitespace format parse accepts.
-
-    Floats use shortest round-trip formatting, so
-    parse(serialize(x)) == x exactly.
-    """
-    lines = []
-    for traj in trajectories:
-        for rec in traj.cycles:
-            fields = [str(traj.engine_id), str(rec.cycle)]
-            fields += [repr(v) for v in rec.op_settings]
-            fields += [repr(v) for v in rec.sensors]
-            lines.append(" ".join(fields))
-    return "\n".join(lines) + "\n"
-
-
 def read_trajectories(path: Path | str) -> list[EngineTrajectory]:
     path = Path(path)
     if not path.exists():
@@ -234,74 +282,3 @@ def read_rul_labels(path: Path | str) -> RulLabelFile:
     if not path.exists():
         raise FileNotFoundError(f"RUL file not found: {path}")
     return parse_rul_file(path.read_text())
-
-
-@dataclass
-class DatasetStats:
-    """Shape summary of a parsed train/test/label triple.
-
-    Expectation mismatches for the single-condition FD001 layout are
-    recorded in `flags` rather than raised: the summary is a report,
-    not a gate.
-    """
-
-    train_engines: int
-    test_engines: int
-    rul_labels: int
-    train_total_rows: int
-    test_total_rows: int
-    train_min_len: int
-    train_max_len: int
-    test_min_len: int
-    test_max_len: int
-    flags: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "train_engines": self.train_engines,
-            "test_engines": self.test_engines,
-            "rul_labels": self.rul_labels,
-            "train_total_rows": self.train_total_rows,
-            "test_total_rows": self.test_total_rows,
-            "train_min_len": self.train_min_len,
-            "train_max_len": self.train_max_len,
-            "test_min_len": self.test_min_len,
-            "test_max_len": self.test_max_len,
-            "flags": list(self.flags),
-        }
-
-
-def dataset_summary(
-    train: list[EngineTrajectory],
-    test: list[EngineTrajectory],
-    ruls: RulLabelFile,
-) -> DatasetStats:
-    """Summarize engine counts and trajectory lengths; flag FD001 mismatches."""
-    train_lens = [len(t) for t in train]
-    test_lens = [len(t) for t in test]
-    stats = DatasetStats(
-        train_engines=len(train),
-        test_engines=len(test),
-        rul_labels=len(ruls),
-        train_total_rows=sum(train_lens),
-        test_total_rows=sum(test_lens),
-        train_min_len=min(train_lens),
-        train_max_len=max(train_lens),
-        test_min_len=min(test_lens),
-        test_max_len=max(test_lens),
-    )
-    if stats.train_engines != FD001_EXPECTED_TRAIN_ENGINES:
-        stats.flags.append(
-            f"expected {FD001_EXPECTED_TRAIN_ENGINES} training engines, "
-            f"found {stats.train_engines}"
-        )
-    if stats.test_engines != FD001_EXPECTED_TEST_ENGINES:
-        stats.flags.append(
-            f"expected {FD001_EXPECTED_TEST_ENGINES} test engines, found {stats.test_engines}"
-        )
-    if stats.rul_labels != stats.test_engines:
-        stats.flags.append(
-            f"label count {stats.rul_labels} does not match test engine count "
-            f"{stats.test_engines}"
-        )
-    return stats

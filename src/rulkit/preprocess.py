@@ -29,7 +29,6 @@ from .numerics import SeededRng
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_DROPPED_SENSORS = frozenset({1, 5, 6, 10, 16, 18, 19})
 CONSTANT_TOLERANCE = 1e-12
 DEFAULT_ALPHA = 0.1
 DEFAULT_TRIM = 10
@@ -148,11 +147,15 @@ def ewma_smooth(series: np.ndarray, alpha: float) -> np.ndarray:
     x = np.asarray(series, dtype=np.float64)
     if x.shape[0] == 0:
         raise ValidationError("cannot smooth an empty series")
-    out = np.empty_like(x)
+    # alpha * x[t] for every t up front, then one in-place add per step:
+    # the same two roundings per element as the recurrence written out.
+    out = alpha * x
     out[0] = x[0]
     decay = 1.0 - alpha
+    step = np.empty_like(out[0])
     for t in range(1, x.shape[0]):
-        out[t] = alpha * x[t] + decay * out[t - 1]
+        np.multiply(out[t - 1], decay, out=step)
+        out[t] += step
     return out
 
 
@@ -162,17 +165,15 @@ def smooth_trajectory(traj: EngineTrajectory, alpha: float) -> EngineTrajectory:
 
 
 def trim_head(traj: EngineTrajectory, n: int = DEFAULT_TRIM) -> EngineTrajectory:
-    """Drop the first n cycles; retained cycle numbers are preserved."""
+    """Drop the first n cycles; retained cycle numbers are preserved.
+
+    The result's arrays are read-only views of the input's.
+    """
     if n < 0:
         raise ConfigError(f"trim length must be >= 0, got {n}")
     if n == 0:
         return traj
-    if len(traj) <= n:
-        raise ValidationError(
-            f"engine {traj.engine_id}: cannot trim {n} cycles from a "
-            f"{len(traj)}-cycle trajectory"
-        )
-    return EngineTrajectory(traj.engine_id, traj.cycles[n:])
+    return traj.tail(n)
 
 
 def feature_matrix(traj: EngineTrajectory, selection: FeatureSelection) -> np.ndarray:
@@ -262,7 +263,7 @@ class ScaledEngine:
     """One engine after smoothing, trimming and scaling."""
 
     engine_id: int
-    cycle_numbers: np.ndarray
+    cycles: np.ndarray
     features: np.ndarray
 
     def __len__(self) -> int:
@@ -278,8 +279,8 @@ def apply_minmax(
             f"feature order mismatch: selection {selection.feature_names} "
             f"vs scaler {scaler.feature_names}"
         )
-    cycles = np.array([r.cycle for r in traj.cycles], dtype=np.int64)
-    return ScaledEngine(traj.engine_id, cycles, scaler.transform(feature_matrix(traj, selection)))
+    features = scaler.transform(feature_matrix(traj, selection))
+    return ScaledEngine(traj.engine_id, traj.cycles, features)
 
 
 def label_rul(
@@ -295,11 +296,7 @@ def label_rul(
     """
     if known_terminal_rul < 0:
         raise ConfigError(f"terminal RUL must be non-negative, got {known_terminal_rul}")
-    if isinstance(traj, ScaledEngine):
-        cycles = traj.cycle_numbers
-    else:
-        cycles = np.array([r.cycle for r in traj.cycles], dtype=np.int64)
-    rul = (cycles[-1] - cycles + known_terminal_rul).astype(np.float64)
+    rul = (traj.cycles[-1] - traj.cycles + known_terminal_rul).astype(np.float64)
     if cap is not None:
         if cap <= 0:
             raise ConfigError(f"RUL cap must be positive, got {cap}")
@@ -501,6 +498,42 @@ def run_pipeline(
     )
 
 
+INVARIANTS = (
+    "scaled features lie in [0, 1]",
+    "scaler inverse round-trips its own transform",
+    "engine split is disjoint and exhaustive",
+)
+
+
+def invariant_failures(
+    trajectories: Sequence[EngineTrajectory],
+    result: PreprocessResult,
+    *,
+    alpha: float = DEFAULT_ALPHA,
+    trim: int = DEFAULT_TRIM,
+) -> list[str]:
+    """Names (from INVARIANTS) of the invariants that `result` breaks.
+
+    `result` must come from run_pipeline on `trajectories` with the given
+    alpha and trim; an empty list means every invariant holds.
+    """
+    failures = []
+    scaled = np.concatenate([result.train_windows.windows, result.val_windows.windows])
+    if not scaled.size or scaled.min() < 0.0 or scaled.max() > 1.0:
+        failures.append(INVARIANTS[0])
+    features = np.vstack([
+        feature_matrix(trim_head(smooth_trajectory(t, alpha), trim), result.selection)
+        for t in trajectories
+    ])
+    round_trip = result.scaler.inverse(result.scaler.transform(features))
+    if not np.allclose(round_trip, features, rtol=1e-12, atol=1e-12):
+        failures.append(INVARIANTS[1])
+    train_ids, val_ids = set(result.train_ids), set(result.val_ids)
+    if train_ids & val_ids or train_ids | val_ids != {t.engine_id for t in trajectories}:
+        failures.append(INVARIANTS[2])
+    return failures
+
+
 BUNDLE_FORMAT = "rulkit-bundle-v1"
 
 _BUNDLE_ARRAYS = (
@@ -567,7 +600,27 @@ def load_scaler(path: Path | str) -> ScalerParams:
         raise ValidationError(f"{path}: {exc}") from None
 
 
+def _load_array(path: Path, dtype: type, shape: tuple) -> np.ndarray:
+    """One bundle array, which must have exactly this dtype and shape."""
+    try:
+        arr = np.load(path)
+    except (ValueError, EOFError) as exc:
+        raise ValidationError(f"{path}: unreadable array ({exc})") from None
+    if arr.dtype != dtype or arr.shape != shape:
+        raise ValidationError(
+            f"{path}: expected {np.dtype(dtype)} array of shape {shape} (sample count "
+            f"from meta.json), got {arr.dtype} array of shape {arr.shape}"
+        )
+    return arr
+
+
 def load_bundle(bundle_dir: Path | str) -> Bundle:
+    """Read a bundle back, checking every array against meta.json.
+
+    Each array must have the dtype and shape write_bundle gives it, with
+    the sample counts meta.json records; any mismatch raises
+    ValidationError naming the file.
+    """
     out = Path(bundle_dir)
     meta_path = out / "meta.json"
     if not meta_path.is_file():
@@ -575,14 +628,32 @@ def load_bundle(bundle_dir: Path | str) -> Bundle:
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
     if meta.get("format") != BUNDLE_FORMAT:
         raise ValidationError(f"unrecognized bundle format in {meta_path}")
+    try:
+        counts = meta["counts"]
+        window = meta["pipeline"]["window"]
+        n_features = len(meta["feature_names"])
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(f"{meta_path}: missing or malformed entry {exc}") from None
     scaler = load_scaler(out / "scaler.json")
     parts = {}
-    for prefix, attr, _ in _BUNDLE_ARRAYS:
-        main = np.load(out / f"{prefix}.npy")
-        targets = np.load(out / f"{prefix}_targets.npy")
-        engines = np.load(out / f"{prefix}_engines.npy")
-        cls = WindowSet if "windows" in prefix else RowSet
+    for prefix, attr, field_name in _BUNDLE_ARRAYS:
+        n = counts.get(prefix)
+        shape = (n, window, n_features) if field_name == "windows" else (n, n_features)
+        main = _load_array(out / f"{prefix}.npy", np.float64, shape)
+        targets = _load_array(out / f"{prefix}_targets.npy", np.float64, (n,))
+        engines = _load_array(out / f"{prefix}_engines.npy", np.int64, (n,))
+        cls = WindowSet if field_name == "windows" else RowSet
         parts[attr] = cls(main, targets, engines)
+    engine_ids = np.union1d(parts["train_rows"].engine_ids, parts["val_rows"].engine_ids)
+    for name, actual in (
+        ("total_windows", counts["train_windows"] + counts["val_windows"]),
+        ("total_rows", counts["train_rows"] + counts["val_rows"]),
+        ("engines", engine_ids.size),
+    ):
+        if counts.get(name) != actual:
+            raise ValidationError(
+                f"{meta_path}: counts.{name} is {counts.get(name)}, but the arrays hold {actual}"
+            )
     return Bundle(meta=meta, scaler=scaler, **parts)
 
 

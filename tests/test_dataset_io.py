@@ -1,23 +1,21 @@
-"""Parsing, validation, and serialization of the 26-column text files."""
+"""Parsing and validation of the 26-column text files."""
 
 import numpy as np
 import pytest
 
 from rulkit.dataset_io import (
-    CycleRecord,
     EngineTrajectory,
     N_COLUMNS,
     N_SENSORS,
     N_SETTINGS,
     RulLabelFile,
-    dataset_summary,
     parse_rul_file,
     parse_trajectory_file,
     read_rul_labels,
     read_trajectories,
-    serialize_trajectories,
 )
 from rulkit.errors import ParseError, ValidationError
+from rulkit.preprocess import trim_head
 
 
 def _row(unit: int, cycle: int, settings=None, sensors=None) -> str:
@@ -29,6 +27,31 @@ def _row(unit: int, cycle: int, settings=None, sensors=None) -> str:
 
 def _file(rows) -> str:
     return "\n".join(rows) + "\n"
+
+
+def serialize_trajectories(trajectories) -> str:
+    """Re-emit trajectories in the whitespace format parse accepts.
+
+    Floats use shortest round-trip formatting, so parsing the output
+    reproduces every value exactly.
+    """
+    lines = []
+    for traj in trajectories:
+        for cycle, settings, sensors in zip(
+            traj.cycles, traj.settings_matrix, traj.sensors_matrix
+        ):
+            fields = [str(traj.engine_id), str(cycle)]
+            fields += [repr(float(v)) for v in settings]
+            fields += [repr(float(v)) for v in sensors]
+            lines.append(" ".join(fields))
+    return "\n".join(lines) + "\n"
+
+
+def _trajectory(cycles, settings=None, sensors=None, engine_id=1):
+    n = len(cycles)
+    settings = np.zeros((n, N_SETTINGS)) if settings is None else settings
+    sensors = np.zeros((n, N_SENSORS)) if sensors is None else sensors
+    return EngineTrajectory(engine_id, np.asarray(cycles), settings, sensors)
 
 
 def test_parse_single_row_oracle():
@@ -43,13 +66,13 @@ def test_parse_single_row_oracle():
     traj = trajectories[0]
     assert traj.engine_id == 3
     assert len(traj) == 1
-    rec = traj.cycles[0]
-    assert rec.cycle == 1
-    assert rec.op_settings == (-0.0007, 0.0003, 100.0)
-    assert rec.sensors[0] == 518.67
-    assert rec.sensors[1] == 641.82
-    assert rec.sensors[20] == 23.419
-    assert len(rec.sensors) == N_SENSORS
+    assert traj.cycles.tolist() == [1]
+    assert traj.settings_matrix.tolist() == [[-0.0007, 0.0003, 100.0]]
+    assert traj.sensors_matrix[0, 0] == 518.67
+    assert traj.sensors_matrix[0, 1] == 641.82
+    assert traj.sensors_matrix[0, 20] == 23.419
+    assert traj.sensors_matrix.shape == (1, N_SENSORS)
+    assert traj.cycles.dtype == np.int64
 
 
 def test_parse_groups_rows_by_engine_and_sorts_ids():
@@ -118,7 +141,11 @@ def test_serialize_parse_round_trip_is_exact():
             rows.append(_row(unit, cycle, settings, sensors))
     original = parse_trajectory_file(_file(rows))
     recovered = parse_trajectory_file(serialize_trajectories(original))
-    assert recovered == original
+    assert [t.engine_id for t in recovered] == [t.engine_id for t in original]
+    for got, want in zip(recovered, original):
+        assert np.array_equal(got.cycles, want.cycles)
+        assert np.array_equal(got.settings_matrix, want.settings_matrix)
+        assert np.array_equal(got.sensors_matrix, want.sensors_matrix)
 
 
 def test_read_trajectories_and_labels_from_disk(tmp_path):
@@ -158,14 +185,28 @@ def test_rul_label_file_rejects_empty_and_negative():
 
 
 def test_cycle_record_validation():
-    with pytest.raises(ValidationError, match="cycle must be positive"):
-        CycleRecord(0, (0.0,) * N_SETTINGS, (0.0,) * N_SENSORS)
+    with pytest.raises(ValidationError, match="cycle must be positive, got 0"):
+        _trajectory([0, 1])
     with pytest.raises(ValidationError, match="operating settings"):
-        CycleRecord(1, (0.0,), (0.0,) * N_SENSORS)
+        _trajectory([1], settings=np.zeros((1, 1)))
     with pytest.raises(ValidationError, match="sensor values"):
-        CycleRecord(1, (0.0,) * N_SETTINGS, (0.0,) * 5)
-    with pytest.raises(ValidationError, match="non-finite"):
-        CycleRecord(1, (0.0, float("nan"), 0.0), (0.0,) * N_SENSORS)
+        _trajectory([1], sensors=np.zeros((1, 5)))
+    with pytest.raises(ValidationError, match="sensor values"):
+        _trajectory([1, 2], sensors=np.zeros((3, N_SENSORS)))
+    settings = np.zeros((2, N_SETTINGS))
+    settings[1, 1] = np.nan
+    with pytest.raises(ValidationError, match="non-finite value nan at cycle 2"):
+        _trajectory([1, 2], settings=settings)
+    sensors = np.zeros((2, N_SENSORS))
+    sensors[0, 4] = -np.inf
+    with pytest.raises(ValidationError, match="non-finite value -inf at cycle 1"):
+        _trajectory([1, 2], sensors=sensors)
+    with pytest.raises(ValidationError, match="non-contiguous cycles 2 -> 4"):
+        _trajectory([1, 2, 4])
+    with pytest.raises(ValidationError, match="engine id must be positive"):
+        _trajectory([1], engine_id=0)
+    with pytest.raises(ValidationError, match="1-D"):
+        _trajectory(np.ones((1, 1)))
 
 
 def test_trajectory_matrices_have_expected_shape_and_values():
@@ -173,8 +214,7 @@ def test_trajectory_matrices_have_expected_shape_and_values():
     assert traj.settings_matrix.shape == (3, N_SETTINGS)
     assert traj.sensors_matrix.shape == (3, N_SENSORS)
     assert traj.sensors_matrix[0, 0] == 1.0
-    assert traj.first_cycle == 1
-    assert traj.last_cycle == 3
+    assert traj.cycles.tolist() == [1, 2, 3]
 
 
 def test_with_sensors_replaces_values_and_validates_shape():
@@ -188,20 +228,47 @@ def test_with_sensors_replaces_values_and_validates_shape():
 
 def test_empty_trajectory_rejected():
     with pytest.raises(ValidationError, match="empty trajectory"):
-        EngineTrajectory(1, ())
+        _trajectory(np.zeros(0, dtype=np.int64))
 
 
-def test_dataset_summary_counts_and_flags():
-    train = parse_trajectory_file(_file([_row(1, 1), _row(1, 2), _row(2, 1)]))
-    test = parse_trajectory_file(_file([_row(1, 1)]))
-    ruls = parse_rul_file("50\n60\n")
-    stats = dataset_summary(train, test, ruls)
-    assert stats.train_engines == 2
-    assert stats.test_engines == 1
-    assert stats.rul_labels == 2
-    assert stats.train_total_rows == 3
-    assert stats.train_min_len == 1 and stats.train_max_len == 2
-    # Non-standard shape is reported, not raised.
-    assert any("training engines" in f for f in stats.flags)
-    assert any("label count" in f for f in stats.flags)
-    assert stats.to_dict()["flags"] == stats.flags
+def test_trajectory_arrays_are_read_only():
+    traj = parse_trajectory_file(_file([_row(1, c) for c in range(1, 6)]))[0]
+    trimmed = trim_head(traj, 2)
+    for t in (traj, trimmed):
+        for arr in (t.cycles, t.settings_matrix, t.sensors_matrix):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+    assert np.shares_memory(trimmed.sensors_matrix, traj.sensors_matrix)
+    replaced = traj.with_sensors(np.ones((5, N_SENSORS)))
+    with pytest.raises(ValueError, match="read-only"):
+        replaced.sensors_matrix[0, 0] = 0.0
+
+
+def test_tail_views_a_suffix_and_rejects_an_empty_one():
+    traj = parse_trajectory_file(_file([_row(4, c) for c in range(1, 6)]))[0]
+    suffix = traj.tail(3)
+    assert suffix.engine_id == 4 and suffix.cycles.tolist() == [4, 5]
+    assert np.array_equal(suffix.sensors_matrix, traj.sensors_matrix[3:])
+    assert np.shares_memory(suffix.settings_matrix, traj.settings_matrix)
+    assert traj.tail(0).cycles.tolist() == [1, 2, 3, 4, 5]
+    for start in (5, -1):
+        with pytest.raises(ValidationError, match=f"engine 4: cannot trim {start} cycles"):
+            traj.tail(start)
+
+
+def test_trajectory_copies_writable_input():
+    sensors = np.ones((2, N_SENSORS))
+    traj = _trajectory([1, 2], sensors=sensors)
+    sensors[0, 0] = 5.0
+    assert traj.sensors_matrix[0, 0] == 1.0
+    assert sensors.flags.writeable
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", [0, 1])
+def test_parse_rejects_non_finite_unit_or_cycle_with_line_number(token, column):
+    bad = _row(1, 2).split()
+    bad[column] = token
+    what = "unit id" if column == 0 else "cycle"
+    with pytest.raises(ParseError, match=f"line 2: {what} must be a positive integer"):
+        parse_trajectory_file(_file([_row(1, 1), " ".join(bad)]))

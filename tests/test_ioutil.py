@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 from rulkit.ioutil import (
-    atomic_write_bytes,
     atomic_write_text,
     canonical_json,
     fmt_double,
-    sha256_file,
     sha256_text,
 )
 
@@ -59,12 +57,6 @@ def test_sha256_text_known_values():
     )
 
 
-def test_sha256_file_matches_text_hash(tmp_path):
-    path = tmp_path / "blob.txt"
-    atomic_write_text(path, "abc")
-    assert sha256_file(path) == sha256_text("abc")
-
-
 def test_atomic_write_text_creates_parents_and_leaves_no_temp(tmp_path):
     path = tmp_path / "deep" / "nested" / "out.txt"
     atomic_write_text(path, "hello\n")
@@ -77,12 +69,6 @@ def test_atomic_write_replaces_existing_content(tmp_path):
     atomic_write_text(path, "first")
     atomic_write_text(path, "second")
     assert path.read_text() == "second"
-
-
-def test_atomic_write_bytes(tmp_path):
-    path = tmp_path / "out.bin"
-    atomic_write_bytes(path, b"\x00\x01\xff")
-    assert path.read_bytes() == b"\x00\x01\xff"
 
 
 @pytest.mark.parametrize("value", [0.0, -0.0, 1e308, 5e-324])

@@ -1,15 +1,17 @@
 """Preprocessing chain: smoothing, trimming, scaling, labeling, windowing."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rulkit.dataset_io import CycleRecord, EngineTrajectory, N_SENSORS, N_SETTINGS
+from rulkit.dataset_io import EngineTrajectory, N_SENSORS, N_SETTINGS
 from rulkit.errors import ConfigError, ValidationError
 from rulkit.numerics import SeededRng
 from rulkit.preprocess import (
-    DEFAULT_DROPPED_SENSORS,
     FeatureSelection,
     ScalerParams,
     apply_minmax,
@@ -20,6 +22,8 @@ from rulkit.preprocess import (
     feature_matrix,
     final_window,
     fit_minmax,
+    INVARIANTS,
+    invariant_failures,
     label_rul,
     load_bundle,
     make_rows,
@@ -41,15 +45,8 @@ def make_traj(engine_id, sensors, settings=None, start_cycle=1):
     length = sensors.shape[0]
     if settings is None:
         settings = np.zeros((length, N_SETTINGS))
-    records = tuple(
-        CycleRecord(
-            start_cycle + t,
-            tuple(float(v) for v in settings[t]),
-            tuple(float(v) for v in sensors[t]),
-        )
-        for t in range(length)
-    )
-    return EngineTrajectory(engine_id, records)
+    cycles = np.arange(start_cycle, start_cycle + length)
+    return EngineTrajectory(engine_id, cycles, settings, sensors)
 
 
 def random_traj(engine_id, length, seed, sensor_scale=1.0):
@@ -99,6 +96,32 @@ def test_ewma_stays_within_data_range():
     assert out.min() >= 2.0 and out.max() <= 7.0
 
 
+def reference_ewma(x, alpha):
+    """The recurrence written out per step, as ewma_smooth first computed it."""
+    out = np.empty_like(x)
+    out[0] = x[0]
+    decay = 1.0 - alpha
+    for t in range(1, x.shape[0]):
+        out[t] = alpha * x[t] + decay * out[t - 1]
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 40),
+    st.sampled_from([(), (1,), (3,), (21,), (2, 3)]),
+    st.one_of(st.just(1.0), st.floats(1e-6, 1.0, exclude_min=True)),
+    st.integers(0, 2**32 - 1),
+)
+def test_ewma_matches_reference_loop_bit_for_bit(length, tail, alpha, seed):
+    gen = np.random.Generator(np.random.PCG64(seed))
+    x = gen.normal(size=(length,) + tail) * 10.0 ** gen.integers(-300, 300, (length,) + tail)
+    x[gen.random(x.shape) < 0.1] = -0.0
+    got, want = ewma_smooth(x, alpha), reference_ewma(x, alpha)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 @pytest.mark.parametrize("alpha", [0.0, -0.1, 1.5])
 def test_ewma_rejects_bad_alpha(alpha):
     with pytest.raises(ConfigError, match="alpha"):
@@ -128,7 +151,7 @@ def test_trim_head_drops_rows_and_keeps_cycle_numbers():
     traj = random_traj(1, 15, seed=1)
     trimmed = trim_head(traj, 10)
     assert len(trimmed) == 5
-    assert trimmed.first_cycle == 11
+    assert trimmed.cycles.tolist() == list(range(11, 16))
     assert np.array_equal(trimmed.sensors_matrix, traj.sensors_matrix[10:])
 
 
@@ -164,7 +187,7 @@ def test_feature_selection_rejects_out_of_range():
 
 
 def test_selection_round_trips_through_feature_names():
-    sel = FeatureSelection(DEFAULT_DROPPED_SENSORS, frozenset({3}))
+    sel = FeatureSelection(frozenset({1, 5, 6, 10, 16, 18, 19}), frozenset({3}))
     assert selection_from_feature_names(sel.feature_names) == sel
 
 
@@ -491,6 +514,27 @@ def test_run_pipeline_rejects_empty_input():
         run_pipeline([])
 
 
+def test_invariant_failures_names_each_broken_invariant(tiny_corpus):
+    result = run_pipeline(tiny_corpus, trim=5, window=10, n_val=1, seed=2)
+    assert invariant_failures(tiny_corpus, result, trim=5) == []
+    w = result.val_windows
+    shifted = dataclasses.replace(
+        result, val_windows=type(w)(w.windows + 0.5, w.targets, w.engine_ids)
+    )
+    assert invariant_failures(tiny_corpus, shifted, trim=5) == [INVARIANTS[0]]
+    s = result.scaler
+    narrow = ScalerParams(s.feature_names, (s.mins + s.maxs) / 2, s.maxs)
+    assert invariant_failures(
+        tiny_corpus, dataclasses.replace(result, scaler=narrow), trim=5
+    ) == [INVARIANTS[1]]
+    for val_ids in (result.val_ids + result.train_ids[:1], ()):
+        broken = dataclasses.replace(result, val_ids=val_ids)
+        assert invariant_failures(tiny_corpus, broken, trim=5) == [INVARIANTS[2]]
+    # Checked with a trim other than the run's, the features differ from the
+    # ones the scaler was fitted to, and clamping breaks the round trip.
+    assert INVARIANTS[1] in invariant_failures(tiny_corpus, result, trim=0)
+
+
 def test_prepare_test_engine_matches_training_chain(tiny_corpus):
     result = run_pipeline(tiny_corpus, trim=5, window=10, n_val=1, seed=2)
     traj = tiny_corpus[0]
@@ -532,3 +576,72 @@ def test_bundle_write_load_round_trip(tiny_corpus, tmp_path):
 def test_load_bundle_rejects_non_bundle_dir(tmp_path):
     with pytest.raises(ValidationError, match="meta.json"):
         load_bundle(tmp_path)
+
+
+def _write_tiny_bundle(tiny_corpus, path):
+    result = run_pipeline(tiny_corpus, trim=5, window=10, n_val=1, seed=2)
+    pipeline = {"alpha": 0.1, "trim": 5, "window": 10, "n_val": 1, "seed": 2, "rul_cap": None}
+    write_bundle(path, result, pipeline)
+    return result
+
+
+def test_load_bundle_rejects_edited_count(tiny_corpus, tmp_path):
+    bundle = tmp_path / "bundle"
+    _write_tiny_bundle(tiny_corpus, bundle)
+    meta = json.loads((bundle / "meta.json").read_text(encoding="utf-8"))
+    n = meta["counts"]["val_rows"]
+    meta["counts"]["val_rows"] = n + 1
+    (bundle / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+    with pytest.raises(
+        ValidationError,
+        match=rf"val_rows\.npy: expected float64 array of shape \({n + 1}, \d+\) "
+        rf"\(sample count from meta\.json\), got float64 array of shape \({n}, ",
+    ):
+        load_bundle(bundle)
+    meta["counts"]["val_rows"] = n
+    meta["counts"]["total_windows"] += 1
+    (bundle / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+    with pytest.raises(ValidationError, match=r"meta\.json: counts\.total_windows"):
+        load_bundle(bundle)
+
+
+def test_load_bundle_rejects_truncated_arrays(tiny_corpus, tmp_path):
+    bundle = tmp_path / "bundle"
+    _write_tiny_bundle(tiny_corpus, bundle)
+    targets = bundle / "train_windows_targets.npy"
+    n = len(np.load(targets))
+    np.save(targets, np.load(targets)[:-1])
+    with pytest.raises(
+        ValidationError,
+        match=rf"train_windows_targets\.npy: expected float64 array of shape \({n},\) "
+        rf".* got float64 array of shape \({n - 1},\)",
+    ):
+        load_bundle(bundle)
+    _write_tiny_bundle(tiny_corpus, bundle)
+    rows = bundle / "val_rows.npy"
+    rows.write_bytes(rows.read_bytes()[:-8])
+    with pytest.raises(ValidationError, match="val_rows.npy: unreadable array"):
+        load_bundle(bundle)
+
+
+@pytest.mark.parametrize(
+    "name, dtype",
+    [("train_windows.npy", np.float32), ("val_rows_targets.npy", np.float32),
+     ("train_rows_engines.npy", np.int32), ("val_windows_engines.npy", np.float64)],
+)
+def test_load_bundle_rejects_wrong_dtype(tiny_corpus, tmp_path, name, dtype):
+    bundle = tmp_path / "bundle"
+    _write_tiny_bundle(tiny_corpus, bundle)
+    np.save(bundle / name, np.load(bundle / name).astype(dtype))
+    with pytest.raises(ValidationError, match=f"{name}: expected .* got {np.dtype(dtype)}"):
+        load_bundle(bundle)
+
+
+def test_load_bundle_rejects_wrong_window_shape(tiny_corpus, tmp_path):
+    bundle = tmp_path / "bundle"
+    _write_tiny_bundle(tiny_corpus, bundle)
+    windows = np.load(bundle / "train_windows.npy")
+    np.save(bundle / "train_windows.npy", windows[:, 1:])
+    expected = r"train_windows.npy: expected float64 array of shape \(\d+, 10, "
+    with pytest.raises(ValidationError, match=expected):
+        load_bundle(bundle)
