@@ -9,8 +9,8 @@ The companion RUL file holds one non-negative integer per line: the
 remaining life of the i-th test engine at its last recorded cycle.
 
 Each engine is held column-wise: a cycle-number vector and one matrix
-each for the settings and the sensors, all read-only, so trajectories
-can share slices of one parsed block without copying.
+each for the settings and the sensors, all read-only, so a head-trimmed
+trajectory can share its parent's arrays without copying.
 
 Parsing is fail-fast: a malformed row raises ParseError with its line
 number, and structural violations (cycle gaps, duplicated engine blocks)
@@ -109,26 +109,6 @@ class EngineTrajectory:
 
     def __len__(self) -> int:
         return self.cycles.shape[0]
-
-    def tail(self, start: int) -> "EngineTrajectory":
-        """The cycles from row `start` on, as read-only views of these arrays.
-
-        A non-empty suffix of a valid trajectory is valid, so the
-        constructor's checks are not run again.
-        """
-        if not 0 <= start < len(self):
-            raise ValidationError(
-                f"engine {self.engine_id}: cannot trim {start} cycles from a "
-                f"{len(self)}-cycle trajectory"
-            )
-        suffix = object.__new__(EngineTrajectory)
-        suffix.__dict__.update(
-            engine_id=self.engine_id,
-            cycles=self.cycles[start:],
-            settings_matrix=self.settings_matrix[start:],
-            sensors_matrix=self.sensors_matrix[start:],
-        )
-        return suffix
 
     def with_sensors(self, sensors: np.ndarray) -> "EngineTrajectory":
         """This trajectory with its sensor matrix replaced by `sensors` (L, 21)."""
@@ -232,7 +212,6 @@ def parse_trajectory_file(text: str) -> list[EngineTrajectory]:
     if not rows.shape[0]:
         raise ValidationError("trajectory file contains no data rows")
 
-    values.flags.writeable = False
     starts = np.flatnonzero(np.diff(rows[:, 0], prepend=0.0))
     ends = np.append(starts[1:], rows.shape[0])
     trajectories = []

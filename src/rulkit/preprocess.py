@@ -173,7 +173,14 @@ def trim_head(traj: EngineTrajectory, n: int = DEFAULT_TRIM) -> EngineTrajectory
         raise ConfigError(f"trim length must be >= 0, got {n}")
     if n == 0:
         return traj
-    return traj.tail(n)
+    if len(traj) <= n:
+        raise ValidationError(
+            f"engine {traj.engine_id}: cannot trim {n} cycles from a "
+            f"{len(traj)}-cycle trajectory"
+        )
+    return EngineTrajectory(
+        traj.engine_id, traj.cycles[n:], traj.settings_matrix[n:], traj.sensors_matrix[n:]
+    )
 
 
 def feature_matrix(traj: EngineTrajectory, selection: FeatureSelection) -> np.ndarray:
@@ -508,13 +515,10 @@ INVARIANTS = (
 def invariant_failures(
     trajectories: Sequence[EngineTrajectory],
     result: PreprocessResult,
-    *,
-    alpha: float = DEFAULT_ALPHA,
-    trim: int = DEFAULT_TRIM,
 ) -> list[str]:
     """Names (from INVARIANTS) of the invariants that `result` breaks.
 
-    `result` must come from run_pipeline on `trajectories` with the given
+    `result` must come from run_pipeline on `trajectories` at the default
     alpha and trim; an empty list means every invariant holds.
     """
     failures = []
@@ -522,7 +526,7 @@ def invariant_failures(
     if not scaled.size or scaled.min() < 0.0 or scaled.max() > 1.0:
         failures.append(INVARIANTS[0])
     features = np.vstack([
-        feature_matrix(trim_head(smooth_trajectory(t, alpha), trim), result.selection)
+        feature_matrix(trim_head(smooth_trajectory(t, DEFAULT_ALPHA)), result.selection)
         for t in trajectories
     ])
     round_trip = result.scaler.inverse(result.scaler.transform(features))

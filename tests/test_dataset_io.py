@@ -244,18 +244,6 @@ def test_trajectory_arrays_are_read_only():
         replaced.sensors_matrix[0, 0] = 0.0
 
 
-def test_tail_views_a_suffix_and_rejects_an_empty_one():
-    traj = parse_trajectory_file(_file([_row(4, c) for c in range(1, 6)]))[0]
-    suffix = traj.tail(3)
-    assert suffix.engine_id == 4 and suffix.cycles.tolist() == [4, 5]
-    assert np.array_equal(suffix.sensors_matrix, traj.sensors_matrix[3:])
-    assert np.shares_memory(suffix.settings_matrix, traj.settings_matrix)
-    assert traj.tail(0).cycles.tolist() == [1, 2, 3, 4, 5]
-    for start in (5, -1):
-        with pytest.raises(ValidationError, match=f"engine 4: cannot trim {start} cycles"):
-            traj.tail(start)
-
-
 def test_trajectory_copies_writable_input():
     sensors = np.ones((2, N_SENSORS))
     traj = _trajectory([1, 2], sensors=sensors)

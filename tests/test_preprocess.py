@@ -515,24 +515,21 @@ def test_run_pipeline_rejects_empty_input():
 
 
 def test_invariant_failures_names_each_broken_invariant(tiny_corpus):
-    result = run_pipeline(tiny_corpus, trim=5, window=10, n_val=1, seed=2)
-    assert invariant_failures(tiny_corpus, result, trim=5) == []
+    result = run_pipeline(tiny_corpus, window=10, n_val=1, seed=2)
+    assert invariant_failures(tiny_corpus, result) == []
     w = result.val_windows
     shifted = dataclasses.replace(
         result, val_windows=type(w)(w.windows + 0.5, w.targets, w.engine_ids)
     )
-    assert invariant_failures(tiny_corpus, shifted, trim=5) == [INVARIANTS[0]]
+    assert invariant_failures(tiny_corpus, shifted) == [INVARIANTS[0]]
     s = result.scaler
     narrow = ScalerParams(s.feature_names, (s.mins + s.maxs) / 2, s.maxs)
     assert invariant_failures(
-        tiny_corpus, dataclasses.replace(result, scaler=narrow), trim=5
+        tiny_corpus, dataclasses.replace(result, scaler=narrow)
     ) == [INVARIANTS[1]]
     for val_ids in (result.val_ids + result.train_ids[:1], ()):
         broken = dataclasses.replace(result, val_ids=val_ids)
-        assert invariant_failures(tiny_corpus, broken, trim=5) == [INVARIANTS[2]]
-    # Checked with a trim other than the run's, the features differ from the
-    # ones the scaler was fitted to, and clamping breaks the round trip.
-    assert INVARIANTS[1] in invariant_failures(tiny_corpus, result, trim=0)
+        assert invariant_failures(tiny_corpus, broken) == [INVARIANTS[2]]
 
 
 def test_prepare_test_engine_matches_training_chain(tiny_corpus):
