@@ -6,7 +6,8 @@ Not part of the test suite (pyproject's testpaths is `tests`). Run with
 
 The corpus is the default `simulate` corpus (seed 2014, 100 engines,
 20,631 training rows). `prepare_test_engine` is timed on the longest test
-engine, the single-engine scoring path.
+engine, the single-engine scoring path. The bundle round trip times
+`write_bundle` followed by `load_bundle`.
 """
 
 import pytest
@@ -45,3 +46,21 @@ def test_prepare_test_engine(benchmark, prepared):
         preprocess.prepare_test_engine, engine, result.scaler, result.selection
     )
     assert window.shape == (preprocess.DEFAULT_WINDOW, result.selection.n_features)
+
+
+def test_bundle_round_trip(benchmark, prepared, tmp_path):
+    _, _, result = prepared
+    out = tmp_path / "bundle"
+    pipeline = {
+        "alpha": preprocess.DEFAULT_ALPHA, "trim": preprocess.DEFAULT_TRIM,
+        "window": preprocess.DEFAULT_WINDOW, "n_val": preprocess.DEFAULT_N_VAL,
+        "seed": 0, "rul_cap": None,
+    }
+
+    def round_trip():
+        preprocess.write_bundle(out, result, pipeline)
+        return preprocess.load_bundle(out)
+
+    bundle = benchmark(round_trip)
+    assert len(bundle.train_windows) + len(bundle.val_windows) == 17731
+    assert sum(p.stat().st_size for p in out.iterdir()) < 5_000_000

@@ -26,9 +26,8 @@ from .errors import (
 from .preprocess import (
     FeatureSelection,
     PreprocessResult,
-    RowSet,
+    SampleSet,
     ScalerParams,
-    WindowSet,
     load_bundle,
     prepare_test_engine,
     run_pipeline,
@@ -55,8 +54,8 @@ __all__ = [
     "FeatureSelection",
     "ParseError",
     "PreprocessResult",
-    "RowSet",
     "RulLabelFile",
+    "SampleSet",
     "ScalerParams",
     "ShapeError",
     "TrainConfig",
@@ -64,7 +63,6 @@ __all__ = [
     "TrainHistory",
     "TrainingError",
     "ValidationError",
-    "WindowSet",
     "evaluate",
     "gradient_check_suite",
     "load_bundle",

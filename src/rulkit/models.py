@@ -36,9 +36,6 @@ from .numerics import SeededRng, sigmoid
 
 GATE_ORDER = ("i", "f", "g", "o")
 
-DEFAULT_MLP_HIDDEN = (64, 32)
-DEFAULT_LSTM_HIDDEN = 64
-
 
 # ---------------------------------------------------------------------------
 # Parameter containers

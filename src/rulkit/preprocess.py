@@ -2,8 +2,11 @@
 
 Fixed stage order: drop constant sensors -> exponential smoothing (sensor
 channels only) -> head trim -> min-max scaling fitted on training engines
--> remaining-life labeling -> windowing, with an engine-level train/validation
-split. Re-running on identical inputs and seed reproduces identical arrays.
+-> remaining-life labeling, with an engine-level train/validation split.
+Re-running on identical inputs and seed reproduces identical arrays.
+
+Each split is one SampleSet of scaled rows; the LSTM's windows are gathered
+from them batch by batch and never stored, in memory or in a bundle.
 
 The default drop set is detected, not hardcoded: any sensor whose raw value
 range across all training engines is below CONSTANT_TOLERANCE carries no
@@ -16,9 +19,9 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -311,79 +314,89 @@ def label_rul(
     return rul
 
 
-@dataclass(frozen=True)
-class WindowSet:
-    """Batched sequence samples: (N, W, F) windows with scalar targets."""
+@dataclass(frozen=True, eq=False)
+class SampleSet:
+    """The samples of one split, cut from its scaled rows on request.
 
-    windows: np.ndarray
-    targets: np.ndarray
-    engine_ids: np.ndarray
-
-    def __len__(self) -> int:
-        return self.windows.shape[0]
-
-    @staticmethod
-    def concat(parts: Iterable["WindowSet"]) -> "WindowSet":
-        parts = list(parts)
-        return WindowSet(
-            np.concatenate([p.windows for p in parts]),
-            np.concatenate([p.targets for p in parts]),
-            np.concatenate([p.engine_ids for p in parts]),
-        )
-
-
-@dataclass(frozen=True)
-class RowSet:
-    """Batched single-cycle samples: (N, F) rows with scalar targets."""
+    `rows` (R, F), `rul` (R,) and `engine_ids` (R,) hold the split's cycles,
+    one contiguous run per engine. With `window` None each row is a sample;
+    with window W each W consecutive rows of one engine are a sample whose
+    target is the RUL of the last, gathered only when asked for.
+    """
 
     rows: np.ndarray
-    targets: np.ndarray
+    rul: np.ndarray
     engine_ids: np.ndarray
+    window: int | None = None
+    # Row index of each sample's first row, and each sample's target.
+    starts: np.ndarray = field(init=False, repr=False)
+    targets: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        ids, n = self.engine_ids, self.rows.shape[0]
+        if self.rows.ndim != 2 or not self.rul.shape == ids.shape == (n,):
+            raise ValidationError(
+                f"rows {self.rows.shape}, RUL {self.rul.shape} and engine ids {ids.shape} disagree"
+            )
+        firsts = np.flatnonzero(np.diff(ids, prepend=ids[:1] - 1))
+        run_ids, runs = np.unique(ids[firsts], return_counts=True)
+        if np.any(runs > 1):
+            raise ValidationError(f"engine {run_ids[runs > 1][0]}: rows are not one run")
+        if self.window is not None and self.window < 1:
+            raise ConfigError(f"window must be >= 1, got {self.window}")
+        width = self.window or 1
+        lengths = np.diff(np.r_[firsts, n])
+        if np.any(lengths < width):
+            short = np.argmax(lengths < width)
+            raise ValidationError(
+                f"engine {ids[firsts[short]]}: {lengths[short]} cycles is shorter than "
+                f"window {width}"
+            )
+        # Runs are contiguous, so a sample starting at row r stays in one
+        # engine iff its last row, r + width - 1, has the same engine id.
+        starts = np.flatnonzero(ids[: n - width + 1] == ids[width - 1 :])
+        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "targets", self.rul[starts + width - 1])
 
     def __len__(self) -> int:
-        return self.rows.shape[0]
+        return self.starts.shape[0]
 
-    @staticmethod
-    def concat(parts: Iterable["RowSet"]) -> "RowSet":
-        parts = list(parts)
-        return RowSet(
-            np.concatenate([p.rows for p in parts]),
-            np.concatenate([p.targets for p in parts]),
-            np.concatenate([p.engine_ids for p in parts]),
-        )
+    def inputs(self, idx: np.ndarray | slice) -> np.ndarray:
+        """Model inputs of samples `idx`: (n, F) rows or (n, window, F) windows."""
+        if self.window is None:
+            return self.rows[idx]
+        return self.rows[self.starts[idx, None] + np.arange(self.window)]
+
+
+def make_rows(scaled: ScaledEngine, rul: np.ndarray) -> SampleSet:
+    """Every retained cycle of one engine as an independent sample."""
+    return SampleSet(
+        scaled.features.copy(),
+        rul.copy(),
+        np.full(len(scaled), scaled.engine_id, dtype=np.int64),
+    )
 
 
 def make_windows(
     scaled: ScaledEngine, rul: np.ndarray, window: int = DEFAULT_WINDOW
-) -> WindowSet:
+) -> SampleSet:
     """All sliding windows of one engine: L - window + 1 samples.
 
     The target of a window is the RUL at its last (most recent) cycle.
-    Windows never cross engine boundaries by construction.
     """
-    length = len(scaled)
-    if window < 1:
-        raise ConfigError(f"window must be >= 1, got {window}")
-    if length < window:
-        raise ValidationError(
-            f"engine {scaled.engine_id}: {length} cycles is shorter than "
-            f"window {window}"
-        )
-    n = length - window + 1
-    idx = np.arange(window)[None, :] + np.arange(n)[:, None]
-    return WindowSet(
-        scaled.features[idx],
-        rul[window - 1 :].copy(),
-        np.full(n, scaled.engine_id, dtype=np.int64),
-    )
+    return replace(make_rows(scaled, rul), window=window)
 
 
-def make_rows(scaled: ScaledEngine, rul: np.ndarray) -> RowSet:
-    """Every retained cycle of one engine as an independent sample."""
-    return RowSet(
-        scaled.features.copy(),
-        rul.copy(),
-        np.full(len(scaled), scaled.engine_id, dtype=np.int64),
+def _split_samples(
+    parts: Sequence[SampleSet], ids: set[int], n_features: int, window: int
+) -> SampleSet:
+    """The samples of the engines in `ids`, in the order of `parts`."""
+    parts = [p for p in parts if p.engine_ids[0] in ids]
+    return SampleSet(
+        np.concatenate([p.rows for p in parts] + [np.zeros((0, n_features))]),
+        np.concatenate([p.rul for p in parts] + [np.zeros(0)]),
+        np.concatenate([p.engine_ids for p in parts] + [np.zeros(0, dtype=np.int64)]),
+        window,
     )
 
 
@@ -427,17 +440,17 @@ def final_window(scaled: ScaledEngine, window: int = DEFAULT_WINDOW) -> np.ndarr
 
 @dataclass
 class PreprocessResult:
-    """Everything the trainer needs, produced in one deterministic pass."""
+    """Everything the trainer needs; a split's windows and rows share arrays."""
 
     selection: FeatureSelection
     scaler: ScalerParams
     train_ids: tuple[int, ...]
     val_ids: tuple[int, ...]
     seed: int
-    train_windows: WindowSet
-    val_windows: WindowSet
-    train_rows: RowSet
-    val_rows: RowSet
+    train_windows: SampleSet
+    val_windows: SampleSet
+    train_rows: SampleSet
+    val_rows: SampleSet
 
     @property
     def total_windows(self) -> int:
@@ -473,35 +486,19 @@ def run_pipeline(
     train_ids, val_ids = split_by_engine(
         [t.engine_id for t in train_trajectories], n_val, seed
     )
-    train_id_set = set(train_ids)
-
-    train_w, val_w, train_r, val_r = [], [], [], []
-    for eng, rul in zip(scaled, labels):
-        wset = make_windows(eng, rul, window)
-        rset = make_rows(eng, rul)
-        if eng.engine_id in train_id_set:
-            train_w.append(wset)
-            train_r.append(rset)
-        else:
-            val_w.append(wset)
-            val_r.append(rset)
-
-    empty_w = WindowSet(
-        np.zeros((0, window, selection.n_features)), np.zeros(0), np.zeros(0, dtype=np.int64)
-    )
-    empty_r = RowSet(
-        np.zeros((0, selection.n_features)), np.zeros(0), np.zeros(0, dtype=np.int64)
-    )
+    parts = [make_windows(eng, rul, window) for eng, rul in zip(scaled, labels)]
+    train_windows = _split_samples(parts, set(train_ids), selection.n_features, window)
+    val_windows = _split_samples(parts, set(val_ids), selection.n_features, window)
     return PreprocessResult(
         selection=selection,
         scaler=scaler,
         train_ids=train_ids,
         val_ids=val_ids,
         seed=seed,
-        train_windows=WindowSet.concat(train_w) if train_w else empty_w,
-        val_windows=WindowSet.concat(val_w) if val_w else empty_w,
-        train_rows=RowSet.concat(train_r) if train_r else empty_r,
-        val_rows=RowSet.concat(val_r) if val_r else empty_r,
+        train_windows=train_windows,
+        val_windows=val_windows,
+        train_rows=replace(train_windows, window=None),
+        val_rows=replace(val_windows, window=None),
     )
 
 
@@ -522,8 +519,8 @@ def invariant_failures(
     alpha and trim; an empty list means every invariant holds.
     """
     failures = []
-    scaled = np.concatenate([result.train_windows.windows, result.val_windows.windows])
-    if not scaled.size or scaled.min() < 0.0 or scaled.max() > 1.0:
+    splits = [s.rows for s in (result.train_rows, result.val_rows) if s.rows.size]
+    if not splits or any(rows.min() < 0.0 or rows.max() > 1.0 for rows in splits):
         failures.append(INVARIANTS[0])
     features = np.vstack([
         feature_matrix(trim_head(smooth_trajectory(t, DEFAULT_ALPHA)), result.selection)
@@ -538,18 +535,15 @@ def invariant_failures(
     return failures
 
 
-BUNDLE_FORMAT = "rulkit-bundle-v1"
-
-_BUNDLE_ARRAYS = (
-    ("train_windows", "train_windows", "windows"),
-    ("val_windows", "val_windows", "windows"),
-    ("train_rows", "train_rows", "rows"),
-    ("val_rows", "val_rows", "rows"),
-)
+BUNDLE_FORMAT = "rulkit-bundle-v2"
+_SPLITS = ("train", "val")
 
 
 def write_bundle(out_dir: Path | str, result: PreprocessResult, pipeline: dict) -> None:
     """Persist a PreprocessResult as meta.json, scaler.json and .npy arrays.
+
+    A split is stored as its rows, RUL and engine ids: `<split>_rows.npy`,
+    `<split>_rul.npy` and `<split>_engines.npy`.
 
     `pipeline` records the arguments the chain ran with, so downstream
     stages can reuse them and refuse mismatched combinations.
@@ -577,23 +571,23 @@ def write_bundle(out_dir: Path | str, result: PreprocessResult, pipeline: dict) 
     }
     atomic_write_text(out / "meta.json", canonical_json(meta) + "\n")
     atomic_write_text(out / "scaler.json", scaler_json + "\n")
-    for prefix, attr, field_name in _BUNDLE_ARRAYS:
-        part = getattr(result, attr)
-        np.save(out / f"{prefix}.npy", getattr(part, field_name))
-        np.save(out / f"{prefix}_targets.npy", part.targets)
-        np.save(out / f"{prefix}_engines.npy", part.engine_ids)
+    for split in _SPLITS:
+        samples = getattr(result, f"{split}_rows")
+        np.save(out / f"{split}_rows.npy", samples.rows)
+        np.save(out / f"{split}_rul.npy", samples.rul)
+        np.save(out / f"{split}_engines.npy", samples.engine_ids)
 
 
 @dataclass
 class Bundle:
-    """A preprocessing bundle loaded back from disk."""
+    """A bundle loaded back from disk; a split's windows and rows share arrays."""
 
     meta: dict
     scaler: ScalerParams
-    train_windows: WindowSet
-    val_windows: WindowSet
-    train_rows: RowSet
-    val_rows: RowSet
+    train_windows: SampleSet
+    val_windows: SampleSet
+    train_rows: SampleSet
+    val_rows: SampleSet
 
 
 def load_scaler(path: Path | str) -> ScalerParams:
@@ -612,7 +606,7 @@ def _load_array(path: Path, dtype: type, shape: tuple) -> np.ndarray:
         raise ValidationError(f"{path}: unreadable array ({exc})") from None
     if arr.dtype != dtype or arr.shape != shape:
         raise ValidationError(
-            f"{path}: expected {np.dtype(dtype)} array of shape {shape} (sample count "
+            f"{path}: expected {np.dtype(dtype)} array of shape {shape} (row count "
             f"from meta.json), got {arr.dtype} array of shape {arr.shape}"
         )
     return arr
@@ -621,8 +615,9 @@ def _load_array(path: Path, dtype: type, shape: tuple) -> np.ndarray:
 def load_bundle(bundle_dir: Path | str) -> Bundle:
     """Read a bundle back, checking every array against meta.json.
 
-    Each array must have the dtype and shape write_bundle gives it, with
-    the sample counts meta.json records; any mismatch raises
+    Arrays need write_bundle's dtypes and meta.json's row counts; a split's
+    engine ids must be its meta.json ids, one run of at least a window per
+    engine, so no window spans two engines. Any mismatch raises
     ValidationError naming the file.
     """
     out = Path(bundle_dir)
@@ -631,25 +626,38 @@ def load_bundle(bundle_dir: Path | str) -> Bundle:
         raise ValidationError(f"{out} is not a preprocessing bundle (no meta.json)")
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
     if meta.get("format") != BUNDLE_FORMAT:
-        raise ValidationError(f"unrecognized bundle format in {meta_path}")
+        raise ValidationError(
+            f"{meta_path}: bundle format {meta.get('format')!r} is not {BUNDLE_FORMAT!r}; "
+            "re-run `rulkit preprocess` to rebuild the bundle"
+        )
     try:
         counts = meta["counts"]
         window = meta["pipeline"]["window"]
         n_features = len(meta["feature_names"])
+        split_ids = {split: sorted(meta[f"{split}_ids"]) for split in _SPLITS}
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"{meta_path}: missing or malformed entry {exc}") from None
+    if not isinstance(window, int) or window < 1:
+        raise ValidationError(f"{meta_path}: pipeline window must be a positive integer")
     scaler = load_scaler(out / "scaler.json")
     parts = {}
-    for prefix, attr, field_name in _BUNDLE_ARRAYS:
-        n = counts.get(prefix)
-        shape = (n, window, n_features) if field_name == "windows" else (n, n_features)
-        main = _load_array(out / f"{prefix}.npy", np.float64, shape)
-        targets = _load_array(out / f"{prefix}_targets.npy", np.float64, (n,))
-        engines = _load_array(out / f"{prefix}_engines.npy", np.int64, (n,))
-        cls = WindowSet if field_name == "windows" else RowSet
-        parts[attr] = cls(main, targets, engines)
+    for split in _SPLITS:
+        n = counts.get(f"{split}_rows")
+        rows = _load_array(out / f"{split}_rows.npy", np.float64, (n, n_features))
+        rul = _load_array(out / f"{split}_rul.npy", np.float64, (n,))
+        engines_path = out / f"{split}_engines.npy"
+        engines = _load_array(engines_path, np.int64, (n,))
+        if np.unique(engines).tolist() != split_ids[split]:
+            raise ValidationError(f"{engines_path}: engine ids are not meta.json's {split}_ids")
+        try:
+            parts[f"{split}_rows"] = SampleSet(rows, rul, engines)
+            parts[f"{split}_windows"] = replace(parts[f"{split}_rows"], window=window)
+        except ValidationError as exc:
+            raise ValidationError(f"{engines_path}: {exc}") from None
     engine_ids = np.union1d(parts["train_rows"].engine_ids, parts["val_rows"].engine_ids)
     for name, actual in (
+        ("train_windows", len(parts["train_windows"])),
+        ("val_windows", len(parts["val_windows"])),
         ("total_windows", counts["train_windows"] + counts["val_windows"]),
         ("total_rows", counts["train_rows"] + counts["val_rows"]),
         ("engines", engine_ids.size),

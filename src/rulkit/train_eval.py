@@ -26,9 +26,8 @@ from .numerics import SeededRng
 from .optim import AdamState, adam_step, clip_gradients, init_adam
 from .preprocess import (
     FeatureSelection,
-    RowSet,
+    SampleSet,
     ScalerParams,
-    WindowSet,
     prepare_test_engine,
     selection_from_feature_names,
 )
@@ -163,10 +162,6 @@ def scaler_hash(scaler: ScalerParams) -> str:
     return sha256_text(canonical_json(scaler.to_dict()))
 
 
-def _batch_inputs(dataset: WindowSet | RowSet) -> np.ndarray:
-    return dataset.windows if isinstance(dataset, WindowSet) else dataset.rows
-
-
 def _forward(kind: str, params, x: np.ndarray):
     if kind == "lstm":
         return models.lstm_forward(params, x)
@@ -179,10 +174,11 @@ def _backward(kind: str, params, cache, dpred: np.ndarray) -> dict[str, np.ndarr
     return models.mlp_backward(params, cache, dpred)
 
 
-def _predict_in_chunks(kind: str, params, x: np.ndarray, chunk: int = 512) -> np.ndarray:
-    preds = np.empty(x.shape[0])
-    for start in range(0, x.shape[0], chunk):
-        preds[start : start + chunk] = _forward(kind, params, x[start : start + chunk])[0]
+def _predict_in_chunks(kind: str, params, samples: SampleSet, chunk: int = 512) -> np.ndarray:
+    preds = np.empty(len(samples))
+    for start in range(0, len(samples), chunk):
+        x = samples.inputs(slice(start, start + chunk))
+        preds[start : start + chunk] = _forward(kind, params, x)[0]
     return preds
 
 
@@ -194,30 +190,28 @@ def init_model_params(config: TrainConfig, n_features: int, rng: SeededRng):
 
 def train(
     config: TrainConfig,
-    train_set: WindowSet | RowSet,
-    val_set: WindowSet | RowSet,
+    train_set: SampleSet,
+    val_set: SampleSet,
     rng: SeededRng,
 ) -> tuple[models.MlpParams | models.LstmParams, AdamState, TrainHistory]:
     """Train per config; returns final parameters, optimizer state, history.
 
-    The rng drives the weight init and one shuffle per epoch, in that
-    order, so a given seed fixes the whole trajectory.
+    The LSTM trains on windows of config.window cycles, the MLP on single
+    rows (window None). The rng drives the weight init and one shuffle per
+    epoch, in that order, so a given seed fixes the whole trajectory.
     """
-    x_train = _batch_inputs(train_set)
-    y_train = train_set.targets
-    x_val = _batch_inputs(val_set)
-    y_val = val_set.targets
-    n = x_train.shape[0]
+    n = len(train_set)
     if n == 0:
         raise ConfigError("training set is empty")
-    expected_ndim = 3 if config.model == "lstm" else 2
-    if x_train.ndim != expected_ndim:
-        raise ConfigError(
-            f"{config.model} model expects {expected_ndim}-d sample arrays, "
-            f"got shape {x_train.shape}"
-        )
+    window = config.window if config.model == "lstm" else None
+    for name, samples in (("training", train_set), ("validation", val_set)):
+        if samples.window != window:
+            raise ConfigError(
+                f"{config.model} model needs samples with window {window}, "
+                f"got {name} samples with window {samples.window}"
+            )
 
-    params_obj = init_model_params(config, x_train.shape[-1], rng)
+    params_obj = init_model_params(config, train_set.rows.shape[1], rng)
     params = params_obj.to_dict()
     state = init_adam(params, lr=config.lr)
     history = TrainHistory()
@@ -228,8 +222,8 @@ def train(
         sq_sum = 0.0
         for b, start in enumerate(range(0, n, config.batch_size)):
             idx = order[start : start + config.batch_size]
-            xb = x_train[idx]
-            yb = y_train[idx]
+            xb = train_set.inputs(idx)
+            yb = train_set.targets[idx]
             pred, cache = _forward(config.model, params_obj, xb)
             loss, dpred = models.mse_loss(pred, yb)
             if not np.isfinite(loss):
@@ -243,9 +237,9 @@ def train(
             sq_sum += loss * len(idx)
 
         history.train_mse.append(sq_sum / n)
-        if x_val.shape[0]:
-            val_pred = _predict_in_chunks(config.model, params_obj, x_val)
-            history.val_mse.append(float(np.mean((val_pred - y_val) ** 2)))
+        if len(val_set):
+            val_pred = _predict_in_chunks(config.model, params_obj, val_set)
+            history.val_mse.append(float(np.mean((val_pred - val_set.targets) ** 2)))
         else:
             history.val_mse.append(float("nan"))
         history.epoch_seconds.append(time.perf_counter() - started)

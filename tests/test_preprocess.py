@@ -392,10 +392,12 @@ def test_make_windows_oracle():
     feats = np.array([[0.0], [1.0], [2.0], [3.0]])
     rul = np.array([9.0, 8.0, 7.0, 6.0])
     ws = make_windows(_scaled(4, feats), rul, window=2)
-    assert ws.windows.shape == (3, 2, 1)
-    assert ws.windows[:, :, 0].tolist() == [[0.0, 1.0], [1.0, 2.0], [2.0, 3.0]]
+    windows = ws.inputs(np.arange(len(ws)))
+    assert windows.shape == (3, 2, 1)
+    assert windows[:, :, 0].tolist() == [[0.0, 1.0], [1.0, 2.0], [2.0, 3.0]]
     assert ws.targets.tolist() == [8.0, 7.0, 6.0]
-    assert ws.engine_ids.tolist() == [4, 4, 4]
+    assert ws.engine_ids.tolist() == [4, 4, 4, 4]
+    assert ws.inputs(slice(1, 2)).tolist() == windows[1:2].tolist()
 
 
 def test_make_windows_count_formula():
@@ -493,8 +495,8 @@ def test_run_pipeline_counts_and_ranges(tiny_corpus):
     assert result.total_windows == expected_windows
     assert result.total_rows == expected_rows
     assert len(result.val_ids) == 1 and len(result.train_ids) == 3
-    for ws in (result.train_windows, result.val_windows):
-        assert ws.windows.min() >= 0.0 and ws.windows.max() <= 1.0
+    for rs in (result.train_rows, result.val_rows):
+        assert rs.rows.min() >= 0.0 and rs.rows.max() <= 1.0
     # Window/row engine tags respect the split.
     assert set(result.train_windows.engine_ids) == set(result.train_ids)
     assert set(result.val_windows.engine_ids) == set(result.val_ids)
@@ -503,7 +505,7 @@ def test_run_pipeline_counts_and_ranges(tiny_corpus):
 def test_run_pipeline_is_deterministic(tiny_corpus):
     a = run_pipeline(tiny_corpus, trim=5, window=10, n_val=1, seed=2)
     b = run_pipeline(tiny_corpus, trim=5, window=10, n_val=1, seed=2)
-    assert np.array_equal(a.train_windows.windows, b.train_windows.windows)
+    assert np.array_equal(a.train_rows.rows, b.train_rows.rows)
     assert np.array_equal(a.train_rows.targets, b.train_rows.targets)
     assert a.train_ids == b.train_ids
     assert _scalers_equal(a.scaler, b.scaler)
@@ -517,10 +519,8 @@ def test_run_pipeline_rejects_empty_input():
 def test_invariant_failures_names_each_broken_invariant(tiny_corpus):
     result = run_pipeline(tiny_corpus, window=10, n_val=1, seed=2)
     assert invariant_failures(tiny_corpus, result) == []
-    w = result.val_windows
-    shifted = dataclasses.replace(
-        result, val_windows=type(w)(w.windows + 0.5, w.targets, w.engine_ids)
-    )
+    r = result.val_rows
+    shifted = dataclasses.replace(result, val_rows=dataclasses.replace(r, rows=r.rows + 0.5))
     assert invariant_failures(tiny_corpus, shifted) == [INVARIANTS[0]]
     s = result.scaler
     narrow = ScalerParams(s.feature_names, (s.mins + s.maxs) / 2, s.maxs)
@@ -565,8 +565,17 @@ def test_bundle_write_load_round_trip(tiny_corpus, tmp_path):
     assert bundle.meta["pipeline"] == pipeline
     assert tuple(bundle.meta["feature_names"]) == result.selection.feature_names
     assert bundle.meta["counts"]["total_windows"] == result.total_windows
-    assert np.array_equal(bundle.train_windows.windows, result.train_windows.windows)
-    assert np.array_equal(bundle.val_rows.targets, result.val_rows.targets)
+    for name in ("train_windows", "val_windows", "train_rows", "val_rows"):
+        loaded, built = getattr(bundle, name), getattr(result, name)
+        assert loaded.window == built.window
+        assert np.array_equal(loaded.inputs(np.arange(len(loaded))),
+                              built.inputs(np.arange(len(built))))
+        assert np.array_equal(loaded.targets, built.targets)
+    assert bundle.train_windows.rows is bundle.train_rows.rows
+    assert sorted(p.name for p in (tmp_path / "bundle").iterdir()) == [
+        "meta.json", "scaler.json", "train_engines.npy", "train_rows.npy", "train_rul.npy",
+        "val_engines.npy", "val_rows.npy", "val_rul.npy",
+    ]
     assert _scalers_equal(bundle.scaler, result.scaler)
 
 
@@ -592,7 +601,7 @@ def test_load_bundle_rejects_edited_count(tiny_corpus, tmp_path):
     with pytest.raises(
         ValidationError,
         match=rf"val_rows\.npy: expected float64 array of shape \({n + 1}, \d+\) "
-        rf"\(sample count from meta\.json\), got float64 array of shape \({n}, ",
+        rf"\(row count from meta\.json\), got float64 array of shape \({n}, ",
     ):
         load_bundle(bundle)
     meta["counts"]["val_rows"] = n
@@ -605,12 +614,12 @@ def test_load_bundle_rejects_edited_count(tiny_corpus, tmp_path):
 def test_load_bundle_rejects_truncated_arrays(tiny_corpus, tmp_path):
     bundle = tmp_path / "bundle"
     _write_tiny_bundle(tiny_corpus, bundle)
-    targets = bundle / "train_windows_targets.npy"
+    targets = bundle / "train_rul.npy"
     n = len(np.load(targets))
     np.save(targets, np.load(targets)[:-1])
     with pytest.raises(
         ValidationError,
-        match=rf"train_windows_targets\.npy: expected float64 array of shape \({n},\) "
+        match=rf"train_rul\.npy: expected float64 array of shape \({n},\) "
         rf".* got float64 array of shape \({n - 1},\)",
     ):
         load_bundle(bundle)
@@ -623,8 +632,8 @@ def test_load_bundle_rejects_truncated_arrays(tiny_corpus, tmp_path):
 
 @pytest.mark.parametrize(
     "name, dtype",
-    [("train_windows.npy", np.float32), ("val_rows_targets.npy", np.float32),
-     ("train_rows_engines.npy", np.int32), ("val_windows_engines.npy", np.float64)],
+    [("train_rows.npy", np.float32), ("val_rul.npy", np.float32),
+     ("train_engines.npy", np.int32), ("val_engines.npy", np.float64)],
 )
 def test_load_bundle_rejects_wrong_dtype(tiny_corpus, tmp_path, name, dtype):
     bundle = tmp_path / "bundle"
@@ -637,8 +646,64 @@ def test_load_bundle_rejects_wrong_dtype(tiny_corpus, tmp_path, name, dtype):
 def test_load_bundle_rejects_wrong_window_shape(tiny_corpus, tmp_path):
     bundle = tmp_path / "bundle"
     _write_tiny_bundle(tiny_corpus, bundle)
-    windows = np.load(bundle / "train_windows.npy")
-    np.save(bundle / "train_windows.npy", windows[:, 1:])
-    expected = r"train_windows.npy: expected float64 array of shape \(\d+, 10, "
+    rows = np.load(bundle / "train_rows.npy")
+    np.save(bundle / "train_rows.npy", rows[:, 1:])
+    expected = rf"train_rows.npy: expected float64 array of shape \(\d+, {rows.shape[1]}\)"
     with pytest.raises(ValidationError, match=expected):
+        load_bundle(bundle)
+    # A window longer than an engine's run could only be cut across engines.
+    _write_tiny_bundle(tiny_corpus, bundle)
+    meta = json.loads((bundle / "meta.json").read_text(encoding="utf-8"))
+    meta["pipeline"]["window"] = 34
+    (bundle / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+    with pytest.raises(ValidationError, match=r"_engines\.npy: engine \d+: 33 cycles is "
+                       r"shorter than window 34"):
+        load_bundle(bundle)
+
+
+def test_load_bundle_rejects_v1_bundle(tiny_corpus, tmp_path):
+    bundle = tmp_path / "bundle"
+    _write_tiny_bundle(tiny_corpus, bundle)
+    meta = json.loads((bundle / "meta.json").read_text(encoding="utf-8"))
+    meta["format"] = "rulkit-bundle-v1"
+    (bundle / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+    with pytest.raises(ValidationError, match=r"meta\.json: bundle format 'rulkit-bundle-v1' "
+                       r".*re-run `rulkit preprocess`"):
+        load_bundle(bundle)
+
+
+def _rewrite_engines(bundle, split, edit):
+    path = bundle / f"{split}_engines.npy"
+    np.save(path, edit(np.load(path)))
+
+
+def test_load_bundle_rejects_engines_split_into_two_runs(tiny_corpus, tmp_path):
+    bundle = tmp_path / "bundle"
+    _write_tiny_bundle(tiny_corpus, bundle)
+
+    def swap_first_and_last_row(e):
+        e[[0, -1]] = e[[-1, 0]]
+        return e
+
+    _rewrite_engines(bundle, "train", swap_first_and_last_row)
+    with pytest.raises(ValidationError,
+                       match=r"train_engines\.npy: engine \d+: rows are not one run"):
+        load_bundle(bundle)
+
+
+def test_load_bundle_rejects_engines_not_in_meta(tiny_corpus, tmp_path):
+    bundle = tmp_path / "bundle"
+    result = _write_tiny_bundle(tiny_corpus, bundle)
+    other = result.train_ids[0]
+    # The validation engine's rows relabelled as a training engine's.
+    _rewrite_engines(bundle, "val", lambda e: np.full_like(e, other))
+    with pytest.raises(ValidationError,
+                       match=r"val_engines\.npy: engine ids are not meta\.json's val_ids"):
+        load_bundle(bundle)
+    _write_tiny_bundle(tiny_corpus, bundle)
+    meta = json.loads((bundle / "meta.json").read_text(encoding="utf-8"))
+    meta["train_ids"] = meta["train_ids"][1:]
+    (bundle / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+    with pytest.raises(ValidationError,
+                       match=r"train_engines\.npy: engine ids are not meta\.json's train_ids"):
         load_bundle(bundle)

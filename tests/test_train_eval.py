@@ -150,13 +150,19 @@ def test_train_mlp_on_rows(small_data):
 
 def test_train_rejects_empty_and_mismatched_data(small_data):
     result, _, _ = small_data
-    empty = preprocess.WindowSet(
-        np.zeros((0, 20, 16)), np.zeros(0), np.zeros(0, dtype=np.int64)
+    empty = preprocess.SampleSet(
+        np.zeros((0, 16)), np.zeros(0), np.zeros(0, dtype=np.int64), window=20
     )
     with pytest.raises(ConfigError, match="empty"):
         train(_quick_config(), empty, empty, SeededRng(0))
-    with pytest.raises(ConfigError, match="3-d"):
+    with pytest.raises(ConfigError, match="lstm model needs samples with window 20, "
+                       "got training samples with window None"):
         train(_quick_config(), result.train_rows, result.val_rows, SeededRng(0))
+    with pytest.raises(ConfigError, match="mlp model needs samples with window None, "
+                       "got validation samples with window 20"):
+        train(_quick_config(model="mlp"), result.train_rows, result.val_windows, SeededRng(0))
+    with pytest.raises(ConfigError, match="window 12, got training samples with window 20"):
+        train(_quick_config(window=12), result.train_windows, result.val_windows, SeededRng(0))
 
 
 def test_partial_final_batch_is_used(small_data):
@@ -255,7 +261,7 @@ def test_checkpoint_round_trip(small_data, tmp_path):
     for k in state.m:
         assert np.array_equal(loaded_state.m[k], state.m[k])
 
-    x = result.val_windows.windows[:3]
+    x = result.val_windows.inputs(slice(0, 3))
     assert np.array_equal(model.predict(x), loaded_model.predict(x))
 
 
