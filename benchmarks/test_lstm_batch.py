@@ -14,7 +14,7 @@ import pytest
 
 from rulkit import models
 from rulkit.numerics import SeededRng
-from rulkit.optim import adam_step, init_adam
+from rulkit.optim import adam_step, flatten_params, init_adam
 
 BATCH, WINDOW, FEATURES, HIDDEN = 64, 20, 16, 64
 
@@ -44,8 +44,8 @@ def test_lstm_backward_batch(benchmark, lstm_batch):
 
 def test_adam_step_batch(benchmark, lstm_batch):
     params, _, cache, dpred = lstm_batch
-    tensors = {k: v.copy() for k, v in params.to_dict().items()}
+    flat, views = flatten_params(params.to_dict())
     grads = models.lstm_backward(params, cache, dpred)
-    state = init_adam(tensors)
-    benchmark(adam_step, state, tensors, grads)
+    state = init_adam(views)
+    benchmark(adam_step, state, flat, grads)
     assert state.step > 0

@@ -13,7 +13,6 @@ over file values. Unknown config keys are rejected rather than ignored.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from dataclasses import fields
@@ -23,7 +22,7 @@ import numpy as np
 
 from . import dataset_io, preprocess, simdata, train_eval
 from .errors import ConfigError
-from .ioutil import sha256_text
+from .ioutil import read_json, sha256_text
 from .numerics import SeededRng
 
 logger = logging.getLogger(__name__)
@@ -35,7 +34,7 @@ _PIPELINE_KEYS = ("alpha", "trim", "window", "n_val", "rul_cap")
 def _read_config_file(path: str | None) -> dict:
     if path is None:
         return {}
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = read_json(path)
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     unknown = sorted(set(data) - _CONFIG_KEYS)

@@ -3,6 +3,7 @@
 Artifacts are written atomically (temp file + rename) so an interrupted run
 never leaves a truncated checkpoint or CSV behind. Floats destined for CSV
 are printed with 17 significant digits, which round-trips IEEE doubles.
+JSON files are read through read_json, whose errors name the file.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import tempfile
 from pathlib import Path
 from typing import Any
 
+from .errors import ValidationError
+
 
 def fmt_double(x: float) -> str:
     """Format a double with 17 significant digits (lossless round-trip)."""
@@ -23,6 +26,14 @@ def fmt_double(x: float) -> str:
 def canonical_json(obj: Any) -> str:
     """Deterministic JSON encoding: sorted keys, no whitespace drift."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def read_json(path: Path | str) -> Any:
+    """Decode a JSON file; malformed content raises ValidationError naming it."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{path}: not valid JSON ({exc})") from None
 
 
 def sha256_text(text: str) -> str:

@@ -1,9 +1,11 @@
 """From-scratch MLP and LSTM regressors with analytic gradients.
 
 No autodiff: every backward pass is hand-derived and verified against
-central finite differences in the test suite. Parameters live in plain
-dicts of float64 arrays so the optimizer and checkpoint code can treat
-both models uniformly.
+central finite differences in the test suite. Each model's parameters are
+named float64 tensors (to_dict / from_dict), so the optimizer and checkpoint
+code treat both models alike. While training, those tensors are reshaped
+views of one contiguous vector (optim.flatten_params) that Adam updates in
+a single pass; from_dict keeps float64 views as they are, without a copy.
 
 LSTM cell (gate blocks ordered i, f, g, o inside the stacked tensors):
 

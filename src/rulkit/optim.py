@@ -1,4 +1,12 @@
-"""Adam optimizer with bias correction, over dicts of parameter tensors.
+"""Adam optimizer with bias correction, over one flat parameter vector.
+
+While a model trains, all of its parameters live in one contiguous float64
+vector and its tensors are reshaped views of that vector (flatten_params).
+The optimizer state mirrors it: `m` and `v` are flat vectors of the same
+length, and `layout` names each tensor and its shape, in vector order. A
+step concatenates the gradients once, in layout order, and updates the
+whole vector with one sequence of ufuncs, so its cost does not grow with
+the number of tensors.
 
 Update rule per step t (canonical constants unless overridden):
 
@@ -6,31 +14,67 @@ Update rule per step t (canonical constants unless overridden):
     v <- beta2*v + (1-beta2)*g^2      v_hat = v / (1 - beta2^t)
     theta <- theta - lr * m_hat / (sqrt(v_hat) + eps)
 
-State round-trips losslessly through JSON and every checkpoint stores it,
-but no command resumes training from it. The epoch-shuffle RNG state is not
-saved either, so continuing from a checkpoint would not reproduce an
-uninterrupted run.
+Every element goes through the same operations in the same order whatever
+the grouping of the tensors, so a flat update is bit-identical to one run
+tensor by tensor.
+
+State round-trips losslessly through JSON, one list per tensor name, and
+every checkpoint stores it, but no command resumes training from it. The
+epoch-shuffle RNG state is not saved either, so continuing from a
+checkpoint would not reproduce an uninterrupted run.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, TrainingError
+from .errors import ConfigError, TrainingError, ValidationError
+
+Layout = dict[str, tuple[int, ...]]
+
+
+def _layout(tensors: dict[str, np.ndarray]) -> Layout:
+    return {name: np.shape(t) for name, t in tensors.items()}
+
+
+def _views(flat: np.ndarray, layout: Layout) -> dict[str, np.ndarray]:
+    """Consecutive slices of `flat`, reshaped to the layout's shapes."""
+    out, start = {}, 0
+    for name, shape in layout.items():
+        size = math.prod(shape)
+        out[name] = flat[start : start + size].reshape(shape)
+        start += size
+    return out
+
+
+def flatten_params(
+    tensors: dict[str, np.ndarray],
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Copy `tensors` into one contiguous float64 vector, in dict order.
+
+    Returns the vector and views of it under the same names and shapes:
+    updating the vector in place updates every view, and the reverse.
+    """
+    flat = np.empty(sum(np.size(t) for t in tensors.values()))
+    views = _views(flat, _layout(tensors))
+    for name, t in tensors.items():
+        views[name][...] = t
+    return flat, views
 
 
 @dataclass
 class AdamState:
+    layout: Layout  # tensor name -> shape, in flat-vector order
+    m: np.ndarray  # (n,) first moments
+    v: np.ndarray  # (n,) second moments
     lr: float = 0.001
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -39,20 +83,31 @@ class AdamState:
             "beta2": self.beta2,
             "eps": self.eps,
             "step": self.step,
-            "m": {k: arr.tolist() for k, arr in self.m.items()},
-            "v": {k: arr.tolist() for k, arr in self.v.items()},
+            "m": {k: a.tolist() for k, a in _views(self.m, self.layout).items()},
+            "v": {k: a.tolist() for k, a in _views(self.v, self.layout).items()},
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "AdamState":
+    def from_dict(cls, d: dict, params: dict[str, np.ndarray]) -> "AdamState":
+        """Inverse of to_dict; `m` and `v` must hold exactly the tensors of `params`."""
+        layout = _layout(params)
+        moments = []
+        for key in ("m", "v"):
+            tensors = {k: np.array(a, dtype=np.float64) for k, a in d[key].items()}
+            shapes = {k: t.shape for k, t in tensors.items()}
+            if shapes != layout:
+                raise ValidationError(
+                    f"optimizer {key} shapes {shapes} do not match parameters {layout}"
+                )
+            moments.append(flatten_params({name: tensors[name] for name in layout})[0])
         return cls(
+            layout,
+            *moments,
             lr=d["lr"],
             beta1=d["beta1"],
             beta2=d["beta2"],
             eps=d["eps"],
             step=d["step"],
-            m={k: np.array(v, dtype=np.float64) for k, v in d["m"].items()},
-            v={k: np.array(v, dtype=np.float64) for k, v in d["v"].items()},
         )
 
 
@@ -63,61 +118,59 @@ def init_adam(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> AdamState:
-    """Zero-moment state shaped like `params`."""
+    """Zero-moment state laid out like `params` (names, shapes, dict order)."""
     if lr <= 0:
         raise ConfigError(f"learning rate must be positive, got {lr}")
     if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
         raise ConfigError(f"betas must lie in [0, 1), got {beta1}, {beta2}")
+    n = sum(np.size(p) for p in params.values())
     return AdamState(
-        lr=lr,
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
-        step=0,
-        m={k: np.zeros_like(p) for k, p in params.items()},
-        v={k: np.zeros_like(p) for k, p in params.items()},
+        _layout(params), np.zeros(n), np.zeros(n), lr=lr, beta1=beta1, beta2=beta2, eps=eps
     )
 
 
-def adam_step(
-    state: AdamState, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]
-) -> None:
-    """One in-place Adam update; aborts (state untouched) on non-finite grads."""
-    if set(params) != set(state.m):
+def adam_step(state: AdamState, params: np.ndarray, grads: dict[str, np.ndarray]) -> None:
+    """One in-place Adam update of the flat vector `params`.
+
+    `grads` holds one gradient per layout tensor. A non-finite gradient
+    raises TrainingError naming its tensor and leaves everything untouched.
+    """
+    if params.shape != state.m.shape:
         raise ConfigError(
-            f"parameter keys {sorted(params)} do not match optimizer state {sorted(state.m)}"
+            f"parameter vector of shape {params.shape} does not match optimizer "
+            f"state of shape {state.m.shape}"
         )
-    if set(grads) != set(params):
+    if grads.keys() != state.layout.keys():
         raise ConfigError(
-            f"gradient keys {sorted(grads)} do not match parameters {sorted(params)}"
+            f"gradient keys {sorted(grads)} do not match parameters {sorted(state.layout)}"
         )
-    for name, g in grads.items():
-        if g.shape != params[name].shape:
+    for name, shape in state.layout.items():
+        if grads[name].shape != shape:
             raise ConfigError(
-                f"gradient {name} shape {g.shape} does not match parameter "
-                f"{params[name].shape}"
+                f"gradient {name} shape {grads[name].shape} does not match parameter {shape}"
             )
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient in tensor {name!r}")
+    g = np.concatenate([grads[name].ravel() for name in state.layout])
+    if not np.isfinite(g).all():
+        bad = next(name for name, t in grads.items() if not np.isfinite(t).all())
+        raise TrainingError(f"non-finite gradient in tensor {bad!r}")
 
     state.step += 1
     t = state.step
     bc1 = 1.0 - state.beta1**t
     bc2 = 1.0 - state.beta2**t
-    for name, g in grads.items():
-        m = state.m[name]
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        params[name] -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    m, v = state.m, state.v
+    m *= state.beta1
+    m += (1.0 - state.beta1) * g
+    v *= state.beta2
+    v += (1.0 - state.beta2) * (g * g)
+    params -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
     """Scale all gradients so the global L2 norm is at most max_norm.
 
-    Returns the pre-clip norm. No-op when already within bounds.
+    Returns the pre-clip norm. No-op when already within bounds. The
+    per-tensor squared norms are summed in dict order.
     """
     if max_norm <= 0:
         raise ConfigError(f"max_norm must be positive, got {max_norm}")

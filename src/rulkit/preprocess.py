@@ -17,7 +17,6 @@ same way, since a constant column cannot be min-max scaled.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -27,7 +26,7 @@ import numpy as np
 
 from .dataset_io import EngineTrajectory, N_SENSORS, N_SETTINGS
 from .errors import ConfigError, ValidationError
-from .ioutil import atomic_write_text, canonical_json, sha256_text
+from .ioutil import atomic_write_text, canonical_json, read_json, sha256_text
 from .numerics import SeededRng
 
 logger = logging.getLogger(__name__)
@@ -591,10 +590,13 @@ class Bundle:
 
 
 def load_scaler(path: Path | str) -> ScalerParams:
-    """Read a scaler.json; invalid bounds fail with an error naming the file."""
+    """Read a scaler.json; bad content fails with an error naming the file."""
+    d = read_json(path)
     try:
-        return ScalerParams.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-    except ValidationError as exc:
+        return ScalerParams.from_dict(d)
+    except KeyError as exc:
+        raise ValidationError(f"{path}: missing entry {exc}") from None
+    except (TypeError, ValueError) as exc:
         raise ValidationError(f"{path}: {exc}") from None
 
 
@@ -624,10 +626,11 @@ def load_bundle(bundle_dir: Path | str) -> Bundle:
     meta_path = out / "meta.json"
     if not meta_path.is_file():
         raise ValidationError(f"{out} is not a preprocessing bundle (no meta.json)")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    if meta.get("format") != BUNDLE_FORMAT:
+    meta = read_json(meta_path)
+    fmt = meta.get("format") if isinstance(meta, dict) else None
+    if fmt != BUNDLE_FORMAT:
         raise ValidationError(
-            f"{meta_path}: bundle format {meta.get('format')!r} is not {BUNDLE_FORMAT!r}; "
+            f"{meta_path}: bundle format {fmt!r} is not {BUNDLE_FORMAT!r}; "
             "re-run `rulkit preprocess` to rebuild the bundle"
         )
     try:

@@ -9,7 +9,6 @@ squared cycles. Everything is deterministic given (seed, config, data).
 
 from __future__ import annotations
 
-import json
 import logging
 import time
 from dataclasses import asdict, dataclass, field
@@ -21,9 +20,9 @@ import numpy as np
 from . import models
 from .dataset_io import EngineTrajectory, RulLabelFile
 from .errors import ConfigError, TrainingError, ValidationError
-from .ioutil import atomic_write_text, canonical_json, fmt_double, sha256_text
+from .ioutil import atomic_write_text, canonical_json, fmt_double, read_json, sha256_text
 from .numerics import SeededRng
-from .optim import AdamState, adam_step, clip_gradients, init_adam
+from .optim import AdamState, adam_step, clip_gradients, flatten_params, init_adam
 from .preprocess import (
     FeatureSelection,
     SampleSet,
@@ -199,6 +198,9 @@ def train(
     The LSTM trains on windows of config.window cycles, the MLP on single
     rows (window None). The rng drives the weight init and one shuffle per
     epoch, in that order, so a given seed fixes the whole trajectory.
+
+    The parameters live in one flat vector that Adam updates in place; the
+    returned model's tensors are views of it.
     """
     n = len(train_set)
     if n == 0:
@@ -211,9 +213,10 @@ def train(
                 f"got {name} samples with window {samples.window}"
             )
 
-    params_obj = init_model_params(config, train_set.rows.shape[1], rng)
-    params = params_obj.to_dict()
-    state = init_adam(params, lr=config.lr)
+    init = init_model_params(config, train_set.rows.shape[1], rng)
+    flat, views = flatten_params(init.to_dict())
+    params_obj = type(init).from_dict(views)
+    state = init_adam(views, lr=config.lr)
     history = TrainHistory()
 
     for epoch in range(1, config.epochs + 1):
@@ -233,7 +236,7 @@ def train(
             grads = _backward(config.model, params_obj, cache, dpred)
             if config.grad_clip is not None:
                 clip_gradients(grads, config.grad_clip)
-            adam_step(state, params, grads)
+            adam_step(state, flat, grads)
             sq_sum += loss * len(idx)
 
         history.train_mse.append(sq_sum / n)
@@ -438,10 +441,19 @@ def write_checkpoint(
 
 
 def load_checkpoint(path: Path | str) -> tuple[TrainedModel, AdamState, TrainConfig]:
-    with open(path, "r", encoding="utf-8") as fh:
-        d = json.load(fh)
-    if d.get("format") != CHECKPOINT_FORMAT:
-        raise ValidationError(f"unrecognized checkpoint format in {path}")
+    """Read a checkpoint; a missing or malformed entry fails naming the file."""
+    d = read_json(path)
+    try:
+        return _checkpoint_from_dict(d)
+    except KeyError as exc:
+        raise ValidationError(f"{path}: checkpoint has no entry {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+
+
+def _checkpoint_from_dict(d: dict) -> tuple[TrainedModel, AdamState, TrainConfig]:
+    if not isinstance(d, dict) or d.get("format") != CHECKPOINT_FORMAT:
+        raise ValidationError("unrecognized checkpoint format")
     if d.get("gate_order") != list(models.GATE_ORDER):
         raise ValidationError(
             f"checkpoint gate order {d.get('gate_order')} does not match "
@@ -466,7 +478,7 @@ def load_checkpoint(path: Path | str) -> tuple[TrainedModel, AdamState, TrainCon
         config_hash=d["config_hash"],
         seed=d["seed"],
     )
-    return model, AdamState.from_dict(d["adam_state"]), config
+    return model, AdamState.from_dict(d["adam_state"], params.to_dict()), config
 
 
 def write_eval_report(path: Path | str, report: EvalReport) -> None:

@@ -1,6 +1,7 @@
 """End-to-end command-line workflow on a small synthetic corpus."""
 
 import json
+import shutil
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -182,6 +183,81 @@ def test_missing_checkpoint_fails_cleanly(workspace, tmp_path, capsys):
         "--scaler", str(workspace.bundle / "scaler.json"), "--out", str(tmp_path),
     ]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def _evaluate(workspace, out, checkpoint=None, scaler=None):
+    return main([
+        "evaluate", "--checkpoint", str(checkpoint or workspace.run / "checkpoint.json"),
+        "--test-file", str(workspace.test_file), "--rul-file", str(workspace.rul_file),
+        "--scaler", str(scaler or workspace.bundle / "scaler.json"), "--out", str(out),
+    ])
+
+
+@pytest.mark.parametrize(
+    "name, text, detail",
+    [
+        ("meta.json", "{", "not valid JSON"),
+        ("scaler.json", "{", "not valid JSON"),
+        ("meta.json", "[]", "bundle format None"),
+        ("scaler.json", "[]", "list indices"),
+    ],
+)
+def test_train_on_corrupt_bundle_json_names_the_file(
+    workspace, tmp_path, capsys, name, text, detail
+):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(workspace.bundle, bundle)
+    (bundle / name).write_text(text)
+    assert main([
+        "train", "--bundle", str(bundle), "--out", str(tmp_path / "run"), "--epochs", "1",
+    ]) == 1
+    assert f"error: {bundle / name}: {detail}" in capsys.readouterr().err
+
+
+def test_corrupt_config_file_names_the_file(workspace, tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text('{"epochs": 1,')
+    assert main([
+        "train", "--bundle", str(workspace.bundle), "--out", str(tmp_path / "run"),
+        "--config", str(config_path),
+    ]) == 1
+    assert f"error: {config_path}: not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["checkpoint", "scaler"])
+def test_evaluate_with_truncated_json_names_the_file(workspace, tmp_path, capsys, target):
+    source = workspace.run / "checkpoint.json" if target == "checkpoint" else (
+        workspace.bundle / "scaler.json"
+    )
+    broken = tmp_path / source.name
+    text = source.read_text()
+    broken.write_text(text[: len(text) // 2])
+    assert _evaluate(workspace, tmp_path / "report", **{target: broken}) == 1
+    assert f"error: {broken}: not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit, detail",
+    [
+        (lambda d: d.pop("params"), "checkpoint has no entry 'params'"),
+        (lambda d: d.pop("config"), "checkpoint has no entry 'config'"),
+        (lambda d: d.pop("adam_state"), "checkpoint has no entry 'adam_state'"),
+        (lambda d: d["adam_state"].pop("v"), "checkpoint has no entry 'v'"),
+        (lambda d: d["adam_state"]["m"].pop("b"), "optimizer m shapes"),
+        (lambda d: d["adam_state"]["v"].update(b_head=[0.0, 0.0]), "'b_head': (2,)"),
+        (lambda d: d["config"].update(optimizer="sgd"), "optimizer"),
+    ],
+)
+def test_evaluate_with_incomplete_checkpoint_names_the_file(
+    workspace, tmp_path, capsys, edit, detail
+):
+    blob = json.loads((workspace.run / "checkpoint.json").read_text())
+    edit(blob)
+    broken = tmp_path / "checkpoint.json"
+    broken.write_text(json.dumps(blob))
+    assert _evaluate(workspace, tmp_path / "report", checkpoint=broken) == 1
+    err = capsys.readouterr().err
+    assert f"error: {broken}: " in err and detail in err
 
 
 def test_verify_self_checks_pass(capsys):

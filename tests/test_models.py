@@ -7,6 +7,8 @@ Gradients are additionally checked against central finite differences.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rulkit import models
 from rulkit.errors import ConfigError, ShapeError, ValidationError
@@ -185,6 +187,32 @@ def test_lstm_batch_matches_per_sample_runs():
     batched, _ = models.lstm_forward(params, x)
     singles = [models.lstm_forward(params, x[i : i + 1])[0][0] for i in range(5)]
     np.testing.assert_allclose(batched, singles, rtol=1e-15, atol=0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.integers(1, 8),
+    st.integers(1, 12),
+    st.integers(1, 9),
+    st.floats(0.1, 10.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_lstm_batch_matches_per_sample_runs_property(feats, hidden, steps, batch, scale, seed):
+    """A batched forward pass equals each window run alone to 1e-12 relative.
+
+    Relative to the size of the terms summed into each prediction, so that a
+    prediction near zero by cancellation does not demand an exact match.
+    """
+    rng = SeededRng(seed)
+    params = models.init_lstm(feats, hidden, rng)
+    params.b_head[0] = rng.uniform(-1.0, 1.0, ())
+    x = rng.uniform(-scale, scale, (batch, steps, feats))
+    batched, _ = models.lstm_forward(params, x)
+    for i in range(batch):
+        single, cache = models.lstm_forward(params, x[i : i + 1])
+        size = np.abs(cache.h[-1][0]) @ np.abs(params.w_head) + abs(params.b_head[0])
+        assert abs(batched[i] - single[0]) <= 1e-12 * size
 
 
 def test_lstm_forward_shape_errors():

@@ -1,30 +1,31 @@
 """Adam updates and gradient clipping against an independent reference."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from rulkit.errors import ConfigError, TrainingError
+from rulkit.errors import ConfigError, TrainingError, ValidationError
 from rulkit.numerics import SeededRng
-from rulkit.optim import AdamState, adam_step, clip_gradients, init_adam
+from rulkit.optim import AdamState, adam_step, clip_gradients, flatten_params, init_adam
 
 
 def test_adam_first_step_hand_oracle():
     # theta=1, g=0.5, lr=0.1: m_hat=g, v_hat=g^2, so the first step is
     # lr * g / (|g| + eps). Expected value computed independently.
-    params = {"w": np.array([1.0])}
+    flat, params = flatten_params({"w": np.array([1.0])})
     state = init_adam(params, lr=0.1)
-    adam_step(state, params, {"w": np.array([0.5])})
+    adam_step(state, flat, {"w": np.array([0.5])})
     assert state.step == 1
     assert params["w"][0] == pytest.approx(0.90000000199999997, abs=1e-16)
 
 
 def test_adam_second_step_hand_oracle():
-    params = {"w": np.array([1.0])}
+    flat, params = flatten_params({"w": np.array([1.0])})
     state = init_adam(params, lr=0.1)
     for _ in range(2):
-        adam_step(state, params, {"w": np.array([0.5])})
+        adam_step(state, flat, {"w": np.array([0.5])})
     assert params["w"][0] == pytest.approx(0.8000000040000006, abs=1e-15)
 
 
@@ -33,10 +34,10 @@ def test_adam_matches_scalar_reference_over_random_steps():
     gen = np.random.Generator(np.random.PCG64(31))
     grads_seq = gen.uniform(-2.0, 2.0, 50)
 
-    params = {"w": np.array([0.7])}
+    flat, params = flatten_params({"w": np.array([0.7])})
     state = init_adam(params, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
     for g in grads_seq:
-        adam_step(state, params, {"w": np.array([g])})
+        adam_step(state, flat, {"w": np.array([g])})
 
     theta, m, v = 0.7, 0.0, 0.0
     for t, g in enumerate(grads_seq, start=1):
@@ -50,48 +51,53 @@ def test_adam_matches_scalar_reference_over_random_steps():
 
 
 def test_adam_zero_gradient_keeps_parameters_fixed():
-    params = {"w": np.array([1.0, -2.0])}
+    flat, params = flatten_params({"w": np.array([1.0, -2.0])})
     state = init_adam(params)
-    adam_step(state, params, {"w": np.zeros(2)})
+    adam_step(state, flat, {"w": np.zeros(2)})
     assert params["w"].tolist() == [1.0, -2.0]
 
 
 def test_adam_updates_multiple_tensors_independently():
-    params = {"a": np.array([1.0]), "b": np.array([1.0])}
+    flat, params = flatten_params({"a": np.array([1.0]), "b": np.array([1.0])})
     state = init_adam(params, lr=0.1)
-    adam_step(state, params, {"a": np.array([1.0]), "b": np.array([-1.0])})
+    adam_step(state, flat, {"a": np.array([1.0]), "b": np.array([-1.0])})
     # Same magnitude, opposite gradient sign -> mirrored updates.
     assert params["a"][0] == pytest.approx(2.0 - params["b"][0], rel=1e-15)
 
 
 def test_adam_step_size_is_bounded_by_lr_scale():
     # |update| is at most ~lr/(1-beta1) regardless of gradient magnitude.
-    params = {"w": np.array([0.0])}
+    flat, params = flatten_params({"w": np.array([0.0])})
     state = init_adam(params, lr=0.001)
-    adam_step(state, params, {"w": np.array([1e9])})
+    adam_step(state, flat, {"w": np.array([1e9])})
     assert abs(params["w"][0]) < 0.0011
 
 
 def test_adam_rejects_mismatched_keys_and_shapes():
-    params = {"w": np.zeros(2)}
+    flat, params = flatten_params({"w": np.zeros(2)})
     state = init_adam(params)
     with pytest.raises(ConfigError, match="gradient keys"):
-        adam_step(state, params, {"x": np.zeros(2)})
+        adam_step(state, flat, {"x": np.zeros(2)})
+    with pytest.raises(ConfigError, match="gradient keys"):
+        adam_step(state, flat, {"w": np.zeros(2), "x": np.zeros(2)})
     with pytest.raises(ConfigError, match="shape"):
-        adam_step(state, params, {"w": np.zeros(3)})
-    with pytest.raises(ConfigError, match="parameter keys"):
-        adam_step(state, {"other": np.zeros(2)}, {"other": np.zeros(2)})
+        adam_step(state, flat, {"w": np.zeros(3)})
+    with pytest.raises(ConfigError, match="shape"):
+        adam_step(state, flat, {"w": np.zeros((2, 1))})
+    with pytest.raises(ConfigError, match="parameter vector"):
+        adam_step(state, np.zeros(3), {"w": np.zeros(2)})
+    assert state.step == 0
 
 
 def test_adam_aborts_on_non_finite_gradient_without_mutating_state():
-    params = {"w": np.array([1.0]), "u": np.array([2.0])}
+    flat, params = flatten_params({"w": np.array([1.0]), "u": np.array([2.0])})
     state = init_adam(params)
-    before = params["w"].copy()
+    before = flat.copy()
     with pytest.raises(TrainingError, match="'u'"):
-        adam_step(state, params, {"w": np.array([0.5]), "u": np.array([np.nan])})
+        adam_step(state, flat, {"w": np.array([0.5]), "u": np.array([np.nan])})
     assert state.step == 0
-    assert np.array_equal(params["w"], before)
-    assert not state.m["w"].any()
+    assert np.array_equal(flat, before)
+    assert not state.m.any() and not state.v.any()
 
 
 def test_init_adam_validation():
@@ -102,28 +108,61 @@ def test_init_adam_validation():
 
 
 def test_adam_state_dict_round_trip_is_lossless():
-    params = {"w": np.array([1.0, 2.0]), "b": np.array([[3.0, 4.0]])}
+    flat, params = flatten_params({"w": np.array([1.0, 2.0]), "b": np.array([[3.0, 4.0]])})
     state = init_adam(params, lr=0.05)
     rng = SeededRng(6)
     for _ in range(3):
         adam_step(
-            state, params,
+            state, flat,
             {"w": rng.uniform(-1, 1, 2), "b": rng.uniform(-1, 1, (1, 2))},
         )
-    restored = AdamState.from_dict(state.to_dict())
+    saved = state.to_dict()
+    assert saved["m"]["b"] == state.m[2:].reshape(1, 2).tolist()
+    restored = AdamState.from_dict(json.loads(json.dumps(saved)), params)
     assert restored.step == state.step
     assert restored.lr == state.lr
-    for k in params:
-        assert np.array_equal(restored.m[k], state.m[k])
-        assert np.array_equal(restored.v[k], state.v[k])
+    assert restored.layout == state.layout
+    assert np.array_equal(restored.m, state.m)
+    assert np.array_equal(restored.v, state.v)
 
     # Both copies must evolve identically afterwards.
-    params_copy = {k: p.copy() for k, p in params.items()}
+    flat_copy = flat.copy()
     g = {"w": np.array([0.3, -0.7]), "b": np.array([[0.1, 0.9]])}
-    adam_step(state, params, g)
-    adam_step(restored, params_copy, g)
-    for k in params:
-        assert np.array_equal(params[k], params_copy[k])
+    adam_step(state, flat, g)
+    adam_step(restored, flat_copy, g)
+    assert np.array_equal(flat, flat_copy)
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda d: d["m"].pop("b"), r"optimizer m shapes \{'w': \(2,\)\} do not match"),
+        (lambda d: d["v"].update(extra=[0.0]), r"optimizer v shapes .*'extra': \(1,\)"),
+        (lambda d: d["m"].update(w=[0.0, 0.0, 0.0]), r"optimizer m shapes \{'w': \(3,\)"),
+        (lambda d: d["v"].update(b=[0.0, 0.0]), r"'b': \(2,\)\} do not match .*'b': \(1, 2\)"),
+    ],
+)
+def test_adam_state_from_dict_rejects_moments_unlike_params(edit, match):
+    _, params = flatten_params({"w": np.zeros(2), "b": np.zeros((1, 2))})
+    saved = init_adam(params).to_dict()
+    edit(saved)
+    with pytest.raises(ValidationError, match=match):
+        AdamState.from_dict(saved, params)
+
+
+def test_flatten_params_views_share_one_contiguous_vector():
+    tensors = {"w": np.arange(6.0).reshape(2, 3), "b": np.array([7.0]), "s": np.array(8.0)}
+    flat, views = flatten_params(tensors)
+    assert flat.flags.c_contiguous and flat.dtype == np.float64
+    assert flat.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0, 8.0]
+    assert list(views) == ["w", "b", "s"]
+    for name, t in tensors.items():
+        assert views[name].shape == t.shape
+        assert np.array_equal(views[name], t)
+        assert np.shares_memory(views[name], flat)
+        assert not np.shares_memory(views[name], t)
+    flat[6] = -1.0
+    assert views["b"][0] == -1.0
 
 
 def test_clip_gradients_no_op_within_bound():
@@ -141,6 +180,15 @@ def test_clip_gradients_scales_to_max_norm():
     assert grads["b"][0] == pytest.approx(0.8, rel=1e-15)
     total = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
     assert total == pytest.approx(1.0, rel=1e-15)
+
+
+def test_clip_gradients_sums_squared_norms_in_dict_order():
+    # 1 + 1 + 1e16 is 1e16 + 2 summed left to right, but 1e16 summed from
+    # the right (1e16 + 1 rounds back to 1e16), so the order shows.
+    grads = {"a": np.array([1.0]), "b": np.array([1.0]), "c": np.array([1e8])}
+    norm = clip_gradients(grads, max_norm=1.0)
+    assert norm == math.sqrt(10000000000000002.0) != 1e8
+    assert grads["c"][0] == 1e8 * (1.0 / norm)
 
 
 def test_clip_gradients_rejects_bad_bound():

@@ -338,6 +338,46 @@ def test_apply_minmax_rejects_feature_mismatch():
         apply_minmax(scaler, traj, sel_b)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 5),
+    st.integers(1, 12),
+    st.integers(0, 5),
+    st.lists(st.integers(1, 40), min_size=1, max_size=4),
+    st.floats(1e-3, 1e6),
+    st.integers(0, 2**32 - 1),
+)
+def test_scaled_output_stays_in_unit_interval(
+    n_train, window, trim, test_lengths, spread, seed
+):
+    """Training rows span [0, 1] exactly; test engines outside the fitted range clamp into it."""
+    gen = np.random.Generator(np.random.PCG64(seed))
+    train = [
+        random_traj(i + 1, int(gen.integers(trim + window, trim + window + 20)), seed + i)
+        for i in range(n_train)
+    ]
+    result = run_pipeline(train, trim=trim, window=window, n_val=1, seed=0)
+    rows = np.concatenate([result.train_rows.rows, result.val_rows.rows])
+    assert rows.min(axis=0).tolist() == [0.0] * rows.shape[1]
+    assert rows.max(axis=0).tolist() == [1.0] * rows.shape[1]
+
+    for engine_id, length in enumerate(test_lengths, start=1):
+        # Per column: inside the training range, above it or below it by up to `spread`.
+        offset = gen.choice([0.0, 1.0, -1.0], size=N_SENSORS) * spread
+        offset[0] = 1.0 + spread  # above every training value: out of range
+        sensors = gen.uniform(0.0, 1.0, (length, N_SENSORS)) + offset
+        settings = gen.uniform(-1.0, 1.0, (length, N_SETTINGS)) * (1.0 + spread)
+        test = make_traj(engine_id, sensors, settings)
+        last_window, last_row = prepare_test_engine(
+            test, result.scaler, result.selection, trim=trim, window=window
+        )
+        for scaled in (last_window, last_row):
+            assert np.all((scaled >= 0.0) & (scaled <= 1.0))
+        raw = feature_matrix(smooth_trajectory(test, 0.1), result.selection)
+        unclamped = (raw - result.scaler.mins) / (result.scaler.maxs - result.scaler.mins)
+        assert np.any((unclamped < 0.0) | (unclamped > 1.0))
+
+
 # ---------------------------------------------------------------------------
 # Labeling
 # ---------------------------------------------------------------------------

@@ -258,8 +258,9 @@ def test_checkpoint_round_trip(small_data, tmp_path):
     for k, v in model.params.to_dict().items():
         assert np.array_equal(loaded_model.params.to_dict()[k], v), k
     assert loaded_state.step == state.step
-    for k in state.m:
-        assert np.array_equal(loaded_state.m[k], state.m[k])
+    assert loaded_state.layout == state.layout
+    assert np.array_equal(loaded_state.m, state.m)
+    assert np.array_equal(loaded_state.v, state.v)
 
     x = result.val_windows.inputs(slice(0, 3))
     assert np.array_equal(model.predict(x), loaded_model.predict(x))
