@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dataset_io, preprocess, simdata, train_eval
+from . import dataset_io, models, preprocess, simdata, train_eval
 from .errors import ConfigError
 from .ioutil import read_json, sha256_text
 from .numerics import SeededRng
@@ -120,7 +120,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         merged[key] = bundle_value
     config = train_eval.TrainConfig(**merged)
 
-    if config.model == "lstm":
+    if models.MODELS[config.model].takes_windows:
         train_set, val_set = bundle.train_windows, bundle.val_windows
     else:
         train_set, val_set = bundle.train_rows, bundle.val_rows
@@ -180,15 +180,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         ]
         if not test_trajectories:
             raise ConfigError(f"engine {args.engine} not present in {args.test_file}")
-    selection = preprocess.selection_from_feature_names(scaler.feature_names)
-    samples = []
-    for traj in test_trajectories:
-        window, row = preprocess.prepare_test_engine(
-            traj, scaler, selection,
-            alpha=config.alpha, trim=config.trim, window=config.window,
-        )
-        samples.append(window if model.kind == "lstm" else row)
-    preds = model.predict(np.stack(samples))
+    preds = model.predict(train_eval.final_inputs(model, test_trajectories, scaler, config))
     print("engine_id,predicted_rul")
     for traj, pred in zip(test_trajectories, preds):
         print(f"{traj.engine_id},{pred:.4f}")

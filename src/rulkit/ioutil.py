@@ -24,8 +24,8 @@ def fmt_double(x: float) -> str:
 
 
 def canonical_json(obj: Any) -> str:
-    """Deterministic JSON encoding: sorted keys, no whitespace drift."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """Deterministic JSON encoding: sorted keys, no whitespace drift, no NaN."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def read_json(path: Path | str) -> Any:

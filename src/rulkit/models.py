@@ -7,6 +7,11 @@ code treat both models alike. While training, those tensors are reshaped
 views of one contiguous vector (optim.flatten_params) that Adam updates in
 a single pass; from_dict keeps float64 views as they are, without a copy.
 
+The parameter object is the model: `params.forward(x)` gives (predictions,
+cache) and `params.backward(cache, dpred)` the gradients, through this
+module's mlp_* / lstm_* functions. `takes_windows` says whether a sample is
+a (W, F) window (LSTM) or one (F,) row (MLP); MODELS maps kinds to classes.
+
 LSTM cell (gate blocks ordered i, f, g, o inside the stacked tensors):
 
     z = W x_t + U h_prev + b          z splits into (z_i, z_f, z_g, z_o)
@@ -48,6 +53,7 @@ GATE_ORDER = ("i", "f", "g", "o")
 class MlpParams:
     """Fully-connected stack: relu hidden layers, linear scalar output."""
 
+    takes_windows = False  # class attribute, not a field
     weights: list[np.ndarray]  # layer l: (out_l, in_l)
     biases: list[np.ndarray]  # layer l: (out_l,)
 
@@ -58,6 +64,16 @@ class MlpParams:
     @property
     def input_size(self) -> int:
         return self.weights[0].shape[1]
+
+    @property
+    def arch(self) -> dict:
+        return {"layer_sizes": list(self.layer_sizes)}
+
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, MlpCache]:
+        return mlp_forward(self, x)
+
+    def backward(self, cache: MlpCache, dpred: np.ndarray) -> dict[str, np.ndarray]:
+        return mlp_backward(self, cache, dpred)
 
     def to_dict(self) -> dict[str, np.ndarray]:
         out: dict[str, np.ndarray] = {}
@@ -83,6 +99,7 @@ class LstmParams:
     all stacked in GATE_ORDER blocks of H rows. w_head: (H,), b_head: (1,).
     """
 
+    takes_windows = True
     w_x: np.ndarray
     w_h: np.ndarray
     b: np.ndarray
@@ -97,6 +114,16 @@ class LstmParams:
     def input_size(self) -> int:
         return self.w_x.shape[1]
 
+    @property
+    def arch(self) -> dict:
+        return {"hidden_size": self.hidden_size, "input_size": self.input_size}
+
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, LstmCache]:
+        return lstm_forward(self, x)
+
+    def backward(self, cache: LstmCache, dpred: np.ndarray) -> dict[str, np.ndarray]:
+        return lstm_backward(self, cache, dpred)
+
     def to_dict(self) -> dict[str, np.ndarray]:
         return {
             "w_x": self.w_x,
@@ -110,6 +137,9 @@ class LstmParams:
     def from_dict(cls, tensors: dict[str, np.ndarray]) -> "LstmParams":
         return cls(*(np.asarray(tensors[k], dtype=np.float64) for k in
                      ("w_x", "w_h", "b", "w_head", "b_head")))
+
+
+MODELS = {"mlp": MlpParams, "lstm": LstmParams}
 
 
 def init_mlp(layer_sizes: tuple[int, ...], rng: SeededRng) -> MlpParams:

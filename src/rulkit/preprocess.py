@@ -601,7 +601,7 @@ def load_scaler(path: Path | str) -> ScalerParams:
 
 
 def _load_array(path: Path, dtype: type, shape: tuple) -> np.ndarray:
-    """One bundle array, which must have exactly this dtype and shape."""
+    """One bundle array, which must have exactly this dtype and shape, all finite."""
     try:
         arr = np.load(path)
     except (ValueError, EOFError) as exc:
@@ -611,16 +611,18 @@ def _load_array(path: Path, dtype: type, shape: tuple) -> np.ndarray:
             f"{path}: expected {np.dtype(dtype)} array of shape {shape} (row count "
             f"from meta.json), got {arr.dtype} array of shape {arr.shape}"
         )
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{path}: array holds non-finite values")
     return arr
 
 
 def load_bundle(bundle_dir: Path | str) -> Bundle:
     """Read a bundle back, checking every array against meta.json.
 
-    Arrays need write_bundle's dtypes and meta.json's row counts; a split's
-    engine ids must be its meta.json ids, one run of at least a window per
-    engine, so no window spans two engines. Any mismatch raises
-    ValidationError naming the file.
+    Arrays need write_bundle's dtypes, meta.json's row counts and finite
+    values; a split's engine ids must be its meta.json ids, one run of at
+    least a window per engine, so no window spans two engines. Any mismatch
+    raises ValidationError naming the file.
     """
     out = Path(bundle_dir)
     meta_path = out / "meta.json"

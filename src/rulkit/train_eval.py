@@ -33,7 +33,7 @@ from .preprocess import (
 
 logger = logging.getLogger(__name__)
 
-MODEL_KINDS = ("mlp", "lstm")
+MODEL_KINDS = tuple(models.MODELS)
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,8 @@ class TrainConfig:
         for name in ("epochs", "batch_size", "window", "lstm_hidden"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < np.inf:
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         if not 0.0 < self.alpha <= 1.0:
             raise ConfigError(f"alpha must be in (0, 1], got {self.alpha}")
         if self.trim < 0:
@@ -70,8 +70,8 @@ class TrainConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.rul_cap is not None and self.rul_cap <= 0:
             raise ConfigError(f"rul_cap must be positive, got {self.rul_cap}")
-        if self.grad_clip is not None and self.grad_clip <= 0:
-            raise ConfigError(f"grad_clip must be positive, got {self.grad_clip}")
+        if self.grad_clip is not None and not 0 < self.grad_clip < np.inf:
+            raise ConfigError(f"grad_clip must be positive and finite, got {self.grad_clip}")
         if any(h < 1 for h in self.mlp_hidden):
             raise ConfigError(f"mlp hidden sizes must be >= 1, got {self.mlp_hidden}")
 
@@ -115,21 +115,9 @@ class EvalReport:
     checkpoint_hash: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "engines": [
-                {
-                    "engine_id": r.engine_id,
-                    "true_rul": r.true_rul,
-                    "predicted_rul": r.predicted_rul,
-                    "predicted_rul_clamped": r.predicted_rul_clamped,
-                }
-                for r in self.rows
-            ],
-            "mse": self.mse,
-            "seed": self.seed,
-            "config_hash": self.config_hash,
-            "checkpoint_hash": self.checkpoint_hash,
-        }
+        d = asdict(self)
+        d["engines"] = d.pop("rows")
+        return d
 
 
 @dataclass
@@ -146,38 +134,22 @@ class TrainedModel:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Predictions for a batch: (N, W, F) windows or (N, F) rows."""
-        if self.kind == "lstm":
-            if x.ndim != 3 or x.shape[1] != self.window:
-                raise ValidationError(
-                    f"lstm model expects (batch, {self.window}, features), got {x.shape}"
-                )
-            pred, _ = models.lstm_forward(self.params, x)
-        else:
-            pred, _ = models.mlp_forward(self.params, x)
-        return pred
+        if self.params.takes_windows and (x.ndim != 3 or x.shape[1] != self.window):
+            raise ValidationError(
+                f"{self.kind} model expects (batch, {self.window}, features), got {x.shape}"
+            )
+        return self.params.forward(x)[0]
 
 
 def scaler_hash(scaler: ScalerParams) -> str:
     return sha256_text(canonical_json(scaler.to_dict()))
 
 
-def _forward(kind: str, params, x: np.ndarray):
-    if kind == "lstm":
-        return models.lstm_forward(params, x)
-    return models.mlp_forward(params, x)
-
-
-def _backward(kind: str, params, cache, dpred: np.ndarray) -> dict[str, np.ndarray]:
-    if kind == "lstm":
-        return models.lstm_backward(params, cache, dpred)
-    return models.mlp_backward(params, cache, dpred)
-
-
-def _predict_in_chunks(kind: str, params, samples: SampleSet, chunk: int = 512) -> np.ndarray:
+def _predict_in_chunks(params, samples: SampleSet, chunk: int = 512) -> np.ndarray:
     preds = np.empty(len(samples))
     for start in range(0, len(samples), chunk):
         x = samples.inputs(slice(start, start + chunk))
-        preds[start : start + chunk] = _forward(kind, params, x)[0]
+        preds[start : start + chunk] = params.forward(x)[0]
     return preds
 
 
@@ -201,11 +173,14 @@ def train(
 
     The parameters live in one flat vector that Adam updates in place; the
     returned model's tensors are views of it.
+
+    A non-finite training or validation loss raises TrainingError. An empty
+    validation split has no loss: its history entry is nan.
     """
     n = len(train_set)
     if n == 0:
         raise ConfigError("training set is empty")
-    window = config.window if config.model == "lstm" else None
+    window = config.window if models.MODELS[config.model].takes_windows else None
     for name, samples in (("training", train_set), ("validation", val_set)):
         if samples.window != window:
             raise ConfigError(
@@ -227,13 +202,13 @@ def train(
             idx = order[start : start + config.batch_size]
             xb = train_set.inputs(idx)
             yb = train_set.targets[idx]
-            pred, cache = _forward(config.model, params_obj, xb)
+            pred, cache = params_obj.forward(xb)
             loss, dpred = models.mse_loss(pred, yb)
             if not np.isfinite(loss):
                 raise TrainingError(
                     f"epoch {epoch} batch {b}: non-finite training loss {loss}"
                 )
-            grads = _backward(config.model, params_obj, cache, dpred)
+            grads = params_obj.backward(cache, dpred)
             if config.grad_clip is not None:
                 clip_gradients(grads, config.grad_clip)
             adam_step(state, flat, grads)
@@ -241,8 +216,12 @@ def train(
 
         history.train_mse.append(sq_sum / n)
         if len(val_set):
-            val_pred = _predict_in_chunks(config.model, params_obj, val_set)
+            val_pred = _predict_in_chunks(params_obj, val_set)
             history.val_mse.append(float(np.mean((val_pred - val_set.targets) ** 2)))
+            if not np.isfinite(history.val_mse[-1]):
+                raise TrainingError(
+                    f"epoch {epoch}: non-finite validation loss {history.val_mse[-1]}"
+                )
         else:
             history.val_mse.append(float("nan"))
         history.epoch_seconds.append(time.perf_counter() - started)
@@ -274,25 +253,7 @@ def evaluate(
             f"label count {len(ruls)} does not match test engine count "
             f"{len(test_trajectories)}"
         )
-    if model.feature_names != scaler.feature_names:
-        raise ValidationError("model feature order does not match the scaler")
-    if model.scaler_hash and model.scaler_hash != scaler_hash(scaler):
-        raise ValidationError(
-            "checkpoint was trained against a different scaler (hash mismatch); "
-            "re-run preprocessing or use the matching scaler.json"
-        )
-    selection = selection_from_feature_names(scaler.feature_names)
-
-    windows, rows = [], []
-    for traj in test_trajectories:
-        w, r = prepare_test_engine(
-            traj, scaler, selection,
-            alpha=config.alpha, trim=config.trim, window=config.window,
-        )
-        windows.append(w)
-        rows.append(r)
-    x = np.stack(windows) if model.kind == "lstm" else np.stack(rows)
-    preds = model.predict(x)
+    preds = model.predict(final_inputs(model, test_trajectories, scaler, config))
 
     rows_out = [
         EngineEval(
@@ -313,21 +274,40 @@ def evaluate(
     )
 
 
+def final_inputs(model: TrainedModel, trajectories: Sequence[EngineTrajectory],
+                 scaler: ScalerParams, config: TrainConfig) -> np.ndarray:
+    """Each engine's final window (or row), stacked; the scaler must be the model's."""
+    if model.feature_names != scaler.feature_names:
+        raise ValidationError("model feature order does not match the scaler")
+    if model.scaler_hash and model.scaler_hash != scaler_hash(scaler):
+        raise ValidationError(
+            "checkpoint was trained against a different scaler (hash mismatch); "
+            "re-run preprocessing or use the matching scaler.json"
+        )
+    selection = selection_from_feature_names(scaler.feature_names)
+    samples = []
+    for traj in trajectories:
+        window, row = prepare_test_engine(
+            traj, scaler, selection,
+            alpha=config.alpha, trim=config.trim, window=config.window,
+        )
+        samples.append(window if model.params.takes_windows else row)
+    return np.stack(samples)
+
+
 # ---------------------------------------------------------------------------
 # Gradient verification
 # ---------------------------------------------------------------------------
 
 
-def _flat_loss(kind: str, params_obj, x: np.ndarray, y: np.ndarray) -> float:
-    pred, _ = _forward(kind, params_obj, x)
-    loss, _ = models.mse_loss(pred, y)
-    return loss
-
-
 def numeric_gradients(
-    kind: str, params_obj, x: np.ndarray, y: np.ndarray, eps: float = 1e-5
+    params_obj, x: np.ndarray, y: np.ndarray, eps: float = 1e-5
 ) -> dict[str, np.ndarray]:
     """Central finite differences of the batch MSE w.r.t. every parameter."""
+
+    def loss() -> float:
+        return models.mse_loss(params_obj.forward(x)[0], y)[0]
+
     out: dict[str, np.ndarray] = {}
     for name, tensor in params_obj.to_dict().items():
         grad = np.zeros_like(tensor)
@@ -336,9 +316,9 @@ def numeric_gradients(
         for j in range(flat.size):
             orig = flat[j]
             flat[j] = orig + eps
-            up = _flat_loss(kind, params_obj, x, y)
+            up = loss()
             flat[j] = orig - eps
-            down = _flat_loss(kind, params_obj, x, y)
+            down = loss()
             flat[j] = orig
             gflat[j] = (up - down) / (2.0 * eps)
         out[name] = grad
@@ -375,22 +355,22 @@ def gradient_check_suite(
             steps = int(gen.integers(1, 6))
             params_obj = models.init_lstm(feats, hidden, rng)
             x = rng.uniform(-1.0, 1.0, (batch, steps, feats))
-            _, cache = _forward(model_kind, params_obj, x)
+            _, cache = params_obj.forward(x)
         else:
             while True:
                 h1 = int(gen.integers(1, 7))
                 h2 = int(gen.integers(1, 7))
                 params_obj = models.init_mlp((feats, h1, h2, 1), rng)
                 x = rng.uniform(-1.0, 1.0, (batch, feats))
-                _, cache = _forward(model_kind, params_obj, x)
+                _, cache = params_obj.forward(x)
                 if min(np.abs(z).min() for z in cache.pre_acts) > kink_margin:
                     break
         y = rng.uniform(0.0, 5.0, (batch,))
 
-        pred, cache = _forward(model_kind, params_obj, x)
+        pred, cache = params_obj.forward(x)
         _, dpred = models.mse_loss(pred, y)
-        analytic = _backward(model_kind, params_obj, cache, dpred)
-        numeric = numeric_gradients(model_kind, params_obj, x, y, eps)
+        analytic = params_obj.backward(cache, dpred)
+        numeric = numeric_gradients(params_obj, x, y, eps)
         for name in analytic:
             ga = analytic[name].reshape(-1)
             gn = numeric[name].reshape(-1)
@@ -414,15 +394,11 @@ def write_history_csv(path: Path | str, history: TrainHistory) -> None:
 
 
 def checkpoint_dict(model: TrainedModel, adam_state: AdamState, config: TrainConfig) -> dict:
-    if model.kind == "lstm":
-        arch = {"hidden_size": model.params.hidden_size, "input_size": model.params.input_size}
-    else:
-        arch = {"layer_sizes": list(model.params.layer_sizes)}
     return {
         "format": CHECKPOINT_FORMAT,
         "model": model.kind,
         "gate_order": list(models.GATE_ORDER),
-        "arch": arch,
+        "arch": model.params.arch,
         "window": model.window,
         "feature_names": list(model.feature_names),
         "scaler_hash": model.scaler_hash,
@@ -459,13 +435,13 @@ def _checkpoint_from_dict(d: dict) -> tuple[TrainedModel, AdamState, TrainConfig
             f"checkpoint gate order {d.get('gate_order')} does not match "
             f"this build's {list(models.GATE_ORDER)}"
         )
-    tensors = {k: np.array(v, dtype=np.float64) for k, v in d["params"].items()}
-    if d["model"] == "lstm":
-        params = models.LstmParams.from_dict(tensors)
-    elif d["model"] == "mlp":
-        params = models.MlpParams.from_dict(tensors)
-    else:
+    if d["model"] not in models.MODELS:
         raise ValidationError(f"unknown model kind {d['model']!r} in checkpoint")
+    tensors = {k: np.array(v, dtype=np.float64) for k, v in d["params"].items()}
+    for name, tensor in tensors.items():
+        if not np.all(np.isfinite(tensor)):
+            raise ValidationError(f"parameter {name!r} has non-finite values")
+    params = models.MODELS[d["model"]].from_dict(tensors)
     cfg_dict = dict(d["config"])
     cfg_dict["mlp_hidden"] = tuple(cfg_dict["mlp_hidden"])
     config = TrainConfig(**cfg_dict)

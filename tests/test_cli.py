@@ -120,6 +120,20 @@ def test_predict_unknown_engine_fails(workspace, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_predict_rejects_stale_scaler(workspace, tmp_path, capsys):
+    # predict shares evaluate's inputs, so it checks the scaler the same way.
+    scaler = json.loads((workspace.bundle / "scaler.json").read_text())
+    scaler["maxs"] = [m + 1.0 for m in scaler["maxs"]]
+    stale = tmp_path / "scaler.json"
+    stale.write_text(json.dumps(scaler))
+    assert main([
+        "predict", "--checkpoint", str(workspace.run / "checkpoint.json"),
+        "--test-file", str(workspace.test_file), "--scaler", str(stale),
+    ]) == 1
+    captured = capsys.readouterr()
+    assert "hash mismatch" in captured.err and captured.out == ""
+
+
 def test_train_mlp_via_flags(workspace, tmp_path):
     out = tmp_path / "mlp_run"
     assert main([
@@ -246,6 +260,10 @@ def test_evaluate_with_truncated_json_names_the_file(workspace, tmp_path, capsys
         (lambda d: d["adam_state"]["m"].pop("b"), "optimizer m shapes"),
         (lambda d: d["adam_state"]["v"].update(b_head=[0.0, 0.0]), "'b_head': (2,)"),
         (lambda d: d["config"].update(optimizer="sgd"), "optimizer"),
+        (lambda d: d["params"]["w_head"].__setitem__(0, float("nan")),
+         "parameter 'w_head' has non-finite values"),
+        (lambda d: d["params"]["w_x"][1].__setitem__(2, float("-inf")),
+         "parameter 'w_x' has non-finite values"),
     ],
 )
 def test_evaluate_with_incomplete_checkpoint_names_the_file(

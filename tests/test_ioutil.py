@@ -47,6 +47,12 @@ def test_canonical_json_round_trips_floats():
     assert decoded["v"] == payload["v"]
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_canonical_json_rejects_non_finite_floats(value):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        canonical_json({"mse": value})
+
+
 def test_sha256_text_known_values():
     # Published SHA-256 digests of the empty string and "abc".
     assert sha256_text("") == (

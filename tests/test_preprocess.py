@@ -683,6 +683,21 @@ def test_load_bundle_rejects_wrong_dtype(tiny_corpus, tmp_path, name, dtype):
         load_bundle(bundle)
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [("train_rows.npy", np.nan), ("val_rows.npy", np.inf),
+     ("train_rul.npy", -np.inf), ("val_rul.npy", np.nan)],
+)
+def test_load_bundle_rejects_non_finite_values(tiny_corpus, tmp_path, name, value):
+    bundle = tmp_path / "bundle"
+    _write_tiny_bundle(tiny_corpus, bundle)
+    arr = np.load(bundle / name)
+    arr.flat[arr.size // 2] = value
+    np.save(bundle / name, arr)
+    with pytest.raises(ValidationError, match=f"{name}: array holds non-finite values"):
+        load_bundle(bundle)
+
+
 def test_load_bundle_rejects_wrong_window_shape(tiny_corpus, tmp_path):
     bundle = tmp_path / "bundle"
     _write_tiny_bundle(tiny_corpus, bundle)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rulkit import dataset_io, models, preprocess, train_eval
-from rulkit.errors import ConfigError, ShapeError, ValidationError
+from rulkit.errors import ConfigError, ShapeError, TrainingError, ValidationError
 from rulkit.numerics import SeededRng
 from rulkit.train_eval import (
     EvalReport,
@@ -94,6 +94,10 @@ def test_config_defaults_mirror_training_recipe():
         {"rul_cap": 0},
         {"grad_clip": -1.0},
         {"mlp_hidden": (64, 0)},
+        {"lr": float("nan")},
+        {"lr": float("inf")},
+        {"grad_clip": float("nan")},
+        {"grad_clip": float("inf")},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -163,6 +167,12 @@ def test_train_rejects_empty_and_mismatched_data(small_data):
         train(_quick_config(model="mlp"), result.train_rows, result.val_windows, SeededRng(0))
     with pytest.raises(ConfigError, match="window 12, got training samples with window 20"):
         train(_quick_config(window=12), result.train_windows, result.val_windows, SeededRng(0))
+    val = result.val_windows
+    rows = val.rows.copy()
+    rows[-1, 0] = np.nan
+    poisoned = preprocess.SampleSet(rows, val.rul, val.engine_ids, window=val.window)
+    with pytest.raises(TrainingError, match="epoch 1: non-finite validation loss nan"):
+        train(_quick_config(epochs=1), result.train_windows, poisoned, SeededRng(0))
 
 
 def test_partial_final_batch_is_used(small_data):

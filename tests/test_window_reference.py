@@ -142,7 +142,7 @@ def test_validation_predictions_on_gathered_chunks_equal_stored_slices(
         models.lstm_forward(lstm, windows[start : start + 512])[0]
         for start in range(0, windows.shape[0], 512)
     ])
-    got = train_eval._predict_in_chunks("lstm", lstm, result.val_windows)
+    got = train_eval._predict_in_chunks(lstm, result.val_windows)
     assert got.tobytes() == expected.tobytes()
 
     mlp = models.init_mlp((n_features, 64, 32, 1), SeededRng(3))
@@ -151,5 +151,5 @@ def test_validation_predictions_on_gathered_chunks_equal_stored_slices(
         models.mlp_forward(mlp, rows[start : start + 512])[0]
         for start in range(0, rows.shape[0], 512)
     ])
-    got = train_eval._predict_in_chunks("mlp", mlp, result.val_rows)
+    got = train_eval._predict_in_chunks(mlp, result.val_rows)
     assert got.tobytes() == expected.tobytes()
