@@ -49,6 +49,19 @@ GATE_ORDER = ("i", "f", "g", "o")
 # ---------------------------------------------------------------------------
 
 
+def _check_tensors(tensors: dict[str, np.ndarray], shapes: dict[str, tuple]) -> None:
+    """Raise ValidationError naming the first tensor, in `shapes` order, that
+    is not of its expected non-empty shape or holds non-finite values."""
+    for name, shape in shapes.items():
+        tensor = tensors[name]
+        if tensor.shape != shape:
+            raise ValidationError(f"parameter {name!r} has shape {tensor.shape}, expected {shape}")
+        if tensor.size == 0:
+            raise ValidationError(f"parameter {name!r} is empty")
+        if not np.all(np.isfinite(tensor)):
+            raise ValidationError(f"parameter {name!r} has non-finite values")
+
+
 @dataclass
 class MlpParams:
     """Fully-connected stack: relu hidden layers, linear scalar output."""
@@ -56,6 +69,22 @@ class MlpParams:
     takes_windows = False  # class attribute, not a field
     weights: list[np.ndarray]  # layer l: (out_l, in_l)
     biases: list[np.ndarray]  # layer l: (out_l,)
+
+    def __post_init__(self):
+        """Layer l maps in_l = out_(l-1) inputs to out_l outputs; the last has one."""
+        if not self.weights or len(self.biases) != len(self.weights):
+            raise ValidationError(
+                f"an MLP needs at least one layer and one bias per weight matrix, "
+                f"got {len(self.weights)} weights and {len(self.biases)} biases"
+            )
+        last = len(self.weights) - 1
+        fan_in = self.weights[0].shape[-1] if self.weights[0].ndim else 0
+        shapes = {}
+        for l, w in enumerate(self.weights):
+            fan_out = w.shape[0] if l < last and w.ndim else 1
+            shapes[f"w{l}"], shapes[f"b{l}"] = (fan_out, fan_in), (fan_out,)
+            fan_in = fan_out
+        _check_tensors(self.to_dict(), shapes)
 
     @property
     def layer_sizes(self) -> tuple[int, ...]:
@@ -105,6 +134,13 @@ class LstmParams:
     b: np.ndarray
     w_head: np.ndarray
     b_head: np.ndarray
+
+    def __post_init__(self):
+        h = self.w_h.shape[-1] if self.w_h.ndim else 0
+        f = self.w_x.shape[-1] if self.w_x.ndim else 0
+        _check_tensors(self.to_dict(), {
+            "w_h": (4 * h, h), "w_x": (4 * h, f), "b": (4 * h,), "w_head": (h,), "b_head": (1,),
+        })
 
     @property
     def hidden_size(self) -> int:

@@ -1,18 +1,19 @@
 """Preprocessing chain for trajectory data.
 
-Fixed stage order: drop constant sensors -> exponential smoothing (sensor
-channels only) -> head trim -> min-max scaling fitted on training engines
--> remaining-life labeling, with an engine-level train/validation split.
-Re-running on identical inputs and seed reproduces identical arrays.
+Fixed stage order: select the varying channels -> exponential smoothing
+(sensor channels only) -> head trim -> min-max scaling fitted on training
+engines -> remaining-life labeling, with an engine-level train/validation
+split. Re-running on identical inputs and seed reproduces identical arrays.
 
 Each split is one SampleSet of scaled rows; the LSTM's windows are gathered
 from them batch by batch and never stored, in memory or in a bundle.
 
-The default drop set is detected, not hardcoded: any sensor whose raw value
-range across all training engines is below CONSTANT_TOLERANCE carries no
-signal and is excluded. Operating settings are kept as features, except that
-a zero-range setting (the single-condition files ship one) is excluded the
-same way, since a constant column cannot be min-max scaled.
+The feature set is a tuple of names (FeatureSelection), the form every
+artifact stores. It is detected, not hardcoded: of the 3 operating settings
+and 21 sensors, each whose raw value range across all training engines
+exceeds CONSTANT_TOLERANCE is kept. A zero-range channel carries no signal
+and cannot be min-max scaled; the single-condition files ship constant
+sensors and one constant setting.
 """
 
 from __future__ import annotations
@@ -38,35 +39,34 @@ DEFAULT_WINDOW = 20
 DEFAULT_N_VAL = 20
 
 
+# Every setting and sensor, in the settings-then-sensors order of the raw
+# columns; a feature set is the subsequence of these names it keeps.
+FEATURE_NAMES = tuple(
+    [f"setting_{i}" for i in range(1, N_SETTINGS + 1)]
+    + [f"sensor_{i}" for i in range(1, N_SENSORS + 1)]
+)
+
+
 @dataclass(frozen=True)
 class FeatureSelection:
-    """Which of the 3 settings and 21 sensors feed the models."""
+    """The settings and sensors that feed the models, by name, in FEATURE_NAMES order."""
 
-    dropped_sensors: frozenset[int]
-    dropped_settings: frozenset[int] = frozenset()
+    feature_names: tuple[str, ...]
+    # Index of each kept feature in a settings-then-sensors (L, 24) matrix.
+    columns: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        bad = [s for s in self.dropped_sensors if not 1 <= s <= N_SENSORS]
-        if bad:
-            raise ConfigError(f"sensor indices out of range 1..{N_SENSORS}: {sorted(bad)}")
-        bad = [s for s in self.dropped_settings if not 1 <= s <= N_SETTINGS]
-        if bad:
-            raise ConfigError(f"setting indices out of range 1..{N_SETTINGS}: {sorted(bad)}")
-
-    @property
-    def kept_settings(self) -> list[int]:
-        return [i for i in range(1, N_SETTINGS + 1) if i not in self.dropped_settings]
-
-    @property
-    def kept_sensors(self) -> list[int]:
-        return [i for i in range(1, N_SENSORS + 1) if i not in self.dropped_sensors]
-
-    @property
-    def feature_names(self) -> tuple[str, ...]:
-        return tuple(
-            [f"setting_{i}" for i in self.kept_settings]
-            + [f"sensor_{i}" for i in self.kept_sensors]
-        )
+        names = tuple(self.feature_names)
+        for name in names:
+            if name not in FEATURE_NAMES:
+                raise ValidationError(f"unrecognized feature name {name!r}")
+        columns = np.array([FEATURE_NAMES.index(name) for name in names], dtype=np.intp)
+        if np.any(np.diff(columns) <= 0):
+            raise ValidationError(
+                f"feature names {names} are not in canonical order (settings, then sensors)"
+            )
+        object.__setattr__(self, "feature_names", names)
+        object.__setattr__(self, "columns", columns)
 
     @property
     def n_features(self) -> int:
@@ -74,69 +74,30 @@ class FeatureSelection:
 
 
 def selection_from_feature_names(names: Sequence[str]) -> FeatureSelection:
-    """Rebuild a FeatureSelection from a stored feature-name list.
-
-    Inverse of FeatureSelection.feature_names; rejects unknown names and
-    orderings other than the canonical settings-then-sensors layout.
-    """
-    kept_settings, kept_sensors = set(), set()
-    for name in names:
-        kind, _, num = name.partition("_")
-        if not num.isdigit():
-            raise ValidationError(f"unrecognized feature name {name!r}")
-        idx = int(num)
-        if kind == "setting" and 1 <= idx <= N_SETTINGS:
-            kept_settings.add(idx)
-        elif kind == "sensor" and 1 <= idx <= N_SENSORS:
-            kept_sensors.add(idx)
-        else:
-            raise ValidationError(f"unrecognized feature name {name!r}")
-    selection = FeatureSelection(
-        frozenset(range(1, N_SENSORS + 1)) - frozenset(kept_sensors),
-        frozenset(range(1, N_SETTINGS + 1)) - frozenset(kept_settings),
-    )
-    if selection.feature_names != tuple(names):
-        raise ValidationError(
-            f"feature names {tuple(names)} are not in canonical order "
-            f"{selection.feature_names}"
-        )
-    return selection
+    """The FeatureSelection of a stored feature-name list."""
+    return FeatureSelection(tuple(names))
 
 
-def detect_constant_sensors(
-    trajectories: Sequence[EngineTrajectory], tol: float = CONSTANT_TOLERANCE
-) -> set[int]:
-    """Sensor indices (1-based) whose raw range over all engines is <= tol."""
+def _raw_columns(traj: EngineTrajectory) -> np.ndarray:
+    """(L, 24) matrix of the settings, then the sensors: FeatureSelection.columns' layout."""
+    return np.hstack([traj.settings_matrix, traj.sensors_matrix])
+
+
+def select_features(trajectories: Sequence[EngineTrajectory]) -> FeatureSelection:
+    """Keep each setting and sensor whose raw range over all engines exceeds
+    CONSTANT_TOLERANCE."""
     if not trajectories:
-        raise ValidationError("cannot detect constant sensors on empty input")
-    stacked = np.vstack([t.sensors_matrix for t in trajectories])
-    spans = stacked.max(axis=0) - stacked.min(axis=0)
-    return {i + 1 for i in range(N_SENSORS) if spans[i] <= tol}
-
-
-def detect_constant_settings(
-    trajectories: Sequence[EngineTrajectory], tol: float = CONSTANT_TOLERANCE
-) -> set[int]:
-    """Operating-setting indices (1-based) with zero range, analogously."""
-    if not trajectories:
-        raise ValidationError("cannot detect constant settings on empty input")
-    stacked = np.vstack([t.settings_matrix for t in trajectories])
-    spans = stacked.max(axis=0) - stacked.min(axis=0)
-    return {i + 1 for i in range(N_SETTINGS) if spans[i] <= tol}
-
-
-def select_features(
-    trajectories: Sequence[EngineTrajectory], tol: float = CONSTANT_TOLERANCE
-) -> FeatureSelection:
-    """Build the feature selection by scanning raw training data."""
-    dropped_sensors = detect_constant_sensors(trajectories, tol)
-    dropped_settings = detect_constant_settings(trajectories, tol)
-    if dropped_settings:
+        raise ValidationError("cannot select features on empty input")
+    stacked = np.vstack([_raw_columns(t) for t in trajectories])
+    varies = stacked.max(axis=0) - stacked.min(axis=0) > CONSTANT_TOLERANCE
+    if not varies.any():
+        raise ValidationError("no setting or sensor varies across the training engines")
+    if not varies[:N_SETTINGS].all():
         logger.info(
             "excluding zero-range operating settings %s from features",
-            sorted(dropped_settings),
+            (np.flatnonzero(~varies[:N_SETTINGS]) + 1).tolist(),
         )
-    return FeatureSelection(frozenset(dropped_sensors), frozenset(dropped_settings))
+    return FeatureSelection(tuple(n for n, keep in zip(FEATURE_NAMES, varies) if keep))
 
 
 def ewma_smooth(series: np.ndarray, alpha: float) -> np.ndarray:
@@ -187,14 +148,7 @@ def trim_head(traj: EngineTrajectory, n: int = DEFAULT_TRIM) -> EngineTrajectory
 
 def feature_matrix(traj: EngineTrajectory, selection: FeatureSelection) -> np.ndarray:
     """(L, F) matrix of the kept settings and sensors, in feature_names order."""
-    cols = []
-    settings = traj.settings_matrix
-    sensors = traj.sensors_matrix
-    for i in selection.kept_settings:
-        cols.append(settings[:, i - 1])
-    for i in selection.kept_sensors:
-        cols.append(sensors[:, i - 1])
-    return np.column_stack(cols)
+    return _raw_columns(traj)[:, selection.columns]
 
 
 @dataclass(frozen=True)
@@ -261,8 +215,8 @@ def fit_minmax(
     if flat.size:
         names = [selection.feature_names[i] for i in flat]
         raise ConfigError(
-            f"features {names} are constant on the training data; "
-            "extend the drop set so every kept feature has positive range"
+            f"features {names} are constant on the smoothed, trimmed training data "
+            "and cannot be min-max scaled"
         )
     return ScalerParams(selection.feature_names, mins, maxs)
 
@@ -292,20 +246,12 @@ def apply_minmax(
     return ScaledEngine(traj.engine_id, traj.cycles, features)
 
 
-def label_rul(
-    traj: EngineTrajectory | ScaledEngine,
-    known_terminal_rul: int = 0,
-    cap: int | None = None,
-) -> np.ndarray:
-    """Per-cycle remaining life: (last_cycle - cycle) + terminal RUL.
+def label_rul(traj: EngineTrajectory | ScaledEngine, cap: int | None = None) -> np.ndarray:
+    """Per-cycle remaining life of a run-to-failure engine: last_cycle - cycle.
 
-    Training engines run to failure (terminal RUL 0); test engines stop
-    early and take their terminal value from the label file. An optional
-    cap clips large early-life labels.
+    An optional cap clips large early-life labels.
     """
-    if known_terminal_rul < 0:
-        raise ConfigError(f"terminal RUL must be non-negative, got {known_terminal_rul}")
-    rul = (traj.cycles[-1] - traj.cycles + known_terminal_rul).astype(np.float64)
+    rul = (traj.cycles[-1] - traj.cycles).astype(np.float64)
     if cap is not None:
         if cap <= 0:
             raise ConfigError(f"RUL cap must be positive, got {cap}")
@@ -469,18 +415,17 @@ def run_pipeline(
     n_val: int = DEFAULT_N_VAL,
     seed: int = 0,
     rul_cap: int | None = None,
-    const_tol: float = CONSTANT_TOLERANCE,
 ) -> PreprocessResult:
     """Run the full training-side chain on parsed training trajectories."""
     if not train_trajectories:
         raise ValidationError("no training trajectories")
-    selection = select_features(train_trajectories, const_tol)
+    selection = select_features(train_trajectories)
     prepared = [
         trim_head(smooth_trajectory(t, alpha), trim) for t in train_trajectories
     ]
     scaler = fit_minmax(prepared, selection)
     scaled = [apply_minmax(scaler, t, selection) for t in prepared]
-    labels = [label_rul(s, 0, rul_cap) for s in scaled]
+    labels = [label_rul(s, rul_cap) for s in scaled]
 
     train_ids, val_ids = split_by_engine(
         [t.engine_id for t in train_trajectories], n_val, seed

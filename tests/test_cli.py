@@ -23,6 +23,7 @@ def workspace(tmp_path_factory):
         rul_file=root / "corpus" / "RUL_FD001.txt",
         bundle=root / "bundle",
         run=root / "run",
+        mlp_run=root / "mlp_run",
         report=root / "report",
     )
     assert main([
@@ -36,6 +37,10 @@ def workspace(tmp_path_factory):
     assert main([
         "train", "--bundle", str(ws.bundle), "--out", str(ws.run),
         "--epochs", "2", "--lstm-hidden", "12", "--seed", "0",
+    ]) == 0
+    assert main([
+        "train", "--bundle", str(ws.bundle), "--out", str(ws.mlp_run),
+        "--model", "mlp", "--mlp-hidden", "8,4", "--epochs", "1", "--seed", "0",
     ]) == 0
     assert main([
         "evaluate", "--checkpoint", str(ws.run / "checkpoint.json"),
@@ -250,6 +255,17 @@ def test_evaluate_with_truncated_json_names_the_file(workspace, tmp_path, capsys
     assert f"error: {broken}: not valid JSON" in capsys.readouterr().err
 
 
+def _on_all_tensors(change, run="run"):
+    """An edit of the checkpoint in workspace.<run> that applies `change` to
+    the parameters and both Adam moments alike, so that only the parameters'
+    own checks can notice it."""
+    def edit(d):
+        for tensors in (d["params"], d["adam_state"]["m"], d["adam_state"]["v"]):
+            change(tensors)
+    edit.run = run
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit, detail",
     [
@@ -264,18 +280,28 @@ def test_evaluate_with_truncated_json_names_the_file(workspace, tmp_path, capsys
          "parameter 'w_head' has non-finite values"),
         (lambda d: d["params"]["w_x"][1].__setitem__(2, float("-inf")),
          "parameter 'w_x' has non-finite values"),
+        # Bad parameter shapes, with Adam's moments edited to match.
+        (_on_all_tensors(lambda t: t.update(b0=t["b0"][:1]), run="mlp_run"),
+         "parameter 'b0' has shape (1,), expected (8,)"),
+        (_on_all_tensors(dict.clear, run="mlp_run"), "an MLP needs at least one layer"),
+        (_on_all_tensors(lambda t: t.update(b_head=t["b_head"] * 2)),
+         "parameter 'b_head' has shape (2,), expected (1,)"),
+        (_on_all_tensors(lambda t: t.update(b=t["b"][:-1])),
+         "parameter 'b' has shape (47,), expected (48,)"),
     ],
 )
 def test_evaluate_with_incomplete_checkpoint_names_the_file(
     workspace, tmp_path, capsys, edit, detail
 ):
-    blob = json.loads((workspace.run / "checkpoint.json").read_text())
+    run = getattr(workspace, getattr(edit, "run", "run"))
+    blob = json.loads((run / "checkpoint.json").read_text())
     edit(blob)
     broken = tmp_path / "checkpoint.json"
     broken.write_text(json.dumps(blob))
     assert _evaluate(workspace, tmp_path / "report", checkpoint=broken) == 1
     err = capsys.readouterr().err
     assert f"error: {broken}: " in err and detail in err
+    assert not (tmp_path / "report").exists()
 
 
 def test_verify_self_checks_pass(capsys):

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rulkit.dataset_io import (
     EngineTrajectory,
@@ -146,6 +149,29 @@ def test_serialize_parse_round_trip_is_exact():
         assert np.array_equal(got.cycles, want.cycles)
         assert np.array_equal(got.settings_matrix, want.settings_matrix)
         assert np.array_equal(got.sensors_matrix, want.sensors_matrix)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_serialize_parse_round_trip_property(data):
+    """Any engine ids, lengths and finite values (-0.0 and subnormals too) come
+    back bit for bit, in id order, whatever order the blocks are written in."""
+    ids = data.draw(st.lists(st.integers(1, 10**9), min_size=1, max_size=5, unique=True))
+    values = st.floats(allow_nan=False, allow_infinity=False)
+    original = []
+    for engine_id in sorted(ids):
+        length = data.draw(st.integers(1, 6))
+        matrix = data.draw(hnp.arrays(np.float64, (length, N_COLUMNS - 2), elements=values))
+        original.append(_trajectory(
+            np.arange(1, length + 1), matrix[:, :N_SETTINGS], matrix[:, N_SETTINGS:], engine_id
+        ))
+    recovered = parse_trajectory_file(serialize_trajectories(data.draw(st.permutations(original))))
+    assert [t.engine_id for t in recovered] == sorted(ids)
+    for got, want in zip(recovered, original):
+        assert np.array_equal(got.cycles, want.cycles)
+        for name in ("settings_matrix", "sensors_matrix"):
+            bits = [getattr(t, name).view(np.uint64) for t in (got, want)]
+            assert np.array_equal(*bits)
 
 
 def test_read_trajectories_and_labels_from_disk(tmp_path):

@@ -7,16 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rulkit.dataset_io import EngineTrajectory, N_SENSORS, N_SETTINGS
 from rulkit.errors import ConfigError, ValidationError
 from rulkit.numerics import SeededRng
 from rulkit.preprocess import (
+    FEATURE_NAMES,
     FeatureSelection,
     ScalerParams,
     apply_minmax,
-    detect_constant_sensors,
-    detect_constant_settings,
     effective_trim,
     ewma_smooth,
     feature_matrix,
@@ -122,6 +122,33 @@ def test_ewma_matches_reference_loop_bit_for_bit(length, tail, alpha, seed):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(
+    np.float64, hnp.array_shapes(max_dims=3, max_side=12),
+    elements=st.floats(allow_nan=False, allow_infinity=False),
+))
+def test_ewma_alpha_one_is_identity_property(x):
+    assert np.array_equal(ewma_smooth(x, 1.0), x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 60),
+    st.sampled_from([(), (1,), (3,), (2, 3)]),
+    st.floats(1e-6, 1.0),
+    st.floats(1e-300, 1e300),
+    st.booleans(),
+)
+def test_ewma_constant_series_stays_constant(length, tail, alpha, magnitude, negative):
+    # Not an exact fixed point: at alpha 0.1 the constant 0.3 smooths to
+    # 0.30000000000000004 at step 1. Each step rounds three times and damps
+    # the error it inherits, so step t is within 2 * t * eps relative.
+    value = -magnitude if negative else magnitude
+    out = ewma_smooth(np.full((length,) + tail, value), alpha)
+    steps = np.arange(length).reshape((length,) + (1,) * len(tail))
+    assert np.all(np.abs(out - value) <= 2 * steps * np.finfo(np.float64).eps * magnitude)
+
+
 @pytest.mark.parametrize("alpha", [0.0, -0.1, 1.5])
 def test_ewma_rejects_bad_alpha(alpha):
     with pytest.raises(ConfigError, match="alpha"):
@@ -171,24 +198,32 @@ def test_trim_head_rejects_negative():
         trim_head(random_traj(1, 5, seed=4), -1)
 
 
+def without(*dropped):
+    """The feature set of every setting and sensor except `dropped`."""
+    return FeatureSelection(tuple(n for n in FEATURE_NAMES if n not in dropped))
+
+
 def test_feature_selection_orders_settings_before_sensors():
-    sel = FeatureSelection(frozenset({1, 5}), frozenset({3}))
+    sel = without("sensor_1", "sensor_5", "setting_3")
     assert sel.feature_names[:2] == ("setting_1", "setting_2")
     assert "sensor_1" not in sel.feature_names
     assert "sensor_5" not in sel.feature_names
     assert sel.n_features == 2 + (N_SENSORS - 2)
+    # Columns index the settings-then-sensors matrix: sensor k is column 2 + k.
+    assert sel.columns.tolist()[:4] == [0, 1, 4, 5]
+    assert feature_matrix(random_traj(1, 4, seed=15), sel).shape == (4, sel.n_features)
 
 
 def test_feature_selection_rejects_out_of_range():
-    with pytest.raises(ConfigError, match="sensor indices"):
-        FeatureSelection(frozenset({0}))
-    with pytest.raises(ConfigError, match="setting indices"):
-        FeatureSelection(frozenset(), frozenset({4}))
+    with pytest.raises(ValidationError, match="unrecognized feature name 'sensor_0'"):
+        FeatureSelection(("sensor_0",))
+    with pytest.raises(ValidationError, match="unrecognized feature name 'setting_4'"):
+        FeatureSelection(("setting_4",))
 
 
 def test_selection_round_trips_through_feature_names():
-    sel = FeatureSelection(frozenset({1, 5, 6, 10, 16, 18, 19}), frozenset({3}))
-    assert selection_from_feature_names(sel.feature_names) == sel
+    sel = without(*(f"sensor_{i}" for i in (1, 5, 6, 10, 16, 18, 19)), "setting_3")
+    assert selection_from_feature_names(list(sel.feature_names)) == sel
 
 
 def test_selection_from_names_rejects_unknown_and_misordered():
@@ -198,6 +233,8 @@ def test_selection_from_names_rejects_unknown_and_misordered():
         selection_from_feature_names(("voltage_2",))
     with pytest.raises(ValidationError, match="canonical order"):
         selection_from_feature_names(("sensor_2", "setting_1"))
+    with pytest.raises(ValidationError, match="canonical order"):
+        selection_from_feature_names(("sensor_2", "sensor_2"))
 
 
 def test_detect_constant_channels():
@@ -206,17 +243,17 @@ def test_detect_constant_channels():
     settings = np.zeros((30, N_SETTINGS))
     settings[:, 0] = np.linspace(-1, 1, 30)  # setting 1 varies
     traj = make_traj(1, sensors, settings)
-    constant_sensors = detect_constant_sensors([traj])
-    assert 5 not in constant_sensors
-    assert constant_sensors == set(range(1, 22)) - {5}
-    assert detect_constant_settings([traj]) == {2, 3}
+    assert select_features([traj]).feature_names == ("setting_1", "sensor_5")
+    with pytest.raises(ValidationError, match="no setting or sensor varies"):
+        select_features([make_traj(1, sensors[:, [0] * N_SENSORS])])
 
 
 def test_detect_constant_spans_multiple_engines():
     # Constant within each engine but different across engines -> not constant.
     a = make_traj(1, np.full((10, N_SENSORS), 1.0))
     b = make_traj(2, np.full((10, N_SENSORS), 2.0))
-    assert detect_constant_sensors([a, b]) == set()
+    names = select_features([a, b]).feature_names
+    assert names == tuple(f"sensor_{i}" for i in range(1, N_SENSORS + 1))
 
 
 def test_select_features_drops_detected_channels():
@@ -225,8 +262,7 @@ def test_select_features_drops_detected_channels():
     settings = SeededRng(6).uniform(-1.0, 1.0, (40, N_SETTINGS))
     settings[:, 2] = 100.0  # setting 3 constant
     sel = select_features([make_traj(1, sensors, settings)])
-    assert sel.dropped_sensors == frozenset({1})
-    assert sel.dropped_settings == frozenset({3})
+    assert sel == without("sensor_1", "setting_3")
     assert "sensor_1" not in sel.feature_names
     assert "setting_3" not in sel.feature_names
 
@@ -237,7 +273,7 @@ def test_select_features_drops_detected_channels():
 
 
 def test_fit_minmax_oracle():
-    sel = FeatureSelection(frozenset(range(2, 22)))  # keep only sensor 1
+    sel = FeatureSelection(("setting_1", "setting_2", "setting_3", "sensor_1"))
     sensors = np.zeros((4, N_SENSORS))
     sensors[:, 0] = [2.0, 8.0, 4.0, 6.0]
     settings = np.column_stack([
@@ -254,7 +290,7 @@ def test_fit_minmax_oracle():
 
 
 def test_fit_minmax_names_constant_features():
-    sel = FeatureSelection(frozenset(range(3, 22)), frozenset({1, 2, 3}))
+    sel = FeatureSelection(("sensor_1", "sensor_2"))
     sensors = np.zeros((5, N_SENSORS))
     sensors[:, 0] = 7.0  # sensor 1 constant -> cannot scale
     sensors[:, 1] = np.arange(5.0)
@@ -331,8 +367,8 @@ def test_load_bundle_rejects_zero_range_scaler(tiny_corpus, tmp_path):
 
 def test_apply_minmax_rejects_feature_mismatch():
     traj = random_traj(1, 10, seed=9)
-    sel_a = FeatureSelection(frozenset({1}))
-    sel_b = FeatureSelection(frozenset({2}))
+    sel_a = without("sensor_1")
+    sel_b = without("sensor_2")
     scaler = fit_minmax([traj], sel_a)
     with pytest.raises(ValidationError, match="feature order mismatch"):
         apply_minmax(scaler, traj, sel_b)
@@ -388,11 +424,6 @@ def test_label_rul_run_to_failure_oracle():
     assert label_rul(traj).tolist() == [4.0, 3.0, 2.0, 1.0, 0.0]
 
 
-def test_label_rul_with_known_terminal_value():
-    traj = random_traj(1, 5, seed=11)
-    assert label_rul(traj, known_terminal_rul=7).tolist() == [11.0, 10.0, 9.0, 8.0, 7.0]
-
-
 def test_label_rul_cap_clips_early_life():
     traj = random_traj(1, 5, seed=12)
     assert label_rul(traj, cap=3).tolist() == [3.0, 3.0, 2.0, 1.0, 0.0]
@@ -409,8 +440,6 @@ def test_label_rul_ignores_trimmed_prefix():
 
 def test_label_rul_validation():
     traj = random_traj(1, 5, seed=14)
-    with pytest.raises(ConfigError, match="non-negative"):
-        label_rul(traj, known_terminal_rul=-1)
     with pytest.raises(ConfigError, match="cap"):
         label_rul(traj, cap=0)
 
