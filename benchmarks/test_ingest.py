@@ -6,13 +6,15 @@ Not part of the test suite (pyproject's testpaths is `tests`). Run with
 
 The corpus is the default `simulate` corpus (seed 2014, 100 engines,
 20,631 training rows). `prepare_test_engine` is timed on the longest test
-engine, the single-engine scoring path. The bundle round trip times
-`write_bundle` followed by `load_bundle`.
+engine, the single-engine scoring path; `final_inputs` on all 100 test
+engines, the path of `evaluate` and `rulkit predict`. The bundle round trip
+times `write_bundle` followed by `load_bundle`.
 """
 
 import pytest
 
-from rulkit import dataset_io, preprocess, simdata
+from rulkit import dataset_io, preprocess, simdata, train_eval
+from rulkit.numerics import SeededRng
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +35,11 @@ def test_parse_trajectory_file(benchmark, corpus):
     assert sum(len(t) for t in trajectories) == 20631
 
 
+def test_parse_test_file(benchmark, corpus):
+    trajectories = benchmark(dataset_io.parse_trajectory_file, corpus[1])
+    assert len(trajectories) == 100
+
+
 def test_run_pipeline(benchmark, prepared):
     train, _, _ = prepared
     result = benchmark(preprocess.run_pipeline, train)
@@ -46,6 +53,21 @@ def test_prepare_test_engine(benchmark, prepared):
         preprocess.prepare_test_engine, engine, result.scaler, result.selection
     )
     assert window.shape == (preprocess.DEFAULT_WINDOW, result.selection.n_features)
+
+
+@pytest.mark.parametrize("kind", train_eval.MODEL_KINDS)
+def test_final_inputs(benchmark, prepared, kind):
+    _, test, result = prepared
+    config = train_eval.TrainConfig(model=kind)
+    params = train_eval.init_model_params(config, result.selection.n_features, SeededRng(0))
+    model = train_eval.TrainedModel(
+        kind=kind, params=params, window=config.window,
+        feature_names=result.selection.feature_names,
+        scaler_hash=train_eval.scaler_hash(result.scaler),
+        config_hash=config.config_hash(), seed=config.seed,
+    )
+    inputs = benchmark(train_eval.final_inputs, model, test, result.scaler, config)
+    assert inputs.shape[0] == len(test) == 100
 
 
 def test_bundle_round_trip(benchmark, prepared, tmp_path):

@@ -217,7 +217,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     identity = preprocess.ewma_smooth(series, alpha=1.0)
     constant = preprocess.ewma_smooth(np.full((25, 2), 3.25), alpha=0.37)
     all_ok &= _check(
-        "smoothing is identity at alpha=1 and a fixed point on constants",
+        "smoothing is identity at alpha=1 and keeps the constant 3.25 exact at alpha=0.37",
         np.array_equal(identity, series) and bool(np.all(constant == 3.25)),
     )
 

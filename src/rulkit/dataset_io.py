@@ -17,10 +17,15 @@ number, and structural violations (cycle gaps, duplicated engine blocks)
 raise ValidationError naming the engine. When a file has several faults,
 the one reported is the first a row-by-row reader would meet. Values are
 kept at full double precision; downstream gradient checks depend on it.
+
+Rows are read by one np.loadtxt call; a file it rejects, or whose rows
+fail a check, is read again line by line with Python's float(), and that
+reader reports the fault (see parse_trajectory_file).
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -137,12 +142,10 @@ class RulLabelFile:
         return len(self.ruls)
 
 
-def _check_rows(rows: np.ndarray, linenos: list[int]) -> None:
-    """Raise the first per-row fault, in file order, of converted rows.
-
-    Within one row the checks run in a fixed order: unit id, cycle, a
-    repeated engine block, then non-finite settings or sensors.
-    """
+def _row_faults(rows: np.ndarray) -> np.ndarray:
+    """(n, 4) fault flags of converted rows, one column per per-row check in
+    the order a row-by-row reader runs them: unit id, cycle, a repeated
+    engine block, then non-finite settings or sensors."""
     ids = rows[:, 0]
     new_block = np.ones(len(ids), dtype=bool)
     new_block[1:] = ids[1:] != ids[:-1]
@@ -152,7 +155,12 @@ def _check_rows(rows: np.ndarray, linenos: list[int]) -> None:
     repeated[starts[first]] = False
     id_cycle = rows[:, :2]
     positive_int = np.isfinite(id_cycle) & (id_cycle == np.trunc(id_cycle)) & (id_cycle >= 1)
-    faults = np.column_stack([~positive_int, repeated, ~np.isfinite(rows[:, 2:]).all(axis=1)])
+    return np.column_stack([~positive_int, repeated, ~np.isfinite(rows[:, 2:]).all(axis=1)])
+
+
+def _raise_row_fault(rows: np.ndarray, linenos: list[int]) -> None:
+    """Raise the first fault that _row_faults flags, in file order, if any."""
+    faults = _row_faults(rows)
     bad_rows = np.flatnonzero(faults.any(axis=1))
     if not bad_rows.size:
         return
@@ -165,23 +173,34 @@ def _check_rows(rows: np.ndarray, linenos: list[int]) -> None:
         raise ParseError(f"line {lineno}: cycle must be a positive integer")
     if kind == 2:
         raise ValidationError(
-            f"line {lineno}: engine {int(ids[row])} appears in more than one block"
+            f"line {lineno}: engine {int(rows[row, 0])} appears in more than one block"
         )
     raise ParseError(f"line {lineno}: {_non_finite(rows[row, 2:], rows[row, 1])}")
 
 
-def parse_trajectory_file(text: str) -> list[EngineTrajectory]:
-    """Parse raw trajectory file contents into per-engine trajectories.
+def _loadtxt_rows(lines: list[str]) -> np.ndarray | None:
+    """Every data row, read by np.loadtxt, or None when the file needs the
+    line-by-line reader: loadtxt rejects it, it has no rows or rows that
+    are not 26 wide, or a row fails a per-row check."""
+    try:
+        with warnings.catch_warnings():
+            # An empty or blank file: the line-by-line reader reports it.
+            warnings.filterwarnings("ignore", ".*input contained no data", UserWarning)
+            rows = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if rows.shape[0] == 0 or rows.shape[1] != N_COLUMNS or _row_faults(rows).any():
+        return None
+    return rows
 
-    Tolerates repeated delimiters, blank lines and trailing whitespace (the
-    published files use double-space separators). Tokens are read with
-    Python's float(). Every row must contribute to the output; engine
-    blocks may appear in any order but must not repeat.
-    """
+
+def _token_rows(lines: list[str]) -> np.ndarray:
+    """Every data row, read line by line with Python's float(); raises the
+    first fault a row-by-row reader meets, naming its line."""
     linenos: list[int] = []
     tokens: list[str] = []
     fault = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         fields = line.split()
         if not fields:
             continue
@@ -206,12 +225,16 @@ def parse_trajectory_file(text: str) -> list[EngineTrajectory]:
         del tokens[i - i % N_COLUMNS :]
         values = np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
     rows = values.reshape(-1, N_COLUMNS)
-    _check_rows(rows, linenos)
+    _raise_row_fault(rows, linenos)
     if fault is not None:
         raise fault
     if not rows.shape[0]:
         raise ValidationError("trajectory file contains no data rows")
+    return rows
 
+
+def _engine_blocks(rows: np.ndarray) -> list[EngineTrajectory]:
+    """Checked rows as one trajectory per engine block, in engine-id order."""
     starts = np.flatnonzero(np.diff(rows[:, 0], prepend=0.0))
     ends = np.append(starts[1:], rows.shape[0])
     trajectories = []
@@ -230,6 +253,25 @@ def parse_trajectory_file(text: str) -> list[EngineTrajectory]:
             block[:, 2 + N_SETTINGS :],
         ))
     return trajectories
+
+
+def parse_trajectory_file(text: str) -> list[EngineTrajectory]:
+    """Parse raw trajectory file contents into per-engine trajectories.
+
+    Lines are those of str.splitlines(). Tolerates repeated delimiters,
+    blank lines and trailing whitespace (the published files use
+    double-space separators). Every row must contribute to the output;
+    engine blocks may appear in any order but must not repeat.
+
+    np.loadtxt reads the lines; a file it rejects, or whose rows fail a
+    check, is read again token by token with Python's float(), which
+    reports the fault. Both give the same values: they share CPython's
+    string-to-double conversion, and the spellings only float() accepts
+    (underscores, non-ASCII digits) make loadtxt fail.
+    """
+    lines = text.splitlines()
+    rows = _loadtxt_rows(lines)
+    return _engine_blocks(_token_rows(lines) if rows is None else rows)
 
 
 def parse_rul_file(text: str) -> RulLabelFile:

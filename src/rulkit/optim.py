@@ -93,6 +93,8 @@ class AdamState:
         layout = _layout(params)
         moments = []
         for key in ("m", "v"):
+            if not isinstance(d[key], dict):
+                raise ValidationError(f"optimizer {key} is not a JSON object")
             tensors = {k: np.array(a, dtype=np.float64) for k, a in d[key].items()}
             shapes = {k: t.shape for k, t in tensors.items()}
             if shapes != layout:

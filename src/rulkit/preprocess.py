@@ -127,6 +127,23 @@ def smooth_trajectory(traj: EngineTrajectory, alpha: float) -> EngineTrajectory:
     return traj.with_sensors(ewma_smooth(traj.sensors_matrix, alpha))
 
 
+def smooth_trajectories(
+    trajectories: Sequence[EngineTrajectory], alpha: float
+) -> list[EngineTrajectory]:
+    """smooth_trajectory of every engine, in one ewma_smooth call.
+
+    The sensors are stacked into a zero-padded (L_max, E, 21) array, so the
+    recurrence runs one time loop for all engines. Each element still gets
+    the same two roundings in the same order, and padding only follows an
+    engine's last row, so every result is bit-identical to its own call.
+    """
+    stack = np.zeros((max(map(len, trajectories), default=0), len(trajectories), N_SENSORS))
+    for k, traj in enumerate(trajectories):
+        stack[: len(traj), k] = traj.sensors_matrix
+    smoothed = ewma_smooth(stack, alpha)
+    return [traj.with_sensors(smoothed[: len(traj), k]) for k, traj in enumerate(trajectories)]
+
+
 def trim_head(traj: EngineTrajectory, n: int = DEFAULT_TRIM) -> EngineTrajectory:
     """Drop the first n cycles; retained cycle numbers are preserved.
 
@@ -420,9 +437,7 @@ def run_pipeline(
     if not train_trajectories:
         raise ValidationError("no training trajectories")
     selection = select_features(train_trajectories)
-    prepared = [
-        trim_head(smooth_trajectory(t, alpha), trim) for t in train_trajectories
-    ]
+    prepared = [trim_head(t, trim) for t in smooth_trajectories(train_trajectories, alpha)]
     scaler = fit_minmax(prepared, selection)
     scaled = [apply_minmax(scaler, t, selection) for t in prepared]
     labels = [label_rul(s, rul_cap) for s in scaled]
@@ -467,8 +482,8 @@ def invariant_failures(
     if not splits or any(rows.min() < 0.0 or rows.max() > 1.0 for rows in splits):
         failures.append(INVARIANTS[0])
     features = np.vstack([
-        feature_matrix(trim_head(smooth_trajectory(t, DEFAULT_ALPHA)), result.selection)
-        for t in trajectories
+        feature_matrix(trim_head(t), result.selection)
+        for t in smooth_trajectories(trajectories, DEFAULT_ALPHA)
     ])
     round_trip = result.scaler.inverse(result.scaler.transform(features))
     if not np.allclose(round_trip, features, rtol=1e-12, atol=1e-12):
@@ -634,7 +649,21 @@ def prepare_test_engine(
     reduced when the trajectory is too short, and trajectories shorter than
     the window are front-padded with their earliest scaled row.
     """
-    n = effective_trim(len(traj), trim, window)
-    prepared = trim_head(smooth_trajectory(traj, alpha), n)
-    scaled = apply_minmax(scaler, prepared, selection)
+    return final_features(
+        smooth_trajectory(traj, alpha), scaler, selection, trim=trim, window=window
+    )
+
+
+def final_features(
+    smoothed: EngineTrajectory,
+    scaler: ScalerParams,
+    selection: FeatureSelection,
+    *,
+    trim: int,
+    window: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """prepare_test_engine's steps after smoothing: trim, scale, and cut the
+    final window and row from an already smoothed trajectory."""
+    n = effective_trim(len(smoothed), trim, window)
+    scaled = apply_minmax(scaler, trim_head(smoothed, n), selection)
     return final_window(scaled, window), scaled.features[-1].copy()

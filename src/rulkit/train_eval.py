@@ -23,7 +23,10 @@ from .errors import ConfigError, TrainingError, ValidationError
 from .ioutil import atomic_write_text, canonical_json, fmt_double, read_json, sha256_text
 from .numerics import SeededRng
 from .optim import AdamState, adam_step, clip_gradients, flatten_params, init_adam
-from .preprocess import SampleSet, ScalerParams, prepare_test_engine, selection_from_feature_names
+from .preprocess import (
+    SampleSet, ScalerParams, final_features, selection_from_feature_names, smooth_trajectories
+)
+from .preprocess import prepare_test_engine  # noqa: F401  perfbench's tracer wraps it here too
 
 logger = logging.getLogger(__name__)
 
@@ -285,10 +288,9 @@ def final_inputs(model: TrainedModel, trajectories: Sequence[EngineTrajectory],
         )
     selection = selection_from_feature_names(scaler.feature_names)
     samples = []
-    for traj in trajectories:
-        window, row = prepare_test_engine(
-            traj, scaler, selection,
-            alpha=config.alpha, trim=config.trim, window=config.window,
+    for smoothed in smooth_trajectories(trajectories, config.alpha):
+        window, row = final_features(
+            smoothed, scaler, selection, trim=config.trim, window=config.window
         )
         samples.append(window if model.params.takes_windows else row)
     return np.stack(samples)
@@ -428,6 +430,9 @@ def _checkpoint_from_dict(d: dict) -> tuple[TrainedModel, AdamState, TrainConfig
         )
     if d["model"] not in models.MODELS:
         raise ValidationError(f"unknown model kind {d['model']!r} in checkpoint")
+    for key in ("params", "config", "adam_state"):
+        if not isinstance(d[key], dict):
+            raise ValidationError(f"checkpoint entry {key!r} is not a JSON object")
     tensors = {k: np.array(v, dtype=np.float64) for k, v in d["params"].items()}
     params = models.MODELS[d["model"]].from_dict(tensors)
     cfg_dict = dict(d["config"])

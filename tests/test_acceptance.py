@@ -143,7 +143,8 @@ def test_a8_preprocessing_invariants(train_trajectories, pipeline_seed1):
     # data it was fitted to, engine split disjoint and exhaustive.
     assert preprocess.invariant_failures(train_trajectories, result) == []
 
-    # Smoothing: identity at alpha=1, fixed point on constant series.
+    # Smoothing: identity at alpha=1, and the constant -2.5 stays exact at
+    # alpha=0.1. Not every constant does: 0.3 drifts by an ulp at step 1.
     series = SeededRng(8).generator.normal(size=(60, 4))
     assert np.array_equal(preprocess.ewma_smooth(series, alpha=1.0), series)
     flat = np.full((40, 3), -2.5)

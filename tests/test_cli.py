@@ -288,6 +288,16 @@ def _on_all_tensors(change, run="run"):
          "parameter 'b_head' has shape (2,), expected (1,)"),
         (_on_all_tensors(lambda t: t.update(b=t["b"][:-1])),
          "parameter 'b' has shape (47,), expected (48,)"),
+        # An entry that must be a JSON object holds a list.
+        (lambda d: d.update(params=list(d["params"].values())),
+         "checkpoint entry 'params' is not a JSON object"),
+        (lambda d: d.update(config=list(d["config"].values())),
+         "checkpoint entry 'config' is not a JSON object"),
+        (lambda d: d.update(adam_state=[d["adam_state"]]),
+         "checkpoint entry 'adam_state' is not a JSON object"),
+        (lambda d: d["adam_state"].update(m=list(d["adam_state"]["m"].values())),
+         "optimizer m is not a JSON object"),
+        (lambda d: d["adam_state"].update(v=[]), "optimizer v is not a JSON object"),
     ],
 )
 def test_evaluate_with_incomplete_checkpoint_names_the_file(
@@ -301,6 +311,7 @@ def test_evaluate_with_incomplete_checkpoint_names_the_file(
     assert _evaluate(workspace, tmp_path / "report", checkpoint=broken) == 1
     err = capsys.readouterr().err
     assert f"error: {broken}: " in err and detail in err
+    assert "Traceback" not in err
     assert not (tmp_path / "report").exists()
 
 

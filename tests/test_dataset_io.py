@@ -1,5 +1,7 @@
 """Parsing and validation of the 26-column text files."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -132,6 +134,14 @@ def test_parse_rejects_first_cycle_not_one():
 def test_parse_rejects_empty_file():
     with pytest.raises(ValidationError, match="no data rows"):
         parse_trajectory_file("\n  \n")
+
+
+@pytest.mark.parametrize("text", ["", "\n", "  \t\n\n", "\xa0\u3000\r\n\x0c \x1f\n"])
+def test_empty_or_blank_text_raises_without_warning(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="no data rows"):
+            parse_trajectory_file(text)
 
 
 def test_serialize_parse_round_trip_is_exact():

@@ -131,15 +131,24 @@ def ref_parse_trajectory_file(text):
 # by hypothesis itself.
 
 SPECIAL_VALUES = ["0", "-0", "+0.0", "-0.0", "1_000.5", ".5", "-7.", "5e-324", "1e308",
-                  "2.2250738585072014e-308", "-4.9406564584124654E-324"]
+                  "2.2250738585072014e-308", "-4.9406564584124654E-324",
+                  # float() reads these; np.loadtxt rejects the first three.
+                  "1_0", "\uff11", "\u0661", "+1"]
+# The values whose spellings np.loadtxt reads, so that files written with
+# them alone also exercise the loadtxt path.
+ASCII_VALUES = [v for v in SPECIAL_VALUES if v.isascii() and "_" not in v]
+
+# Spellings on which np.loadtxt and float() diverge or might.
+DIVERGENT_FINITE = ["1_0", "\uff11", "\u0661", "+1", ".5"]
+DIVERGENT_NON_FINITE = ["infinity", "-nan", "1e400"]
 
 
-def value_token(rng):
+def value_token(rng, ascii_only):
     """A finite double from anywhere in the range (signed zeros and
     subnormals included), in one of the spellings float() accepts."""
     kind = rng.randrange(4)
     if kind == 0:
-        return rng.choice(SPECIAL_VALUES)
+        return rng.choice(ASCII_VALUES if ascii_only else SPECIAL_VALUES)
     if kind == 1:
         v = float("inf")
         while not isfinite(v):
@@ -149,38 +158,52 @@ def value_token(rng):
     return rng.choice([repr, "{:.17g}".format, "{:E}".format, "{:.6f}".format])(v)
 
 
-def integer_token(rng, n):
-    return rng.choice([str(n), f"{n}.0", f"{n}e0", f"+{n}", f"{float(n)!r}", f"{n:_}"])
+FULLWIDTH_DIGITS = str.maketrans("0123456789", "".join(map(chr, range(0xFF10, 0xFF1A))))
+
+
+def integer_token(rng, n, ascii_only):
+    spellings = [str(n), f"{n}.0", f"{n}e0", f"+{n}", f"{float(n)!r}", f"{n:_}"]
+    return rng.choice(spellings if ascii_only else spellings + [str(n).translate(FULLWIDTH_DIGITS)])
 
 
 @st.composite
 def engine_rows(draw):
     """A valid file as token rows, whole engine blocks in shuffled order,
-    with the (engine id, cycle) of each row alongside."""
+    with the (engine id, cycle) of each row alongside. Half of the files
+    use ASCII spellings only."""
     ids = draw(st.lists(st.integers(1, 60), min_size=1, max_size=5, unique=True))
     lengths = draw(st.lists(st.integers(1, 6), min_size=len(ids), max_size=len(ids)))
+    ascii_only = draw(st.booleans())
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     rows, keys = [], []
     for engine_id, length in zip(ids, lengths):
         for cycle in range(1, length + 1):
             rows.append(
-                [integer_token(rng, engine_id), integer_token(rng, cycle)]
-                + [value_token(rng) for _ in range(N_COLUMNS - 2)]
+                [integer_token(rng, engine_id, ascii_only), integer_token(rng, cycle, ascii_only)]
+                + [value_token(rng, ascii_only) for _ in range(N_COLUMNS - 2)]
             )
             keys.append((engine_id, cycle))
     return rows, keys
 
 
 def render(rng, rows):
-    """Join token rows with messy spacing, blank lines and line endings."""
+    """Join token rows with messy spacing, blank lines and line endings.
+
+    Whitespace includes characters that str.split() takes as separators
+    and np.loadtxt may not, and line endings include every break that
+    str.splitlines() honours; a form feed also ends a line there, so it
+    only trails a row.
+    """
     lines = []
     for row in rows:
         while rng.random() < 0.2:
-            lines.append(rng.choice(["", " ", "\t", "   "]))
-        line = "".join(rng.choice([" ", "  ", "\t", " \t "]) + tok for tok in row)
+            lines.append(rng.choice(["", " ", "\t", "   ", "\xa0", "\u3000 ", " \x1f\t"]))
+        line = "".join(
+            rng.choice([" ", "  ", "\t", " \t ", "\xa0", " \u3000"]) + tok for tok in row
+        )
         lines.append(line.lstrip() if rng.random() < 0.5 else line)
-        lines[-1] += rng.choice(["", " ", "  ", "\t"])
-    ending = rng.choice(["\n", "\r\n"])
+        lines[-1] += rng.choice(["", " ", "  ", "\t", "\xa0", "\u3000", "\x0c"])
+    ending = rng.choice(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
     return ending.join(lines) + rng.choice(["", ending, ending * 2])
 
 
@@ -201,16 +224,19 @@ def inject(draw, rows, keys, kind):
             del row[draw(st.integers(0, len(row) - 1))]
     elif kind == "non_numeric":
         col = draw(st.integers(0, len(row) - 1))
-        row[col] = draw(st.sampled_from(["oops", "1.2.3", "0x10", "1,5", "--1", "nan_"]))
+        row[col] = draw(st.sampled_from(
+            ["oops", "1.2.3", "0x10", "1,5", "--1", "nan_", "1__0"] + DIVERGENT_FINITE))
     elif kind in ("unit_id", "cycle"):
         col = 0 if kind == "unit_id" else 1
         if col < len(row):
-            row[col] = draw(st.sampled_from(["0", "-3", "1.5", "-0.0", "2.000001", "1e-3"]))
+            row[col] = draw(st.sampled_from(
+                ["0", "-3", "1.5", "-0.0", "2.000001", "1e-3"] + DIVERGENT_FINITE))
     elif kind == "non_finite":
         for _ in range(draw(st.integers(1, 3)) if len(row) > 2 else 0):
             col = draw(st.integers(2, len(row) - 1))
             row[col] = draw(st.sampled_from(
-                ["nan", "-nan", "inf", "-inf", "1e400", "-1e999", "NaN", "Infinity"]))
+                ["nan", "-nan", "inf", "-inf", "1e400", "-1e999", "NaN", "Infinity"]
+                + DIVERGENT_FINITE + DIVERGENT_NON_FINITE))
     elif kind == "repeated_block":
         j = draw(st.integers(0, len(rows)))
         rows.insert(j, list(row))
@@ -297,3 +323,13 @@ def test_reference_error_examples():
         want = outcome(ref_parse_trajectory_file, text)
         assert want is not None, kind
         assert outcome(parse_trajectory_file, text) == want, kind
+
+
+def test_form_feed_ends_a_row():
+    # str.splitlines() breaks at \x0c; a reader that split lines only at
+    # \n or \r would read one 26-column row here.
+    tokens = ["1", "1"] + ["0.5"] * 24
+    text = " ".join(tokens[:13]) + " \x0c " + " ".join(tokens[13:]) + "\n"
+    want = (ParseError, f"line 1: expected {N_COLUMNS} columns, got 13")
+    assert outcome(ref_parse_trajectory_file, text) == want
+    assert outcome(parse_trajectory_file, text) == want

@@ -32,6 +32,7 @@ from rulkit.preprocess import (
     run_pipeline,
     select_features,
     selection_from_feature_names,
+    smooth_trajectories,
     smooth_trajectory,
     split_by_engine,
     trim_head,
@@ -167,6 +168,26 @@ def test_smooth_trajectory_touches_sensors_only():
     assert np.array_equal(
         smoothed.sensors_matrix, ewma_smooth(traj.sensors_matrix, 0.1)
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(1, 60), min_size=1, max_size=8),
+    st.floats(1e-6, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_smooth_trajectories_matches_per_engine_bit_for_bit(lengths, alpha, seed):
+    engines = [random_traj(k + 1, n, seed + k, sensor_scale=1e3) for k, n in enumerate(lengths)]
+    for traj, smoothed in zip(engines, smooth_trajectories(engines, alpha)):
+        want = ewma_smooth(traj.sensors_matrix, alpha)
+        assert np.array_equal(smoothed.sensors_matrix.view(np.int64), want.view(np.int64))
+        assert smoothed.settings_matrix is traj.settings_matrix
+        assert smoothed.cycles is traj.cycles
+
+
+def test_smooth_trajectories_rejects_empty_input():
+    with pytest.raises(ValidationError, match="empty"):
+        smooth_trajectories([], 0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -225,6 +225,33 @@ def test_evaluate_rejects_stale_scaler(small_data):
         evaluate(model, test_trajectories, ruls, tampered, config)
 
 
+@pytest.mark.parametrize("kind", train_eval.MODEL_KINDS)
+def test_final_inputs_stack_per_engine_prepare_test_engine(small_data, kind):
+    result, test_trajectories, _ = small_data
+    config = _quick_config(model=kind)
+    params = train_eval.init_model_params(config, result.selection.n_features, SeededRng(0))
+    longest = max(test_trajectories, key=len)
+    assert len(longest) > config.window + config.trim
+    # Shorter than the window (front-padded), and short enough for a reduced trim.
+    cut = [
+        dataset_io.EngineTrajectory(
+            100 + n, longest.cycles[:n], longest.settings_matrix[:n], longest.sensors_matrix[:n]
+        )
+        for n in (1, 7, config.window - 1, config.window, config.window + config.trim - 1)
+    ]
+    engines = list(test_trajectories) + cut
+    got = train_eval.final_inputs(_wrap(config, result, params), engines, result.scaler, config)
+    per_engine = [
+        preprocess.prepare_test_engine(
+            t, result.scaler, result.selection,
+            alpha=config.alpha, trim=config.trim, window=config.window,
+        )
+        for t in engines
+    ]
+    want = np.stack([window if kind == "lstm" else row for window, row in per_engine])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_trained_model_predict_validates_window_length(small_data):
     result, _, _ = small_data
     config = _quick_config()
