@@ -12,6 +12,14 @@ cache) and `params.backward(cache, dpred)` the gradients, through this
 module's mlp_* / lstm_* functions. `takes_windows` says whether a sample is
 a (W, F) window (LSTM) or one (F,) row (MLP); MODELS maps kinds to classes.
 
+A parameter object may also hold a stack of S models: every tensor then
+carries the same leading axis S (`stack_shape`), and the forward pass runs
+all S on the same unstacked input, giving (S, B) predictions. Row s is
+bit-identical to the forward pass of model s alone; a single model is the
+stack-free case of the same code. The finite-difference gradient check uses
+this to evaluate every perturbed copy of a model in one call. The backward
+pass and checkpoints take exactly one model.
+
 LSTM cell (gate blocks ordered i, f, g, o inside the stacked tensors):
 
     z = W x_t + U h_prev + b          z splits into (z_i, z_f, z_g, z_o)
@@ -49,11 +57,14 @@ GATE_ORDER = ("i", "f", "g", "o")
 # ---------------------------------------------------------------------------
 
 
-def _check_tensors(tensors: dict[str, np.ndarray], shapes: dict[str, tuple]) -> None:
+def _check_tensors(
+    tensors: dict[str, np.ndarray], shapes: dict[str, tuple], stack: tuple[int, ...]
+) -> None:
     """Raise ValidationError naming the first tensor, in `shapes` order, that
-    is not of its expected non-empty shape or holds non-finite values."""
+    is not of its expected non-empty shape (after the `stack` axes) or holds
+    non-finite values."""
     for name, shape in shapes.items():
-        tensor = tensors[name]
+        tensor, shape = tensors[name], stack + shape
         if tensor.shape != shape:
             raise ValidationError(f"parameter {name!r} has shape {tensor.shape}, expected {shape}")
         if tensor.size == 0:
@@ -81,18 +92,23 @@ class MlpParams:
         fan_in = self.weights[0].shape[-1] if self.weights[0].ndim else 0
         shapes = {}
         for l, w in enumerate(self.weights):
-            fan_out = w.shape[0] if l < last and w.ndim else 1
+            fan_out = w.shape[-2] if l < last and w.ndim > 1 else 1
             shapes[f"w{l}"], shapes[f"b{l}"] = (fan_out, fan_in), (fan_out,)
             fan_in = fan_out
-        _check_tensors(self.to_dict(), shapes)
+        _check_tensors(self.to_dict(), shapes, self.stack_shape)
+
+    @property
+    def stack_shape(self) -> tuple[int, ...]:
+        """Leading axes every tensor carries: () for one model, (S,) for S."""
+        return self.weights[0].shape[:-2]
 
     @property
     def layer_sizes(self) -> tuple[int, ...]:
-        return (self.weights[0].shape[1],) + tuple(w.shape[0] for w in self.weights)
+        return (self.input_size,) + tuple(w.shape[-2] for w in self.weights)
 
     @property
     def input_size(self) -> int:
-        return self.weights[0].shape[1]
+        return self.weights[0].shape[-1]
 
     @property
     def arch(self) -> dict:
@@ -140,15 +156,20 @@ class LstmParams:
         f = self.w_x.shape[-1] if self.w_x.ndim else 0
         _check_tensors(self.to_dict(), {
             "w_h": (4 * h, h), "w_x": (4 * h, f), "b": (4 * h,), "w_head": (h,), "b_head": (1,),
-        })
+        }, self.stack_shape)
+
+    @property
+    def stack_shape(self) -> tuple[int, ...]:
+        """Leading axes every tensor carries: () for one model, (S,) for S."""
+        return self.w_h.shape[:-2]
 
     @property
     def hidden_size(self) -> int:
-        return self.w_h.shape[1]
+        return self.w_h.shape[-1]
 
     @property
     def input_size(self) -> int:
-        return self.w_x.shape[1]
+        return self.w_x.shape[-1]
 
     @property
     def arch(self) -> dict:
@@ -219,7 +240,7 @@ class MlpCache:
 
 
 def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, MlpCache]:
-    """Batched forward over rows: x is (B, F), returns ((B,), cache)."""
+    """Batched forward over rows: x is (B, F), returns ((*stack, B), cache)."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError(f"mlp_forward expects (batch, features), got {x.shape}")
@@ -231,21 +252,25 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, MlpCache]
     h = x
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
         inputs.append(h)
-        z = h @ w.T + b
+        z = h @ w.swapaxes(-1, -2)
+        z += b[..., None, :]
         pre_acts.append(z)
         h = np.maximum(z, 0.0)
     inputs.append(h)
-    out = h @ params.weights[-1].T + params.biases[-1]
-    return out[:, 0], MlpCache(inputs, pre_acts)
+    out = h @ params.weights[-1].swapaxes(-1, -2)
+    out += params.biases[-1][..., None, :]
+    return out[..., 0], MlpCache(inputs, pre_acts)
 
 
 def mlp_backward(
     params: MlpParams, cache: MlpCache, dpred: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """Gradients of the loss w.r.t. every weight and bias.
+    """Gradients of the loss w.r.t. every weight and bias of one model.
 
     dpred is dLoss/dPrediction per sample, shape (B,).
     """
+    if params.stack_shape:
+        raise ShapeError("mlp_backward takes one model, not a stack")
     if len(cache.inputs) != len(params.weights):
         raise ShapeError("cache does not match parameter stack depth")
     if cache.inputs[0].shape[1] != params.input_size:
@@ -306,11 +331,13 @@ def _gate_blocks(a: np.ndarray, hsz: int) -> tuple[np.ndarray, ...]:
 
 
 def lstm_forward(params: LstmParams, x: np.ndarray) -> tuple[np.ndarray, LstmCache]:
-    """Unroll over a batch of windows: x is (B, T, F), returns ((B,), cache).
+    """Unroll over a batch of windows: x is (B, T, F), returns ((*stack, B), cache).
 
     h_0 = c_0 = 0 for every call. The input projection for all timesteps
     is computed in one product; the loop carries only the recurrence and
     writes every result in place, into buffers allocated once per call.
+    The cache's state tensors put the time axis first, then the stack axes:
+    (T, *stack, B, ...).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3:
@@ -323,21 +350,27 @@ def lstm_forward(params: LstmParams, x: np.ndarray) -> tuple[np.ndarray, LstmCac
             f"feature count {feats} does not match model input {params.input_size}"
         )
     hsz = params.hidden_size
+    stack = params.stack_shape
     xt = np.ascontiguousarray(x.transpose(1, 0, 2))  # (T, B, F)
-    gates = (xt.reshape(steps * bsz, feats) @ params.w_x.T).reshape(steps, bsz, 4 * hsz)
-    cells = np.zeros((steps + 1, bsz, hsz))
-    hiddens = np.zeros((steps + 1, bsz, hsz))
-    tanh_cells = np.empty((steps, bsz, hsz))
+    gates = (xt.reshape(steps * bsz, feats) @ params.w_x.swapaxes(-1, -2)).reshape(
+        *stack, steps, bsz, 4 * hsz
+    )
+    k = len(stack)
+    gates = gates.transpose(k, *range(k), k + 1, k + 2)  # (T, *stack, B, 4H)
+    cells = np.zeros((steps + 1, *stack, bsz, hsz))
+    hiddens = np.zeros((steps + 1, *stack, bsz, hsz))
+    tanh_cells = np.empty((steps, *stack, bsz, hsz))
 
-    w_h_t = params.w_h.T
-    rec = np.empty((bsz, 4 * hsz))
-    tmp = np.empty((bsz, hsz))
+    w_h_t = params.w_h.swapaxes(-1, -2)
+    b = params.b[..., None, :]
+    rec = np.empty((*stack, bsz, 4 * hsz))
+    tmp = np.empty((*stack, bsz, hsz))
     gi, gf, gg, go = _gate_blocks(gates, hsz)
     for t in range(steps):
         z = gates[t]  # holds x_t W^T; becomes the step's activations
         np.matmul(hiddens[t], w_h_t, out=rec)
         z += rec
-        z += params.b
+        z += b
         np.tanh(gg[t], out=tmp)
         sigmoid(z, out=z)
         gg[t] = tmp
@@ -348,14 +381,16 @@ def lstm_forward(params: LstmParams, x: np.ndarray) -> tuple[np.ndarray, LstmCac
         np.tanh(c, out=tanh_cells[t])
         np.multiply(go[t], tanh_cells[t], out=hiddens[t + 1])
 
-    pred = hiddens[steps] @ params.w_head + params.b_head[0]
+    pred = (hiddens[steps] @ params.w_head[..., :, None])[..., 0] + params.b_head[..., :1]
     return pred, LstmCache(xt, gates, cells, tanh_cells, hiddens)
 
 
 def lstm_backward(
     params: LstmParams, cache: LstmCache, dpred: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """Full backpropagation through time, accumulating into every tensor."""
+    """Full backpropagation through time, accumulating into every tensor of one model."""
+    if params.stack_shape:
+        raise ShapeError("lstm_backward takes one model, not a stack")
     steps, bsz, hsz = cache.tanh_c.shape
     if hsz != params.hidden_size or cache.x.shape[2] != params.input_size:
         raise ShapeError("cache shapes do not match parameters")

@@ -41,11 +41,12 @@ def _layout(tensors: dict[str, np.ndarray]) -> Layout:
 
 
 def _views(flat: np.ndarray, layout: Layout) -> dict[str, np.ndarray]:
-    """Consecutive slices of `flat`, reshaped to the layout's shapes."""
-    out, start = {}, 0
+    """Consecutive slices of `flat`'s last axis, reshaped to the layout's
+    shapes after any leading axes: a (..., n) array gives (..., *shape) views."""
+    out, start, lead = {}, 0, flat.shape[:-1]
     for name, shape in layout.items():
         size = math.prod(shape)
-        out[name] = flat[start : start + size].reshape(shape)
+        out[name] = flat[..., start : start + size].reshape(lead + shape)
         start += size
     return out
 
@@ -63,6 +64,13 @@ def flatten_params(
     for name, t in tensors.items():
         views[name][...] = t
     return flat, views
+
+
+def unflatten(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Views of `flat` under the names and shapes of `like`, in flatten_params'
+    order. A (S, n) stack of flat vectors gives (S, *shape) views: S parameter
+    sets, one per row."""
+    return _views(flat, _layout(like))
 
 
 @dataclass

@@ -288,6 +288,9 @@ def _on_all_tensors(change, run="run"):
          "parameter 'b_head' has shape (2,), expected (1,)"),
         (_on_all_tensors(lambda t: t.update(b=t["b"][:-1])),
          "parameter 'b' has shape (47,), expected (48,)"),
+        # A stack of one model: every tensor wrapped in one more leading axis.
+        (_on_all_tensors(lambda t: t.update({k: [v] for k, v in t.items()})),
+         "parameters hold a stack of shape (1,), not one model"),
         # An entry that must be a JSON object holds a list.
         (lambda d: d.update(params=list(d["params"].values())),
          "checkpoint entry 'params' is not a JSON object"),

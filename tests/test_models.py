@@ -285,3 +285,67 @@ def test_params_dict_round_trip():
     lstm_back = models.LstmParams.from_dict(lstm.to_dict())
     assert np.array_equal(lstm.w_x, lstm_back.w_x)
     assert np.array_equal(lstm.b, lstm_back.b)
+
+
+# ---------------------------------------------------------------------------
+# Stacked parameter sets
+# ---------------------------------------------------------------------------
+
+
+def _stack(param_sets):
+    """One parameter object whose tensors stack those of `param_sets` on axis 0."""
+    tensors = [p.to_dict() for p in param_sets]
+    return type(param_sets[0]).from_dict(
+        {name: np.stack([t[name] for t in tensors]) for name in tensors[0]}
+    )
+
+
+@pytest.mark.parametrize("kind", ["mlp", "lstm"])
+@pytest.mark.parametrize("seed", range(6))
+def test_stacked_forward_rows_equal_single_models(kind, seed):
+    rng = SeededRng(seed)
+    gen = rng.generator
+    feats, batch, copies = (int(v) for v in gen.integers(1, 7, 3))
+    if kind == "lstm":
+        hidden, steps = (int(v) for v in gen.integers(1, 9, 2))
+        singles = [models.init_lstm(feats, hidden, rng) for _ in range(copies)]
+        x = rng.uniform(-2.0, 2.0, (batch, steps, feats))
+    else:
+        sizes = (feats, *(int(v) for v in gen.integers(1, 9, seed % 3)), 1)
+        singles = [models.init_mlp(sizes, rng) for _ in range(copies)]
+        x = rng.uniform(-2.0, 2.0, (batch, feats))
+    for p in singles:
+        for t in p.to_dict().values():
+            t += rng.uniform(-0.5, 0.5, t.shape)
+    stacked = _stack(singles)
+    assert stacked.stack_shape == (copies,)
+    pred = stacked.forward(x)[0]
+    assert pred.shape == (copies, batch)
+    for row, single in zip(pred, singles):
+        expected = single.forward(x)[0]
+        assert np.array_equal(row, expected)
+        assert np.array_equal(np.signbit(row), np.signbit(expected))
+
+
+def test_stack_needs_the_same_leading_axes_on_every_tensor():
+    lstm = models.init_lstm(3, 2, SeededRng(0)).to_dict()
+    stacked = {name: np.stack([t, t]) for name, t in lstm.items()}
+    models.LstmParams.from_dict(stacked)
+    with pytest.raises(ValidationError, match=r"parameter 'b' has shape \(4, 8\)"):
+        models.LstmParams.from_dict({**stacked, "b": np.zeros((4, 8))})
+    with pytest.raises(ValidationError, match=r"'w_x' has shape \(8, 3\), expected \(2, 8, 3\)"):
+        models.LstmParams.from_dict({**stacked, "w_x": lstm["w_x"]})
+    mlp = models.init_mlp((3, 2, 1), SeededRng(0)).to_dict()
+    stacked = {name: np.stack([t, t]) for name, t in mlp.items()}
+    with pytest.raises(ValidationError, match=r"parameter 'b1' has shape \(1,\)"):
+        models.MlpParams.from_dict({**stacked, "b1": mlp["b1"]})
+
+
+def test_backward_takes_one_model():
+    rng = SeededRng(1)
+    for single, x in ((models.init_lstm(2, 3, rng), rng.uniform(-1, 1, (2, 4, 2))),
+                      (models.init_mlp((2, 3, 1), rng), rng.uniform(-1, 1, (2, 2)))):
+        stacked = _stack([single, single])
+        _, cache = stacked.forward(x)
+        with pytest.raises(ShapeError, match="one model, not a stack"):
+            stacked.backward(cache, np.ones(2))
