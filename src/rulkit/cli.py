@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataset_io, models, preprocess, simdata, train_eval
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 from .ioutil import read_json, sha256_text
 from .numerics import SeededRng
 
@@ -157,6 +157,11 @@ def _load_eval_inputs(args: argparse.Namespace):
 def cmd_evaluate(args: argparse.Namespace) -> int:
     model, config, scaler, test_trajectories = _load_eval_inputs(args)
     ruls = dataset_io.read_rul_labels(args.rul_file)
+    if len(ruls) != len(test_trajectories):
+        raise ValidationError(
+            f"{args.rul_file}: label count {len(ruls)} does not match test engine "
+            f"count {len(test_trajectories)} in {args.test_file}"
+        )
     checkpoint_hash = sha256_text(Path(args.checkpoint).read_text(encoding="utf-8"))
     report = train_eval.evaluate(
         model, test_trajectories, ruls, scaler, config, checkpoint_hash

@@ -15,7 +15,8 @@ trajectory can share its parent's arrays without copying.
 Parsing is fail-fast: a malformed row raises ParseError with its line
 number, and structural violations (cycle gaps, duplicated engine blocks)
 raise ValidationError naming the engine. When a file has several faults,
-the one reported is the first a row-by-row reader would meet. Values are
+the one reported is the first a row-by-row reader would meet; read_*
+puts the file's path in front of the message. Values are
 kept at full double precision; downstream gradient checks depend on it.
 
 Rows are read by one np.loadtxt call; a file it rejects, or whose rows
@@ -291,15 +292,21 @@ def parse_rul_file(text: str) -> RulLabelFile:
     return RulLabelFile(tuple(labels))
 
 
-def read_trajectories(path: Path | str) -> list[EngineTrajectory]:
+def _parse_file(path: Path | str, parse, kind: str):
+    """parse(text of `path`); a ParseError or ValidationError is re-raised
+    as the same type with the path in front of its message."""
     path = Path(path)
     if not path.exists():
-        raise FileNotFoundError(f"trajectory file not found: {path}")
-    return parse_trajectory_file(path.read_text())
+        raise FileNotFoundError(f"{kind} file not found: {path}")
+    try:
+        return parse(path.read_text())
+    except (ParseError, ValidationError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+def read_trajectories(path: Path | str) -> list[EngineTrajectory]:
+    return _parse_file(path, parse_trajectory_file, "trajectory")
 
 
 def read_rul_labels(path: Path | str) -> RulLabelFile:
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"RUL file not found: {path}")
-    return parse_rul_file(path.read_text())
+    return _parse_file(path, parse_rul_file, "RUL")

@@ -5,8 +5,11 @@ Fixed stage order: select the varying channels -> exponential smoothing
 engines -> remaining-life labeling, with an engine-level train/validation
 split. Re-running on identical inputs and seed reproduces identical arrays.
 
-Each split is one SampleSet of scaled rows; the LSTM's windows are gathered
-from them batch by batch and never stored, in memory or in a bundle.
+Scaled data is one engine's (L, F) array or one SampleSet per split, built
+in one concatenation; the LSTM's windows are gathered from a split's rows
+batch by batch and never stored. At test time there is no trim: smoothing
+precedes it and scaling is row by row, so it could only drop rows ahead of
+the final window, and only the rows that window needs are scaled.
 
 The feature set is a tuple of names (FeatureSelection), the form every
 artifact stores. It is detected, not hardcoded: of the 3 operating settings
@@ -238,32 +241,19 @@ def fit_minmax(
     return ScalerParams(selection.feature_names, mins, maxs)
 
 
-@dataclass(frozen=True)
-class ScaledEngine:
-    """One engine after smoothing, trimming and scaling."""
-
-    engine_id: int
-    cycles: np.ndarray
-    features: np.ndarray
-
-    def __len__(self) -> int:
-        return self.features.shape[0]
-
-
 def apply_minmax(
     scaler: ScalerParams, traj: EngineTrajectory, selection: FeatureSelection
-) -> ScaledEngine:
-    """Scale one trajectory's kept features into [0, 1] (clamped)."""
+) -> np.ndarray:
+    """One trajectory's kept features scaled into [0, 1] (clamped): an (L, F) array."""
     if selection.feature_names != scaler.feature_names:
         raise ValidationError(
             f"feature order mismatch: selection {selection.feature_names} "
             f"vs scaler {scaler.feature_names}"
         )
-    features = scaler.transform(feature_matrix(traj, selection))
-    return ScaledEngine(traj.engine_id, traj.cycles, features)
+    return scaler.transform(feature_matrix(traj, selection))
 
 
-def label_rul(traj: EngineTrajectory | ScaledEngine, cap: int | None = None) -> np.ndarray:
+def label_rul(traj: EngineTrajectory, cap: int | None = None) -> np.ndarray:
     """Per-cycle remaining life of a run-to-failure engine: last_cycle - cycle.
 
     An optional cap clips large early-life labels.
@@ -330,36 +320,27 @@ class SampleSet:
         return self.rows[self.starts[idx, None] + np.arange(self.window)]
 
 
-def make_rows(scaled: ScaledEngine, rul: np.ndarray) -> SampleSet:
-    """Every retained cycle of one engine as an independent sample."""
+def make_rows(engines: Sequence[EngineTrajectory], scaler: ScalerParams,
+              selection: FeatureSelection, rul_cap: int | None = None) -> SampleSet:
+    """One split's (smoothed, trimmed) engines as samples of one cycle each:
+    scaled rows and labels, engine by engine in input order."""
+    ids = np.array([t.engine_id for t in engines], dtype=np.int64)
     return SampleSet(
-        scaled.features.copy(),
-        rul.copy(),
-        np.full(len(scaled), scaled.engine_id, dtype=np.int64),
+        np.concatenate([apply_minmax(scaler, t, selection) for t in engines]
+                       + [np.zeros((0, selection.n_features))]),
+        np.concatenate([label_rul(t, rul_cap) for t in engines] + [np.zeros(0)]),
+        np.repeat(ids, [len(t) for t in engines]),
     )
 
 
-def make_windows(
-    scaled: ScaledEngine, rul: np.ndarray, window: int = DEFAULT_WINDOW
-) -> SampleSet:
-    """All sliding windows of one engine: L - window + 1 samples.
+def make_windows(engines: Sequence[EngineTrajectory], scaler: ScalerParams,
+                 selection: FeatureSelection, rul_cap: int | None = None,
+                 window: int = DEFAULT_WINDOW) -> SampleSet:
+    """make_rows' split as sliding windows: L - window + 1 samples per engine.
 
     The target of a window is the RUL at its last (most recent) cycle.
     """
-    return replace(make_rows(scaled, rul), window=window)
-
-
-def _split_samples(
-    parts: Sequence[SampleSet], ids: set[int], n_features: int, window: int
-) -> SampleSet:
-    """The samples of the engines in `ids`, in the order of `parts`."""
-    parts = [p for p in parts if p.engine_ids[0] in ids]
-    return SampleSet(
-        np.concatenate([p.rows for p in parts] + [np.zeros((0, n_features))]),
-        np.concatenate([p.rul for p in parts] + [np.zeros(0)]),
-        np.concatenate([p.engine_ids for p in parts] + [np.zeros(0, dtype=np.int64)]),
-        window,
-    )
+    return replace(make_rows(engines, scaler, selection, rul_cap), window=window)
 
 
 def split_by_engine(
@@ -382,22 +363,12 @@ def split_by_engine(
     return train, val
 
 
-def effective_trim(length: int, trim: int, window: int) -> int:
-    """Trim to apply to one engine, reduced so a final window still fits.
-
-    Engines shorter than the window even untrimmed return 0; the window
-    builder front-pads those (test-time policy).
-    """
-    return min(trim, max(length - window, 0))
-
-
-def final_window(scaled: ScaledEngine, window: int = DEFAULT_WINDOW) -> np.ndarray:
+def final_window(scaled: np.ndarray, window: int = DEFAULT_WINDOW) -> np.ndarray:
     """Last `window` scaled rows, front-padded with the earliest row if short."""
-    feats = scaled.features
     if len(scaled) >= window:
-        return feats[-window:].copy()
-    pad = np.repeat(feats[:1], window - len(scaled), axis=0)
-    return np.vstack([pad, feats])
+        return scaled[-window:].copy()
+    pad = np.repeat(scaled[:1], window - len(scaled), axis=0)
+    return np.vstack([pad, scaled])
 
 
 @dataclass
@@ -439,15 +410,14 @@ def run_pipeline(
     selection = select_features(train_trajectories)
     prepared = [trim_head(t, trim) for t in smooth_trajectories(train_trajectories, alpha)]
     scaler = fit_minmax(prepared, selection)
-    scaled = [apply_minmax(scaler, t, selection) for t in prepared]
-    labels = [label_rul(s, rul_cap) for s in scaled]
-
     train_ids, val_ids = split_by_engine(
         [t.engine_id for t in train_trajectories], n_val, seed
     )
-    parts = [make_windows(eng, rul, window) for eng, rul in zip(scaled, labels)]
-    train_windows = _split_samples(parts, set(train_ids), selection.n_features, window)
-    val_windows = _split_samples(parts, set(val_ids), selection.n_features, window)
+    train_windows, val_windows = (
+        make_windows([t for t in prepared if t.engine_id in ids], scaler, selection,
+                     rul_cap, window)
+        for ids in (set(train_ids), set(val_ids))
+    )
     return PreprocessResult(
         selection=selection,
         scaler=scaler,
@@ -496,6 +466,8 @@ def invariant_failures(
 
 BUNDLE_FORMAT = "rulkit-bundle-v2"
 _SPLITS = ("train", "val")
+_COUNT_KEYS = ("engines", "train_windows", "val_windows", "train_rows", "val_rows",
+               "total_windows", "total_rows")
 
 
 def write_bundle(out_dir: Path | str, result: PreprocessResult, pipeline: dict) -> None:
@@ -579,7 +551,8 @@ def _load_array(path: Path, dtype: type, shape: tuple) -> np.ndarray:
 def load_bundle(bundle_dir: Path | str) -> Bundle:
     """Read a bundle back, checking every array against meta.json.
 
-    Arrays need write_bundle's dtypes, meta.json's row counts and finite
+    meta.json's counts must be write_bundle's seven non-negative integers;
+    arrays need write_bundle's dtypes, meta.json's row counts and finite
     values; a split's engine ids must be its meta.json ids, one run of at
     least a window per engine, so no window spans two engines. Any mismatch
     raises ValidationError naming the file.
@@ -604,10 +577,18 @@ def load_bundle(bundle_dir: Path | str) -> Bundle:
         raise ValidationError(f"{meta_path}: missing or malformed entry {exc}") from None
     if not isinstance(window, int) or window < 1:
         raise ValidationError(f"{meta_path}: pipeline window must be a positive integer")
+    if not isinstance(counts, dict):
+        raise ValidationError(f"{meta_path}: counts is not a JSON object")
+    for key in _COUNT_KEYS:
+        if type(counts.get(key)) is not int or counts[key] < 0:
+            raise ValidationError(
+                f"{meta_path}: counts.{key} must be a non-negative integer, "
+                f"got {counts.get(key)!r}"
+            )
     scaler = load_scaler(out / "scaler.json")
     parts = {}
     for split in _SPLITS:
-        n = counts.get(f"{split}_rows")
+        n = counts[f"{split}_rows"]
         rows = _load_array(out / f"{split}_rows.npy", np.float64, (n, n_features))
         rul = _load_array(out / f"{split}_rul.npy", np.float64, (n,))
         engines_path = out / f"{split}_engines.npy"
@@ -627,9 +608,9 @@ def load_bundle(bundle_dir: Path | str) -> Bundle:
         ("total_rows", counts["train_rows"] + counts["val_rows"]),
         ("engines", engine_ids.size),
     ):
-        if counts.get(name) != actual:
+        if counts[name] != actual:
             raise ValidationError(
-                f"{meta_path}: counts.{name} is {counts.get(name)}, but the arrays hold {actual}"
+                f"{meta_path}: counts.{name} is {counts[name]}, but the arrays hold {actual}"
             )
     return Bundle(meta=meta, scaler=scaler, **parts)
 
@@ -645,13 +626,14 @@ def prepare_test_engine(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Test-time features for one engine: (final window (W, F), final row (F,)).
 
-    Applies the identical chain with the short-engine policy: the trim is
-    reduced when the trajectory is too short, and trajectories shorter than
-    the window are front-padded with their earliest scaled row.
+    Smooths, then runs final_features; a trajectory shorter than the window
+    is front-padded with its earliest scaled row. `trim` cannot change the
+    result (see the module docstring); a negative one is still rejected.
     """
-    return final_features(
-        smooth_trajectory(traj, alpha), scaler, selection, trim=trim, window=window
-    )
+    smoothed = smooth_trajectory(traj, alpha)
+    if trim < 0:
+        raise ConfigError(f"trim length must be >= 0, got {trim}")
+    return final_features(smoothed, scaler, selection, window=window)
 
 
 def final_features(
@@ -659,11 +641,10 @@ def final_features(
     scaler: ScalerParams,
     selection: FeatureSelection,
     *,
-    trim: int,
     window: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """prepare_test_engine's steps after smoothing: trim, scale, and cut the
-    final window and row from an already smoothed trajectory."""
-    n = effective_trim(len(smoothed), trim, window)
-    scaled = apply_minmax(scaler, trim_head(smoothed, n), selection)
-    return final_window(scaled, window), scaled.features[-1].copy()
+    """prepare_test_engine's steps after smoothing: scale only the rows the
+    final window needs, then cut the final window and row."""
+    needed = trim_head(smoothed, max(len(smoothed) - window, 0))
+    scaled = apply_minmax(scaler, needed, selection)
+    return final_window(scaled, window), scaled[-1].copy()

@@ -293,9 +293,7 @@ def final_inputs(model: TrainedModel, trajectories: Sequence[EngineTrajectory],
     selection = selection_from_feature_names(scaler.feature_names)
     samples = []
     for smoothed in smooth_trajectories(trajectories, config.alpha):
-        window, row = final_features(
-            smoothed, scaler, selection, trim=config.trim, window=config.window
-        )
+        window, row = final_features(smoothed, scaler, selection, window=config.window)
         samples.append(window if model.params.takes_windows else row)
     return np.stack(samples)
 
@@ -425,7 +423,8 @@ def write_checkpoint(
 
 
 def load_checkpoint(path: Path | str) -> tuple[TrainedModel, AdamState, TrainConfig]:
-    """Read a checkpoint; a missing or malformed entry fails naming the file."""
+    """Read a checkpoint; a missing or malformed entry, or a top-level model,
+    window or seed unequal to its config's, fails naming the file."""
     d = read_json(path)
     try:
         return _checkpoint_from_dict(d)
@@ -457,6 +456,12 @@ def _checkpoint_from_dict(d: dict) -> tuple[TrainedModel, AdamState, TrainConfig
     cfg_dict = dict(d["config"])
     cfg_dict["mlp_hidden"] = tuple(cfg_dict["mlp_hidden"])
     config = TrainConfig(**cfg_dict)
+    for key in ("model", "window", "seed"):
+        if d[key] != getattr(config, key):
+            raise ValidationError(
+                f"checkpoint {key} {d[key]!r} does not match its config's "
+                f"{getattr(config, key)!r}"
+            )
     model = TrainedModel(
         kind=d["model"],
         params=params,

@@ -16,6 +16,7 @@ from types import SimpleNamespace
 import pytest
 
 from rulkit import dataset_io, preprocess, simdata, train_eval
+from rulkit.cli import main
 from rulkit.numerics import SeededRng
 
 REFERENCE_SEEDS = (1, 2, 3)
@@ -148,3 +149,42 @@ def small_corpus_paths(tmp_path_factory) -> dict[str, Path]:
         n_train_engines=6, n_test_engines=4, total_train_rows=960, seed=5
     )
     return simdata.write_corpus(tmp_path_factory.mktemp("small-corpus"), config)
+
+
+@pytest.fixture(scope="session")
+def workspace(tmp_path_factory):
+    """Run the CLI chain once on a 6-engine corpus: simulate -> preprocess ->
+    train (LSTM and MLP) -> evaluate. Tests copy these files before editing them."""
+    root = tmp_path_factory.mktemp("cli")
+    ws = SimpleNamespace(
+        root=root,
+        train_file=root / "corpus" / "train_FD001.txt",
+        test_file=root / "corpus" / "test_FD001.txt",
+        rul_file=root / "corpus" / "RUL_FD001.txt",
+        bundle=root / "bundle",
+        run=root / "run",
+        mlp_run=root / "mlp_run",
+        report=root / "report",
+    )
+    assert main([
+        "simulate", "--out", str(root / "corpus"), "--seed", "7",
+        "--train-engines", "6", "--test-engines", "4", "--total-train-rows", "960",
+    ]) == 0
+    assert main([
+        "preprocess", "--train-file", str(ws.train_file),
+        "--out", str(ws.bundle), "--n-val", "1",
+    ]) == 0
+    assert main([
+        "train", "--bundle", str(ws.bundle), "--out", str(ws.run),
+        "--epochs", "2", "--lstm-hidden", "12", "--seed", "0",
+    ]) == 0
+    assert main([
+        "train", "--bundle", str(ws.bundle), "--out", str(ws.mlp_run),
+        "--model", "mlp", "--mlp-hidden", "8,4", "--epochs", "1", "--seed", "0",
+    ]) == 0
+    assert main([
+        "evaluate", "--checkpoint", str(ws.run / "checkpoint.json"),
+        "--test-file", str(ws.test_file), "--rul-file", str(ws.rul_file),
+        "--scaler", str(ws.bundle / "scaler.json"), "--out", str(ws.report),
+    ]) == 0
+    return ws

@@ -4,50 +4,11 @@ import json
 import shutil
 import subprocess
 import sys
-from types import SimpleNamespace
 
 import pytest
 
 from rulkit import train_eval
 from rulkit.cli import main
-
-
-@pytest.fixture(scope="module")
-def workspace(tmp_path_factory):
-    """Run the full chain once: simulate -> preprocess -> train -> evaluate."""
-    root = tmp_path_factory.mktemp("cli")
-    ws = SimpleNamespace(
-        root=root,
-        train_file=root / "corpus" / "train_FD001.txt",
-        test_file=root / "corpus" / "test_FD001.txt",
-        rul_file=root / "corpus" / "RUL_FD001.txt",
-        bundle=root / "bundle",
-        run=root / "run",
-        mlp_run=root / "mlp_run",
-        report=root / "report",
-    )
-    assert main([
-        "simulate", "--out", str(root / "corpus"), "--seed", "7",
-        "--train-engines", "6", "--test-engines", "4", "--total-train-rows", "960",
-    ]) == 0
-    assert main([
-        "preprocess", "--train-file", str(ws.train_file),
-        "--out", str(ws.bundle), "--n-val", "1",
-    ]) == 0
-    assert main([
-        "train", "--bundle", str(ws.bundle), "--out", str(ws.run),
-        "--epochs", "2", "--lstm-hidden", "12", "--seed", "0",
-    ]) == 0
-    assert main([
-        "train", "--bundle", str(ws.bundle), "--out", str(ws.mlp_run),
-        "--model", "mlp", "--mlp-hidden", "8,4", "--epochs", "1", "--seed", "0",
-    ]) == 0
-    assert main([
-        "evaluate", "--checkpoint", str(ws.run / "checkpoint.json"),
-        "--test-file", str(ws.test_file), "--rul-file", str(ws.rul_file),
-        "--scaler", str(ws.bundle / "scaler.json"), "--out", str(ws.report),
-    ]) == 0
-    return ws
 
 
 def test_simulate_writes_three_files(workspace):
@@ -301,6 +262,11 @@ def _on_all_tensors(change, run="run"):
         (lambda d: d["adam_state"].update(m=list(d["adam_state"]["m"].values())),
          "optimizer m is not a JSON object"),
         (lambda d: d["adam_state"].update(v=[]), "optimizer v is not a JSON object"),
+        # Top-level copies of config values that disagree with the config.
+        (lambda d: d.update(seed="x"), "checkpoint seed 'x' does not match its config's 0"),
+        (lambda d: d.update(window=19), "checkpoint window 19 does not match its config's 20"),
+        (lambda d: d["config"].update(model="mlp"),
+         "checkpoint model 'lstm' does not match its config's 'mlp'"),
     ],
 )
 def test_evaluate_with_incomplete_checkpoint_names_the_file(

@@ -1,0 +1,217 @@
+"""Every file a command reads, broken in every way that applies to it.
+
+Each case copies one input of the `workspace` chain, breaks the copy and
+runs the command on it in-process through cli.main. The command must exit
+non-zero with the broken file's path in stderr, leave no output behind and
+raise nothing past main: an escaped exception would be a traceback.
+"""
+
+import json
+import shutil
+
+import numpy as np
+import pytest
+
+from rulkit.cli import main
+
+
+def _truncate(path):
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+
+
+def _json(change):
+    """A fault that applies `change` in place to the file's decoded JSON."""
+    def fault(path):
+        d = json.loads(path.read_text())
+        change(d)
+        path.write_text(json.dumps(d))
+    return fault
+
+
+def _npy(change):
+    def fault(path):
+        np.save(path, change(np.load(path)))
+    return fault
+
+
+def _text(change):
+    def fault(path):
+        path.write_text(change(path.read_text()))
+    return fault
+
+
+def _set_nan(a):
+    a = a.copy()
+    a.flat[a.size // 2] = np.nan
+    return a
+
+
+def _lines(change):
+    return _text(lambda text: "".join(change(text.splitlines(keepends=True))))
+
+
+def _nan_row(lines):
+    tokens = lines[5].split()
+    tokens[7] = "nan"
+    return lines[:5] + [" ".join(tokens) + "\n"] + lines[6:]
+
+
+def _extra_column(lines):
+    return lines[:5] + [lines[5].rstrip("\n") + " 1.0\n"] + lines[6:]
+
+
+BUNDLE_JSON_FAULTS = {
+    "meta.json": [
+        ("truncated", _truncate, "not valid JSON"),
+        ("wrong JSON type", _text(lambda t: "[]"), "bundle format None"),
+        ("missing key", _json(lambda d: d.pop("pipeline")), "missing or malformed"),
+        ("wrong format string", _json(lambda d: d.update(format="rulkit-bundle-v1")),
+         "is not 'rulkit-bundle-v2'"),
+        ("counts of wrong JSON type", _json(lambda d: d.update(counts=[])),
+         "counts is not a JSON object"),
+        ("counts missing train_windows",
+         _json(lambda d: d["counts"].pop("train_windows")),
+         "counts.train_windows must be a non-negative integer, got None"),
+        ("counts missing train_rows", _json(lambda d: d["counts"].pop("train_rows")),
+         "counts.train_rows must be a non-negative integer, got None"),
+        ("NaN count", _json(lambda d: d["counts"].update(val_rows=float("nan"))),
+         "counts.val_rows must be a non-negative integer, got nan"),
+        ("negative count", _json(lambda d: d["counts"].update(engines=-6)),
+         "counts.engines must be a non-negative integer, got -6"),
+    ],
+    "scaler.json": [
+        ("truncated", _truncate, "not valid JSON"),
+        ("wrong JSON type", _text(lambda t: "[]"), "list indices"),
+        ("missing key", _json(lambda d: d.pop("maxs")), "missing entry 'maxs'"),
+        ("NaN", _json(lambda d: d["mins"].__setitem__(0, float("nan"))), "non-finite bound"),
+        ("wrong shape", _json(lambda d: d.update(mins=d["mins"][:-1])), "disagree in length"),
+    ],
+}
+
+_ARRAY_FAULTS = [
+    ("truncated", _truncate, "unreadable array"),
+    ("wrong shape", _npy(lambda a: a[:-1]), "expected"),
+]
+_FLOAT_FAULTS = _ARRAY_FAULTS + [
+    ("wrong dtype", _npy(lambda a: a.astype(np.float32)), "expected float64"),
+    ("NaN", _npy(_set_nan), "non-finite values"),
+]
+_INT_FAULTS = _ARRAY_FAULTS + [
+    ("wrong dtype", _npy(lambda a: a.astype(np.int32)), "expected int64"),
+    ("wrong engine ids", _npy(lambda a: a + 1000), "engine ids are not meta.json's"),
+]
+BUNDLE_ARRAY_FAULTS = {
+    f"{split}_{kind}.npy": faults
+    for split in ("train", "val")
+    for kind, faults in (("rows", _FLOAT_FAULTS), ("rul", _FLOAT_FAULTS),
+                         ("engines", _INT_FAULTS))
+}
+
+TRAIN_CASES = [
+    (name, label, fault, detail)
+    for table in (BUNDLE_JSON_FAULTS, BUNDLE_ARRAY_FAULTS)
+    for name, faults in table.items()
+    for label, fault, detail in faults
+]
+
+CHECKPOINT_FAULTS = [
+    ("truncated", _truncate, "not valid JSON"),
+    ("wrong JSON type", _text(lambda t: "[]"), "unrecognized checkpoint format"),
+    ("missing key", _json(lambda d: d.pop("params")), "no entry 'params'"),
+    ("wrong format string", _json(lambda d: d.update(format="rulkit-checkpoint-v0")),
+     "unrecognized checkpoint format"),
+    ("NaN", _json(lambda d: d["params"]["w_head"].__setitem__(0, float("nan"))),
+     "non-finite values"),
+    ("wrong shape", _json(lambda d: d["params"].update(b_head=[0.0, 0.0])),
+     "'b_head'"),
+    ("seed of wrong JSON type", _json(lambda d: d.update(seed="x")),
+     "checkpoint seed 'x' does not match"),
+    ("window not the config's", _json(lambda d: d.update(window=19)),
+     "checkpoint window 19 does not match"),
+]
+SCALER_FAULTS = BUNDLE_JSON_FAULTS["scaler.json"]
+TEST_FILE_FAULTS = [
+    ("truncated", _truncate, "expected 26 columns"),
+    ("NaN", _lines(_nan_row), "line 6"),
+    ("extra column", _lines(_extra_column), "line 6: expected 26 columns, got 27"),
+    ("empty", _text(lambda t: ""), "no data rows"),
+]
+RUL_FILE_FAULTS = [
+    ("NaN", _lines(lambda lines: ["nan\n"] + lines[1:]), "line 1"),
+    ("extra token", _lines(lambda lines: ["12 7\n"] + lines[1:]), "line 1"),
+    ("empty", _text(lambda t: ""), "empty"),
+    ("too short", _lines(lambda lines: lines[:2]), "label count 2 does not match"),
+]
+
+# (the flag that names the file, its faults); only evaluate reads a RUL file.
+SCORING_INPUTS = [
+    ("--checkpoint", CHECKPOINT_FAULTS),
+    ("--scaler", SCALER_FAULTS),
+    ("--test-file", TEST_FILE_FAULTS),
+]
+SCORING_CASES = [
+    (command, flag, label, fault, detail)
+    for command, inputs in (
+        ("evaluate", SCORING_INPUTS + [("--rul-file", RUL_FILE_FAULTS)]),
+        ("predict", SCORING_INPUTS),
+    )
+    for flag, faults in inputs
+    for label, fault, detail in faults
+]
+
+
+def _run_cleanly(argv, capsys):
+    """cli.main's exit code and captured output; an exception escaping main fails
+    the case."""
+    try:
+        code = main(argv)
+    except Exception as exc:  # noqa: BLE001  anything that escapes is a traceback
+        pytest.fail(f"traceback: {type(exc).__name__}: {exc}")
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    return code, captured
+
+
+@pytest.mark.parametrize(
+    "name, label, fault, detail", TRAIN_CASES,
+    ids=[f"train-{name}-{label}" for name, label, _, _ in TRAIN_CASES],
+)
+def test_train_on_a_broken_bundle_file(workspace, tmp_path, capsys, name, label, fault, detail):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(workspace.bundle, bundle)
+    fault(bundle / name)
+    out = tmp_path / "run"
+    code, captured = _run_cleanly(
+        ["train", "--bundle", str(bundle), "--out", str(out), "--epochs", "1",
+         "--lstm-hidden", "4"],
+        capsys,
+    )
+    assert code != 0
+    assert f"error: {bundle / name}" in captured.err and detail in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, label, fault, detail", SCORING_CASES,
+    ids=[f"{command}-{flag[2:]}-{label}" for command, flag, label, _, _ in SCORING_CASES],
+)
+def test_scoring_on_a_broken_input(workspace, tmp_path, capsys, command, flag, label, fault,
+                                   detail):
+    out = tmp_path / "report"
+    inputs = {
+        "--checkpoint": workspace.run / "checkpoint.json",
+        "--scaler": workspace.bundle / "scaler.json",
+        "--test-file": workspace.test_file,
+    }
+    if command == "evaluate":
+        inputs.update({"--rul-file": workspace.rul_file, "--out": out})
+    broken = tmp_path / inputs[flag].name
+    shutil.copyfile(inputs[flag], broken)
+    fault(broken)
+    inputs[flag] = broken
+    argv = [command] + [str(a) for pair in inputs.items() for a in pair]
+    code, captured = _run_cleanly(argv, capsys)
+    assert code != 0
+    assert f"error: {broken}" in captured.err and detail in captured.err
+    assert captured.out == "" and not out.exists()

@@ -1,0 +1,121 @@
+"""The test-time chain against the old one that trimmed each engine's head.
+
+`reference_final_features` is the chain from when test engines were trimmed
+before scaling: `effective_trim` reduced the trim so a final window still
+fit, then the trimmed engine was scaled whole and its final window and row
+cut. It is frozen here as the oracle. On random engines, trims and windows,
+prepare_test_engine and train_eval.final_inputs must equal it bit for bit,
+since the trim can only drop rows ahead of the final window.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rulkit import models, preprocess, train_eval
+from rulkit.dataset_io import EngineTrajectory, N_SENSORS, N_SETTINGS
+from rulkit.errors import ConfigError
+from rulkit.numerics import SeededRng
+
+
+def reference_effective_trim(length: int, trim: int, window: int) -> int:
+    """Trim to apply to one engine, reduced so a final window still fits."""
+    return min(trim, max(length - window, 0))
+
+
+def reference_trim_head(traj: EngineTrajectory, n: int) -> EngineTrajectory:
+    if n < 0:
+        raise ConfigError(f"trim length must be >= 0, got {n}")
+    if n == 0:
+        return traj
+    return EngineTrajectory(
+        traj.engine_id, traj.cycles[n:], traj.settings_matrix[n:], traj.sensors_matrix[n:]
+    )
+
+
+def reference_final_window(features: np.ndarray, window: int) -> np.ndarray:
+    if len(features) >= window:
+        return features[-window:].copy()
+    pad = np.repeat(features[:1], window - len(features), axis=0)
+    return np.vstack([pad, features])
+
+
+def reference_final_features(smoothed, scaler, selection, trim, window):
+    """(final window (W, F), final row (F,)) of one smoothed engine."""
+    n = reference_effective_trim(len(smoothed), trim, window)
+    trimmed = reference_trim_head(smoothed, n)
+    raw = np.hstack([trimmed.settings_matrix, trimmed.sensors_matrix])[:, selection.columns]
+    features = np.clip((raw - scaler.mins) / (scaler.maxs - scaler.mins), 0.0, 1.0)
+    return reference_final_window(features, window), features[-1].copy()
+
+
+def _engine(engine_id, length, gen):
+    return EngineTrajectory(
+        engine_id, np.arange(1, length + 1),
+        gen.uniform(-1.5, 1.5, (length, N_SETTINGS)),
+        gen.uniform(-0.5, 1.5, (length, N_SENSORS)),
+    )
+
+
+@pytest.fixture(scope="module")
+def fitted():
+    """A scaler and feature selection fitted on a small random corpus."""
+    gen = np.random.Generator(np.random.PCG64(5))
+    train = [_engine(i, 60, gen) for i in range(1, 5)]
+    result = preprocess.run_pipeline(train, trim=3, window=5, n_val=1, seed=0)
+    return result.scaler, result.selection
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.integers(1, 60), min_size=1, max_size=5),
+    st.integers(0, 15),
+    st.integers(1, 25),
+    st.sampled_from([0.1, 0.37, 1.0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_test_time_chain_equals_the_trimming_reference(fitted, lengths, trim, window,
+                                                       alpha, seed):
+    scaler, selection = fitted
+    gen = np.random.Generator(np.random.PCG64(seed))
+    engines = [_engine(i, length, gen) for i, length in enumerate(lengths, start=1)]
+    expected = [
+        reference_final_features(
+            preprocess.smooth_trajectory(t, alpha), scaler, selection, trim, window
+        )
+        for t in engines
+    ]
+    for traj, (want_window, want_row) in zip(engines, expected):
+        got_window, got_row = preprocess.prepare_test_engine(
+            traj, scaler, selection, alpha=alpha, trim=trim, window=window
+        )
+        assert got_window.shape == want_window.shape
+        assert got_window.tobytes() == want_window.tobytes()
+        assert got_row.tobytes() == want_row.tobytes()
+
+    config = train_eval.TrainConfig(window=window, trim=trim, alpha=alpha, lstm_hidden=2,
+                                    mlp_hidden=(2,))
+    for kind, params in (
+        ("lstm", models.init_lstm(selection.n_features, 2, SeededRng(0))),
+        ("mlp", models.init_mlp((selection.n_features, 2, 1), SeededRng(0))),
+    ):
+        model = train_eval.TrainedModel(
+            kind=kind, params=params, window=window, feature_names=selection.feature_names,
+            scaler_hash=train_eval.scaler_hash(scaler), config_hash="", seed=0,
+        )
+        got = train_eval.final_inputs(model, engines, scaler, config)
+        want = np.stack([w if kind == "lstm" else r for w, r in expected])
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("trim", [-1, -7])
+def test_negative_trim_raises_the_reference_error(fitted, trim):
+    scaler, selection = fitted
+    traj = preprocess.smooth_trajectory(_engine(1, 30, np.random.Generator(np.random.PCG64(1))),
+                                        0.1)
+    with pytest.raises(ConfigError) as want:
+        reference_final_features(traj, scaler, selection, trim, 20)
+    with pytest.raises(ConfigError) as got:
+        preprocess.prepare_test_engine(traj, scaler, selection, trim=trim, window=20)
+    assert str(got.value) == str(want.value)

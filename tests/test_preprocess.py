@@ -17,7 +17,6 @@ from rulkit.preprocess import (
     FeatureSelection,
     ScalerParams,
     apply_minmax,
-    effective_trim,
     ewma_smooth,
     feature_matrix,
     final_window,
@@ -470,22 +469,29 @@ def test_label_rul_validation():
 # ---------------------------------------------------------------------------
 
 
-def _scaled(engine_id, features, start_cycle=1):
-    from rulkit.preprocess import ScaledEngine
-
-    features = np.asarray(features, dtype=np.float64)
-    cycles = np.arange(start_cycle, start_cycle + features.shape[0])
-    return ScaledEngine(engine_id, cycles, features)
+def _split(*engines):
+    """make_rows' first three arguments for engines given as (engine id,
+    (L, F) features in [0, 1]): an engine's first F raw columns hold its
+    features, and a unit scaler passes them through unchanged."""
+    n = engines[0][1].shape[1]
+    selection = FeatureSelection(FEATURE_NAMES[:n])
+    trajectories = []
+    for engine_id, features in engines:
+        raw = np.zeros((len(features), N_SETTINGS + N_SENSORS))
+        raw[:, :n] = features
+        trajectories.append(EngineTrajectory(
+            engine_id, np.arange(1, len(features) + 1), raw[:, :N_SETTINGS], raw[:, N_SETTINGS:]
+        ))
+    return trajectories, ScalerParams(selection.feature_names, np.zeros(n), np.ones(n)), selection
 
 
 def test_make_windows_oracle():
-    feats = np.array([[0.0], [1.0], [2.0], [3.0]])
-    rul = np.array([9.0, 8.0, 7.0, 6.0])
-    ws = make_windows(_scaled(4, feats), rul, window=2)
+    feats = np.array([[0.0], [1.0], [2.0], [3.0]]) / 16
+    ws = make_windows(*_split((4, feats)), window=2)
     windows = ws.inputs(np.arange(len(ws)))
     assert windows.shape == (3, 2, 1)
-    assert windows[:, :, 0].tolist() == [[0.0, 1.0], [1.0, 2.0], [2.0, 3.0]]
-    assert ws.targets.tolist() == [8.0, 7.0, 6.0]
+    assert (windows[:, :, 0] * 16).tolist() == [[0.0, 1.0], [1.0, 2.0], [2.0, 3.0]]
+    assert ws.targets.tolist() == [2.0, 1.0, 0.0]
     assert ws.engine_ids.tolist() == [4, 4, 4, 4]
     assert ws.inputs(slice(1, 2)).tolist() == windows[1:2].tolist()
 
@@ -493,24 +499,38 @@ def test_make_windows_oracle():
 def test_make_windows_count_formula():
     for length, window in [(20, 20), (21, 20), (50, 20), (30, 7)]:
         feats = np.zeros((length, 3))
-        ws = make_windows(_scaled(1, feats), np.zeros(length), window=window)
+        ws = make_windows(*_split((1, feats)), window=window)
         assert len(ws) == length - window + 1
 
 
 def test_make_windows_rejects_short_engine_and_bad_window():
     feats = np.zeros((5, 2))
     with pytest.raises(ValidationError, match="engine 9"):
-        make_windows(_scaled(9, feats), np.zeros(5), window=6)
+        make_windows(*_split((9, feats)), window=6)
     with pytest.raises(ConfigError, match="window"):
-        make_windows(_scaled(1, feats), np.zeros(5), window=0)
+        make_windows(*_split((1, feats)), window=0)
 
 
 def test_make_rows_copies_data():
-    feats = np.arange(6.0).reshape(3, 2)
-    rs = make_rows(_scaled(2, feats), np.array([5.0, 4.0, 3.0]))
+    feats = np.arange(6.0).reshape(3, 2) / 8
+    trajectories, scaler, selection = _split((2, feats))
+    rs = make_rows(trajectories, scaler, selection)
     assert rs.rows.tolist() == feats.tolist()
+    assert rs.rul.tolist() == [2.0, 1.0, 0.0]
     rs.rows[0, 0] = 99.0
-    assert feats[0, 0] == 0.0
+    assert trajectories[0].settings_matrix[0, 0] == 0.0
+
+
+def test_make_rows_concatenates_a_split_in_input_order():
+    a, b = np.full((3, 2), 0.25), np.full((2, 2), 0.5)
+    rs = make_rows(*_split((7, a), (3, b)), rul_cap=1)
+    assert rs.rows.tolist() == np.concatenate([a, b]).tolist()
+    assert rs.engine_ids.tolist() == [7, 7, 7, 3, 3]
+    assert rs.rul.tolist() == [1.0, 1.0, 0.0, 1.0, 0.0]
+    _, scaler, selection = _split((1, a))
+    empty = make_windows([], scaler, selection, window=4)
+    assert empty.rows.shape == (0, 2) and empty.engine_ids.dtype == np.int64
+    assert len(empty) == 0
 
 
 def test_split_by_engine_disjoint_exhaustive_and_deterministic():
@@ -546,19 +566,11 @@ def test_split_by_engine_validation():
         split_by_engine([1, 2], n_val=-1)
 
 
-def test_effective_trim_policy():
-    assert effective_trim(length=50, trim=10, window=20) == 10
-    assert effective_trim(length=25, trim=10, window=20) == 5
-    assert effective_trim(length=20, trim=10, window=20) == 0
-    assert effective_trim(length=15, trim=10, window=20) == 0
-    assert effective_trim(length=31, trim=10, window=20) == 10
-
-
 def test_final_window_slices_or_pads():
     feats = np.arange(10.0)[:, None]
-    assert final_window(_scaled(1, feats), window=4)[:, 0].tolist() == [6.0, 7.0, 8.0, 9.0]
+    assert final_window(feats, window=4)[:, 0].tolist() == [6.0, 7.0, 8.0, 9.0]
     short = np.array([[5.0], [6.0]])
-    padded = final_window(_scaled(1, short), window=5)
+    padded = final_window(short, window=5)
     assert padded[:, 0].tolist() == [5.0, 5.0, 5.0, 5.0, 6.0]
 
 
@@ -631,8 +643,8 @@ def test_prepare_test_engine_matches_training_chain(tiny_corpus):
     chained = apply_minmax(
         result.scaler, trim_head(smooth_trajectory(traj, 0.1), 5), result.selection
     )
-    assert np.array_equal(window, chained.features[-10:])
-    assert np.array_equal(row, chained.features[-1])
+    assert np.array_equal(window, chained[-10:])
+    assert np.array_equal(row, chained[-1])
 
 
 def test_prepare_test_engine_pads_short_trajectory(tiny_corpus):

@@ -232,7 +232,7 @@ def test_final_inputs_stack_per_engine_prepare_test_engine(small_data, kind):
     params = train_eval.init_model_params(config, result.selection.n_features, SeededRng(0))
     longest = max(test_trajectories, key=len)
     assert len(longest) > config.window + config.trim
-    # Shorter than the window (front-padded), and short enough for a reduced trim.
+    # Shorter than the window (front-padded), as long as it, and up to a trim longer.
     cut = [
         dataset_io.EngineTrajectory(
             100 + n, longest.cycles[:n], longest.settings_matrix[:n], longest.sensors_matrix[:n]

@@ -17,7 +17,6 @@ from rulkit.preprocess import (
     DEFAULT_ALPHA,
     DEFAULT_TRIM,
     DEFAULT_WINDOW,
-    ScaledEngine,
     apply_minmax,
     label_rul,
     run_pipeline,
@@ -27,14 +26,14 @@ from rulkit.preprocess import (
 )
 
 
-def reference_make_windows(scaled: ScaledEngine, rul: np.ndarray, window: int):
+def reference_make_windows(features: np.ndarray, engine_id: int, rul: np.ndarray, window: int):
     """(windows (N, W, F), targets (N,), engine ids (N,)) of one engine."""
-    n = len(scaled) - window + 1
+    n = len(features) - window + 1
     idx = np.arange(window)[None, :] + np.arange(n)[:, None]
     return (
-        scaled.features[idx],
+        features[idx],
         rul[window - 1 :].copy(),
-        np.full(n, scaled.engine_id, dtype=np.int64),
+        np.full(n, engine_id, dtype=np.int64),
     )
 
 
@@ -45,7 +44,9 @@ def reference_split(trajectories, result, ids, trim, window):
         if traj.engine_id in ids:
             prepared = trim_head(smooth_trajectory(traj, DEFAULT_ALPHA), trim)
             scaled = apply_minmax(result.scaler, prepared, result.selection)
-            parts.append(reference_make_windows(scaled, label_rul(scaled), window))
+            parts.append(
+                reference_make_windows(scaled, traj.engine_id, label_rul(prepared), window)
+            )
     features = result.selection.n_features
     return tuple(
         np.concatenate([p[k] for p in parts] + [empty])
