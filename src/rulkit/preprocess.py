@@ -115,13 +115,20 @@ def ewma_smooth(series: np.ndarray, alpha: float) -> np.ndarray:
         raise ValidationError("cannot smooth an empty series")
     # alpha * x[t] for every t up front, then one in-place add per step:
     # the same two roundings per element as the recurrence written out.
+    # A single engine's rows are ~21 values, so the loop is bound by the
+    # cost of each numpy call, not by arithmetic. Each step is therefore
+    # just two ufunc calls: the row views are built once (iterating over
+    # `out` always yields views; a reshape would copy a Fortran-ordered
+    # input), decay is a 0-d float64 array so no Python float is converted
+    # per call, and `out` is passed positionally.
     out = alpha * x
     out[0] = x[0]
-    decay = 1.0 - alpha
-    step = np.empty_like(out[0])
-    for t in range(1, x.shape[0]):
-        np.multiply(out[t - 1], decay, out=step)
-        out[t] += step
+    decay = np.array(1.0 - alpha)
+    rows = list(out if out.ndim > 1 else out[:, None])
+    step = np.empty_like(rows[0])
+    for prev, cur in zip(rows, rows[1:]):
+        np.multiply(prev, decay, step)
+        np.add(cur, step, cur)
     return out
 
 
@@ -220,6 +227,11 @@ class ScalerParams:
             np.array(d["mins"], dtype=np.float64),
             np.array(d["maxs"], dtype=np.float64),
         )
+
+
+def scaler_hash(scaler: ScalerParams) -> str:
+    """sha256 of the scaler's canonical JSON, the text scaler.json holds."""
+    return sha256_text(canonical_json(scaler.to_dict()))
 
 
 def fit_minmax(
@@ -551,7 +563,8 @@ def _load_array(path: Path, dtype: type, shape: tuple) -> np.ndarray:
 def load_bundle(bundle_dir: Path | str) -> Bundle:
     """Read a bundle back, checking every array against meta.json.
 
-    meta.json's counts must be write_bundle's seven non-negative integers;
+    meta.json's counts must be write_bundle's seven non-negative integers
+    and its scaler_hash the hash of scaler.json's scaler;
     arrays need write_bundle's dtypes, meta.json's row counts and finite
     values; a split's engine ids must be its meta.json ids, one run of at
     least a window per engine, so no window spans two engines. Any mismatch
@@ -573,6 +586,7 @@ def load_bundle(bundle_dir: Path | str) -> Bundle:
         window = meta["pipeline"]["window"]
         n_features = len(meta["feature_names"])
         split_ids = {split: sorted(meta[f"{split}_ids"]) for split in _SPLITS}
+        meta_scaler_hash = meta["scaler_hash"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"{meta_path}: missing or malformed entry {exc}") from None
     if not isinstance(window, int) or window < 1:
@@ -585,7 +599,13 @@ def load_bundle(bundle_dir: Path | str) -> Bundle:
                 f"{meta_path}: counts.{key} must be a non-negative integer, "
                 f"got {counts.get(key)!r}"
             )
-    scaler = load_scaler(out / "scaler.json")
+    scaler_path = out / "scaler.json"
+    scaler = load_scaler(scaler_path)
+    if scaler_hash(scaler) != meta_scaler_hash:
+        raise ValidationError(
+            f"{scaler_path}: scaler does not match the scaler_hash in {meta_path}; "
+            "re-run `rulkit preprocess` to rebuild the bundle"
+        )
     parts = {}
     for split in _SPLITS:
         n = counts[f"{split}_rows"]

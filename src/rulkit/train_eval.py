@@ -24,7 +24,8 @@ from .ioutil import atomic_write_text, canonical_json, fmt_double, read_json, sh
 from .numerics import SeededRng
 from .optim import AdamState, adam_step, clip_gradients, flatten_params, init_adam, unflatten
 from .preprocess import (
-    SampleSet, ScalerParams, final_features, selection_from_feature_names, smooth_trajectories
+    SampleSet, ScalerParams, final_features, scaler_hash, selection_from_feature_names,
+    smooth_trajectories,
 )
 from .preprocess import prepare_test_engine  # noqa: F401  perfbench's tracer wraps it here too
 
@@ -40,6 +41,11 @@ KINK_MARGIN = 1e-3
 # (even: each coordinate takes two). It bounds that pass's memory to
 # FD_CHUNK parameter vectors plus FD_CHUNK models' activations.
 FD_CHUNK = 512
+
+
+def _is_int(value) -> bool:
+    """A Python int that is not a bool (JSON true would otherwise pass as 1)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -61,13 +67,29 @@ class TrainConfig:
     mlp_hidden: tuple[int, ...] = (64, 32)
 
     def __post_init__(self):
+        # Types first: a config read from JSON can hold 20.0 or true where an
+        # int belongs, which the range checks below would let through.
+        for name in ("epochs", "batch_size", "window", "lstm_hidden", "trim", "n_val",
+                     "seed", "rul_cap"):
+            value = getattr(self, name)
+            if not (_is_int(value) or (value is None and name == "rul_cap")):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if not (isinstance(self.mlp_hidden, tuple) and all(map(_is_int, self.mlp_hidden))):
+            raise ConfigError(
+                f"mlp hidden sizes must be a tuple of integers, got {self.mlp_hidden!r}"
+            )
+        for name in ("lr", "alpha", "grad_clip"):
+            value = getattr(self, name)
+            if not (_is_int(value) or (isinstance(value, float) and np.isfinite(value))
+                    or (value is None and name == "grad_clip")):
+                raise ConfigError(f"{name} must be a finite real number, got {value!r}")
         if self.model not in MODEL_KINDS:
             raise ConfigError(f"model must be one of {MODEL_KINDS}, got {self.model!r}")
         for name in ("epochs", "batch_size", "window", "lstm_hidden"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not 0 < self.lr < np.inf:
-            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
+        if self.lr <= 0:
+            raise ConfigError(f"lr must be positive, got {self.lr}")
         if not 0.0 < self.alpha <= 1.0:
             raise ConfigError(f"alpha must be in (0, 1], got {self.alpha}")
         if self.trim < 0:
@@ -76,8 +98,8 @@ class TrainConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.rul_cap is not None and self.rul_cap <= 0:
             raise ConfigError(f"rul_cap must be positive, got {self.rul_cap}")
-        if self.grad_clip is not None and not 0 < self.grad_clip < np.inf:
-            raise ConfigError(f"grad_clip must be positive and finite, got {self.grad_clip}")
+        if self.grad_clip is not None and self.grad_clip <= 0:
+            raise ConfigError(f"grad_clip must be positive, got {self.grad_clip}")
         if any(h < 1 for h in self.mlp_hidden):
             raise ConfigError(f"mlp hidden sizes must be >= 1, got {self.mlp_hidden}")
 
@@ -145,10 +167,6 @@ class TrainedModel:
                 f"{self.kind} model expects (batch, {self.window}, features), got {x.shape}"
             )
         return self.params.forward(x)[0]
-
-
-def scaler_hash(scaler: ScalerParams) -> str:
-    return sha256_text(canonical_json(scaler.to_dict()))
 
 
 def _predict_in_chunks(params, samples: SampleSet, chunk: int = 512) -> np.ndarray:

@@ -61,6 +61,14 @@ def _extra_column(lines):
     return lines[:5] + [lines[5].rstrip("\n") + " 1.0\n"] + lines[6:]
 
 
+SCALER_FAULTS = [
+    ("truncated", _truncate, "not valid JSON"),
+    ("wrong JSON type", _text(lambda t: "[]"), "list indices"),
+    ("missing key", _json(lambda d: d.pop("maxs")), "missing entry 'maxs'"),
+    ("NaN", _json(lambda d: d["mins"].__setitem__(0, float("nan"))), "non-finite bound"),
+    ("wrong shape", _json(lambda d: d.update(mins=d["mins"][:-1])), "disagree in length"),
+]
+
 BUNDLE_JSON_FAULTS = {
     "meta.json": [
         ("truncated", _truncate, "not valid JSON"),
@@ -80,12 +88,10 @@ BUNDLE_JSON_FAULTS = {
         ("negative count", _json(lambda d: d["counts"].update(engines=-6)),
          "counts.engines must be a non-negative integer, got -6"),
     ],
-    "scaler.json": [
-        ("truncated", _truncate, "not valid JSON"),
-        ("wrong JSON type", _text(lambda t: "[]"), "list indices"),
-        ("missing key", _json(lambda d: d.pop("maxs")), "missing entry 'maxs'"),
-        ("NaN", _json(lambda d: d["mins"].__setitem__(0, float("nan"))), "non-finite bound"),
-        ("wrong shape", _json(lambda d: d.update(mins=d["mins"][:-1])), "disagree in length"),
+    # A valid scaler that is not the one meta.json's scaler_hash records.
+    "scaler.json": SCALER_FAULTS + [
+        ("maxs raised by 5", _json(lambda d: d.update(maxs=[m + 5 for m in d["maxs"]])),
+         "does not match the scaler_hash in"),
     ],
 }
 
@@ -129,8 +135,9 @@ CHECKPOINT_FAULTS = [
      "checkpoint seed 'x' does not match"),
     ("window not the config's", _json(lambda d: d.update(window=19)),
      "checkpoint window 19 does not match"),
+    ("config window a float", _json(lambda d: d["config"].update(window=20.0)),
+     "window must be an integer, got 20.0"),
 ]
-SCALER_FAULTS = BUNDLE_JSON_FAULTS["scaler.json"]
 TEST_FILE_FAULTS = [
     ("truncated", _truncate, "expected 26 columns"),
     ("NaN", _lines(_nan_row), "line 6"),

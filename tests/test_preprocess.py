@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -106,20 +106,45 @@ def reference_ewma(x, alpha):
     return out
 
 
-@settings(max_examples=200, deadline=None)
+def _column_strided(x):
+    """x's values in every other slot of a wider array's last axis."""
+    wide = np.zeros(x.shape[:-1] + (2 * x.shape[-1],))
+    wide[..., ::2] = x
+    return wide[..., ::2]
+
+
+# The same values in different memory layouts. ewma_smooth walks axis 0 of
+# `alpha * x`, which keeps the input's layout; a loop over a reshaped copy
+# instead of views would leave a Fortran-ordered 3-D result unsmoothed.
+LAYOUTS = {
+    "C": np.ascontiguousarray,
+    "F": np.asfortranarray,
+    "column-strided": _column_strided,
+    "transposed": lambda x: np.moveaxis(np.ascontiguousarray(np.moveaxis(x, 0, -1)), -1, 0),
+}
+
+
+@settings(max_examples=300, deadline=None)
 @given(
     st.integers(1, 40),
-    st.sampled_from([(), (1,), (3,), (21,), (2, 3)]),
+    st.sampled_from([(), (1,), (3,), (21,), (2, 3), (3, 4)]),
     st.one_of(st.just(1.0), st.floats(1e-6, 1.0, exclude_min=True)),
     st.integers(0, 2**32 - 1),
+    st.sampled_from(sorted(LAYOUTS)),
 )
-def test_ewma_matches_reference_loop_bit_for_bit(length, tail, alpha, seed):
+@example(6, (3, 4), 0.1, 0, "F")
+@example(1, (21,), 0.1, 0, "C")
+@example(1, (3, 4), 0.37, 1, "transposed")
+def test_ewma_matches_reference_loop_bit_for_bit(length, tail, alpha, seed, layout):
     gen = np.random.Generator(np.random.PCG64(seed))
     x = gen.normal(size=(length,) + tail) * 10.0 ** gen.integers(-300, 300, (length,) + tail)
     x[gen.random(x.shape) < 0.1] = -0.0
-    got, want = ewma_smooth(x, alpha), reference_ewma(x, alpha)
+    x = LAYOUTS[layout](x)
+    before = x.copy()
+    got, want = ewma_smooth(x, alpha), reference_ewma(before, alpha)
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(x.view(np.uint64), before.view(np.uint64))
 
 
 @settings(max_examples=200, deadline=None)

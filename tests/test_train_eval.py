@@ -98,11 +98,32 @@ def test_config_defaults_mirror_training_recipe():
         {"lr": float("inf")},
         {"grad_clip": float("nan")},
         {"grad_clip": float("inf")},
+        {"epochs": 2.0},
+        {"batch_size": True},
+        {"window": 20.0},
+        {"lstm_hidden": "64"},
+        {"trim": 10.5},
+        {"n_val": None},
+        {"seed": "x"},
+        {"rul_cap": 125.0},
+        {"rul_cap": False},
+        {"mlp_hidden": (64, 32.0)},
+        {"mlp_hidden": (64, True)},
+        {"mlp_hidden": [64, 32]},
+        {"lr": "0.001"},
+        {"lr": True},
+        {"alpha": None},
+        {"grad_clip": "1.0"},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ConfigError):
         TrainConfig(**kwargs)
+
+
+def test_config_accepts_ints_for_real_fields():
+    config = TrainConfig(lr=1, alpha=1, grad_clip=5, rul_cap=125)
+    assert (config.lr, config.alpha, config.grad_clip, config.rul_cap) == (1, 1, 5, 125)
 
 
 def test_config_hash_tracks_content():
