@@ -5,11 +5,11 @@ Runs, in a temporary directory and with `--src` first on PYTHONPATH:
     simulate (default corpus) -> preprocess --seed 1
     -> train --epochs 2 --seed 1 (mlp and lstm) -> evaluate -> predict
 
-and prints one `<sha256>  <artifact>` line for each of 18 artifacts: the 8
-bundle files, then history.csv, checkpoint.json, eval_report.json,
-predictions.csv and the stdout of `predict` for each model kind. A refactor
-that should leave the numbers alone leaves every line unchanged, so compare
-a change against its parent with
+and prints one `<sha256>  <artifact>` line for each of 21 artifacts: the 3
+corpus files, the 8 bundle files, then history.csv, checkpoint.json,
+eval_report.json, predictions.csv and the stdout of `predict` for each
+model kind. A refactor that should leave the numbers alone leaves every
+line unchanged, so compare a change against its parent with
 
     git archive <parent> src | tar -x -C /tmp/parent
     python benchmarks/artifact_digest.py --src /tmp/parent/src > parent.txt
@@ -29,6 +29,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+CORPUS_FILES = ("train_FD001.txt", "test_FD001.txt", "RUL_FD001.txt")
 BUNDLE_FILES = ("meta.json", "scaler.json") + tuple(
     f"{split}_{kind}.npy" for split in ("train", "val") for kind in ("rows", "rul", "engines")
 )
@@ -54,7 +55,8 @@ def digests(src: Path, work: Path) -> list[tuple[str, str]]:
     _rulkit(src, "simulate", "--out", str(corpus))
     _rulkit(src, "preprocess", "--train-file", str(corpus / "train_FD001.txt"),
             "--out", str(bundle), "--seed", "1")
-    out = [(f"bundle/{name}", (bundle / name).read_bytes()) for name in BUNDLE_FILES]
+    out = [(f"corpus/{name}", (corpus / name).read_bytes()) for name in CORPUS_FILES]
+    out += [(f"bundle/{name}", (bundle / name).read_bytes()) for name in BUNDLE_FILES]
     scoring = ("--test-file", str(corpus / "test_FD001.txt"),
                "--scaler", str(bundle / "scaler.json"))
     for kind in KINDS:

@@ -52,17 +52,16 @@ def _merge_config(args: argparse.Namespace, flag_names: tuple[str, ...]) -> dict
         value = getattr(args, name)
         if value is not None:
             merged[name] = value
-    if "mlp_hidden" in merged and not isinstance(merged["mlp_hidden"], tuple):
-        merged["mlp_hidden"] = tuple(int(v) for v in merged["mlp_hidden"])
+    if isinstance(merged.get("mlp_hidden"), list):  # JSON's form; TrainConfig checks it
+        merged["mlp_hidden"] = tuple(merged["mlp_hidden"])
     return merged
 
 
 def _parse_hidden_list(text: str) -> tuple[int, ...]:
     try:
-        sizes = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ConfigError(f"expected comma-separated integers, got {text!r}") from None
-    return sizes
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +92,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
         "seed": merged.get("seed", 0),
         "rul_cap": merged.get("rul_cap"),
     }
+    train_eval.check_field_types(pipeline)
     trajectories = dataset_io.read_trajectories(args.train_file)
     result = preprocess.run_pipeline(trajectories, **pipeline)
     preprocess.write_bundle(args.out, result, pipeline)
@@ -150,6 +150,10 @@ def cmd_train(args: argparse.Namespace) -> int:
 def _load_eval_inputs(args: argparse.Namespace):
     model, _, config = train_eval.load_checkpoint(args.checkpoint)
     scaler = preprocess.load_scaler(args.scaler)
+    try:
+        train_eval.check_scaler(model, scaler)
+    except ValidationError as exc:
+        raise ValidationError(f"{args.checkpoint} does not match {args.scaler}: {exc}") from None
     test_trajectories = dataset_io.read_trajectories(args.test_file)
     return model, config, scaler, test_trajectories
 

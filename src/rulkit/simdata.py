@@ -10,8 +10,10 @@ disturbance, and independent reading noise. Seven sensors and the third
 operating setting are emitted exactly constant, matching the structure
 the preprocessing stage is built to detect.
 
-Everything is drawn from a single seeded generator in a fixed order, so
-one seed fixes every byte of the output files.
+Everything is drawn from a single seeded generator in a fixed order, and
+each value is written with '%.4f' semantics (correctly rounded, so -0.0000
+appears where a small negative value rounds to zero), so one seed fixes
+every byte of the output files.
 """
 
 from __future__ import annotations
@@ -68,6 +70,10 @@ CONSTANT_SENSOR_IDS = frozenset(
     i + 1 for i, span in enumerate(SENSOR_SPANS) if span == 0.0
 )
 
+# One data row: unit, cycle, two jittered settings, the constant third
+# setting, then the sensors, each value rounded as '%.4f' rounds it.
+ROW_FORMAT = f"%d %d %.4f %.4f {CONSTANT_SETTING_VALUE:.4f}" + " %.4f" * len(SENSOR_BASES)
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -109,13 +115,8 @@ def _train_lengths(config: SimConfig, gen: np.random.Generator) -> np.ndarray:
     return lengths
 
 
-def _engine_rows(
-    engine_id: int,
-    length: int,
-    full_life: int,
-    gen: np.random.Generator,
-    reading_noise: np.ndarray,
-) -> list[str]:
+def _engine_rows(engine_id: int, length: int, full_life: int, gen: np.random.Generator,
+                 reading_noise: np.ndarray) -> list[str]:
     """Formatted data rows for one engine observed for `length` cycles."""
     tau = gen.uniform(*TAU_RANGE)
     amp = gen.uniform(*AMP_RANGE)
@@ -133,14 +134,8 @@ def _engine_rows(
     readings = np.asarray(SENSOR_BASES) + np.asarray(SENSOR_SPANS) * signal
     # Constant sensors have zero span, but bias/noise were still drawn for
     # them above so the stream layout does not depend on the span table.
-    rows = []
-    for t in range(length):
-        fields = [str(engine_id), str(cycles[t]),
-                  f"{jitter1[t]:.4f}", f"{jitter2[t]:.4f}",
-                  f"{CONSTANT_SETTING_VALUE:.4f}"]
-        fields.extend(f"{v:.4f}" for v in readings[t])
-        rows.append(" ".join(fields))
-    return rows
+    values = np.column_stack([jitter1, jitter2, readings]).tolist()
+    return [ROW_FORMAT % (engine_id, t, *v) for t, v in enumerate(values, start=1)]
 
 
 def generate_corpus(config: SimConfig = SimConfig()) -> tuple[str, str, str]:
@@ -149,8 +144,7 @@ def generate_corpus(config: SimConfig = SimConfig()) -> tuple[str, str, str]:
     reading_noise = gen.uniform(*READING_NOISE_RANGE, size=len(SENSOR_BASES))
 
     train_lines: list[str] = []
-    for engine_id, length in enumerate(_train_lengths(config, gen), start=1):
-        length = int(length)
+    for engine_id, length in enumerate(_train_lengths(config, gen).tolist(), start=1):
         train_lines.extend(_engine_rows(engine_id, length, length, gen, reading_noise))
 
     test_lines: list[str] = []
@@ -164,24 +158,15 @@ def generate_corpus(config: SimConfig = SimConfig()) -> tuple[str, str, str]:
         test_lines.extend(_engine_rows(engine_id, observed, full_life, gen, reading_noise))
         rul_lines.append(str(rul))
 
-    return (
-        "\n".join(train_lines) + "\n",
-        "\n".join(test_lines) + "\n",
-        "\n".join(rul_lines) + "\n",
-    )
+    return tuple("\n".join(lines) + "\n" for lines in (train_lines, test_lines, rul_lines))
 
 
 def write_corpus(out_dir: Path | str, config: SimConfig = SimConfig()) -> dict[str, Path]:
     """Write train/test/RUL files into out_dir; returns the three paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    train_text, test_text, rul_text = generate_corpus(config)
-    paths = {
-        "train": out / "train_FD001.txt",
-        "test": out / "test_FD001.txt",
-        "rul": out / "RUL_FD001.txt",
-    }
-    atomic_write_text(paths["train"], train_text)
-    atomic_write_text(paths["test"], test_text)
-    atomic_write_text(paths["rul"], rul_text)
+    names = {"train": "train_FD001.txt", "test": "test_FD001.txt", "rul": "RUL_FD001.txt"}
+    paths = {key: out / name for key, name in names.items()}
+    for path, text in zip(paths.values(), generate_corpus(config)):
+        atomic_write_text(path, text)
     return paths

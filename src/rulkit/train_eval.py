@@ -48,6 +48,24 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def check_field_types(values: dict) -> None:
+    """Raise ConfigError if a TrainConfig field in `values` has the wrong type: JSON can
+    hold 20.0 or true where an int belongs. rul_cap and grad_clip may be None."""
+    for name in ("epochs", "batch_size", "window", "lstm_hidden", "trim", "n_val",
+                 "seed", "rul_cap"):
+        value = values.get(name, 0)
+        if not (_is_int(value) or (value is None and name == "rul_cap")):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+    hidden = values.get("mlp_hidden", ())
+    if not (isinstance(hidden, tuple) and all(map(_is_int, hidden))):
+        raise ConfigError(f"mlp hidden sizes must be a tuple of integers, got {hidden!r}")
+    for name in ("lr", "alpha", "grad_clip"):
+        value = values.get(name, 0)
+        if not (_is_int(value) or (isinstance(value, float) and np.isfinite(value))
+                or (value is None and name == "grad_clip")):
+            raise ConfigError(f"{name} must be a finite real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Run configuration; defaults mirror the reference training recipe."""
@@ -67,22 +85,7 @@ class TrainConfig:
     mlp_hidden: tuple[int, ...] = (64, 32)
 
     def __post_init__(self):
-        # Types first: a config read from JSON can hold 20.0 or true where an
-        # int belongs, which the range checks below would let through.
-        for name in ("epochs", "batch_size", "window", "lstm_hidden", "trim", "n_val",
-                     "seed", "rul_cap"):
-            value = getattr(self, name)
-            if not (_is_int(value) or (value is None and name == "rul_cap")):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if not (isinstance(self.mlp_hidden, tuple) and all(map(_is_int, self.mlp_hidden))):
-            raise ConfigError(
-                f"mlp hidden sizes must be a tuple of integers, got {self.mlp_hidden!r}"
-            )
-        for name in ("lr", "alpha", "grad_clip"):
-            value = getattr(self, name)
-            if not (_is_int(value) or (isinstance(value, float) and np.isfinite(value))
-                    or (value is None and name == "grad_clip")):
-                raise ConfigError(f"{name} must be a finite real number, got {value!r}")
+        check_field_types(vars(self))  # types first, so the range checks see numbers
         if self.model not in MODEL_KINDS:
             raise ConfigError(f"model must be one of {MODEL_KINDS}, got {self.model!r}")
         for name in ("epochs", "batch_size", "window", "lstm_hidden"):
@@ -298,9 +301,8 @@ def evaluate(
     )
 
 
-def final_inputs(model: TrainedModel, trajectories: Sequence[EngineTrajectory],
-                 scaler: ScalerParams, config: TrainConfig) -> np.ndarray:
-    """Each engine's final window (or row), stacked; the scaler must be the model's."""
+def check_scaler(model: TrainedModel, scaler: ScalerParams) -> None:
+    """Raise ValidationError unless `scaler` is the one the model was trained on."""
     if model.feature_names != scaler.feature_names:
         raise ValidationError("model feature order does not match the scaler")
     if model.scaler_hash and model.scaler_hash != scaler_hash(scaler):
@@ -308,6 +310,12 @@ def final_inputs(model: TrainedModel, trajectories: Sequence[EngineTrajectory],
             "checkpoint was trained against a different scaler (hash mismatch); "
             "re-run preprocessing or use the matching scaler.json"
         )
+
+
+def final_inputs(model: TrainedModel, trajectories: Sequence[EngineTrajectory],
+                 scaler: ScalerParams, config: TrainConfig) -> np.ndarray:
+    """Each engine's final window (or row), stacked; the scaler must be the model's."""
+    check_scaler(model, scaler)
     selection = selection_from_feature_names(scaler.feature_names)
     samples = []
     for smoothed in smooth_trajectories(trajectories, config.alpha):

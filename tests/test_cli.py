@@ -98,6 +98,74 @@ def test_predict_rejects_stale_scaler(workspace, tmp_path, capsys):
     ]) == 1
     captured = capsys.readouterr()
     assert "hash mismatch" in captured.err and captured.out == ""
+    assert str(workspace.run / "checkpoint.json") in captured.err and str(stale) in captured.err
+
+
+def test_evaluate_mismatched_scaler_names_both_files(workspace, tmp_path, capsys):
+    # A scaler fitted on more heavily smoothed training engines.
+    bundle = tmp_path / "bundle"
+    assert main([
+        "preprocess", "--train-file", str(workspace.train_file),
+        "--out", str(bundle), "--n-val", "1", "--alpha", "0.3",
+    ]) == 0
+    capsys.readouterr()
+    checkpoint, scaler = workspace.run / "checkpoint.json", bundle / "scaler.json"
+    assert main([
+        "evaluate", "--checkpoint", str(checkpoint),
+        "--test-file", str(workspace.test_file), "--rul-file", str(workspace.rul_file),
+        "--scaler", str(scaler), "--out", str(tmp_path / "report"),
+    ]) == 1
+    captured = capsys.readouterr()
+    assert f"error: {checkpoint} does not match {scaler}: " in captured.err
+    assert "hash mismatch" in captured.err and captured.out == ""
+    assert not (tmp_path / "report").exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("window", 20.0, "window must be an integer, got 20.0"),
+    ("trim", 2.5, "trim must be an integer, got 2.5"),
+    ("n_val", True, "n_val must be an integer, got True"),
+    ("seed", "1", "seed must be an integer, got '1'"),
+    ("rul_cap", 125.0, "rul_cap must be an integer, got 125.0"),
+    ("alpha", "0.1", "alpha must be a finite real number, got '0.1'"),
+    ("alpha", float("nan"), "alpha must be a finite real number, got nan"),
+    ("alpha", float("inf"), "alpha must be a finite real number, got inf"),
+])
+def test_preprocess_config_value_of_wrong_type_rejected(workspace, tmp_path, capsys,
+                                                        key, value, message):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({key: value}))
+    out = tmp_path / "bundle"
+    assert main([
+        "preprocess", "--train-file", str(workspace.train_file),
+        "--out", str(out), "--config", str(config_path),
+    ]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("hidden", [[8.7, 4], 5, "8,4", [8, True]])
+def test_config_file_mlp_hidden_must_be_a_list_of_integers(workspace, tmp_path, capsys, hidden):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"model": "mlp", "epochs": 1, "mlp_hidden": hidden}))
+    assert main([
+        "train", "--bundle", str(workspace.bundle), "--out", str(tmp_path / "run"),
+        "--config", str(config_path),
+    ]) == 1
+    got = tuple(hidden) if isinstance(hidden, list) else hidden
+    assert f"mlp hidden sizes must be a tuple of integers, got {got!r}" in capsys.readouterr().err
+
+
+def test_config_file_mlp_hidden_list_is_used(workspace, tmp_path):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"model": "mlp", "epochs": 1, "mlp_hidden": [8, 4]}))
+    out = tmp_path / "run"
+    assert main([
+        "train", "--bundle", str(workspace.bundle), "--out", str(out),
+        "--config", str(config_path),
+    ]) == 0
+    _, _, config = train_eval.load_checkpoint(out / "checkpoint.json")
+    assert config.mlp_hidden == (8, 4)
 
 
 def test_train_mlp_via_flags(workspace, tmp_path):
