@@ -16,6 +16,8 @@ line unchanged, so compare a change against its parent with
     python benchmarks/artifact_digest.py > change.txt
     diff parent.txt change.txt
 
+Each CLI step's peak resident set size goes to stderr, one line per step,
+so memory can be compared the same way without touching stdout.
 The LSTM's two epochs take most of the time, about 10 s on a 2-core machine.
 """
 
@@ -39,14 +41,24 @@ KINDS = ("mlp", "lstm")
 
 
 def _rulkit(src: Path, *args: str) -> bytes:
-    """stdout of `python -m rulkit.cli args` run against the tree at `src`."""
+    """stdout of `python -m rulkit.cli args` run against the tree at `src`.
+
+    The child's peak RSS, from the rusage that os.wait4 reaps it with, goes to
+    stderr, so stdout stays one digest line per artifact.
+    """
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run(
-        [sys.executable, "-m", "rulkit.cli", *args], env=env, capture_output=True, check=False
-    )
-    if proc.returncode != 0:
-        raise SystemExit(f"rulkit {args[0]} failed:\n{proc.stderr.decode(errors='replace')}")
-    return proc.stdout
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen([sys.executable, "-m", "rulkit.cli", *args],
+                                env=env, stdout=out, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        if proc.returncode != 0:
+            raise SystemExit(f"rulkit {args[0]} failed:\n{err.read().decode(errors='replace')}")
+        step = " ".join(Path(a).name if os.sep in a else a for a in args)
+        print(f"peak RSS {usage.ru_maxrss / 1024:7.1f} MB  rulkit {step}", file=sys.stderr)
+        return out.read()
 
 
 def digests(src: Path, work: Path) -> list[tuple[str, str]]:

@@ -6,17 +6,22 @@ Not part of the test suite (pyproject's testpaths is `tests`). Run with
 
 Shapes follow the default training recipe on the default corpus: a batch
 of 64 windows of 20 cycles by 16 features, hidden size 64. Inputs are
-uniform on [0, 1], the range of min-max scaled features.
+uniform on [0, 1], the range of min-max scaled features. The validation
+case runs the per-epoch validation pass of `train_eval.train` over 3,569
+windows gathered from 20 engines' rows, the size of the default corpus's
+validation split at split seed 0.
 """
 
 import numpy as np
 import pytest
 
-from rulkit import models
+from rulkit import models, train_eval
 from rulkit.numerics import SeededRng
 from rulkit.optim import adam_step, flatten_params, init_adam
+from rulkit.preprocess import SampleSet
 
 BATCH, WINDOW, FEATURES, HIDDEN = 64, 20, 16, 64
+VAL_ENGINES, VAL_WINDOWS = 20, 3569
 
 
 @pytest.fixture(scope="module")
@@ -49,3 +54,15 @@ def test_adam_step_batch(benchmark, lstm_batch):
     state = init_adam(views)
     benchmark(adam_step, state, flat, grads)
     assert state.step > 0
+
+
+def test_lstm_validation_pass(benchmark):
+    rng = SeededRng(1)
+    params = models.init_lstm(FEATURES, HIDDEN, rng)
+    n_rows = VAL_WINDOWS + VAL_ENGINES * (WINDOW - 1)
+    engine_ids = np.arange(n_rows) * VAL_ENGINES // n_rows
+    val_set = SampleSet(rng.uniform(0.0, 1.0, (n_rows, FEATURES)),
+                        rng.uniform(0.0, 125.0, (n_rows,)), engine_ids, window=WINDOW)
+    assert len(val_set) == VAL_WINDOWS
+    pred = benchmark(train_eval.predict_in_blocks, params, len(val_set), val_set.inputs)
+    assert pred.shape == (VAL_WINDOWS,)

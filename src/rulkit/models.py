@@ -111,6 +111,10 @@ class MlpParams:
         return self.weights[0].shape[-1]
 
     @property
+    def row_width(self) -> int:  # floats in the widest per-sample activation row
+        return max(b.shape[-1] for b in self.biases)
+
+    @property
     def arch(self) -> dict:
         return {"layer_sizes": list(self.layer_sizes)}
 
@@ -170,6 +174,10 @@ class LstmParams:
     @property
     def input_size(self) -> int:
         return self.w_x.shape[-1]
+
+    @property
+    def row_width(self) -> int:  # the gate block is the widest per-sample row
+        return 4 * self.hidden_size
 
     @property
     def arch(self) -> dict:

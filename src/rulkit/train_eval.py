@@ -41,6 +41,8 @@ KINK_MARGIN = 1e-3
 # (even: each coordinate takes two). It bounds that pass's memory to
 # FD_CHUNK parameter vectors plus FD_CHUNK models' activations.
 FD_CHUNK = 512
+# Widest-row floats per gradient-free forward pass: an LSTM step's gates fit in L2.
+BLOCK_FLOATS = 2**15
 
 
 def _is_int(value) -> bool:
@@ -117,11 +119,12 @@ class TrainConfig:
 
 @dataclass
 class TrainHistory:
-    """Per-epoch loss curves; wall-clock stays out of the CSV artifact."""
+    """Per-epoch loss curves; wall-clock (epoch, validation) stays out of the CSV artifact."""
 
     train_mse: list[float] = field(default_factory=list)
     val_mse: list[float] = field(default_factory=list)
     epoch_seconds: list[float] = field(default_factory=list)
+    val_seconds: list[float] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.train_mse)
@@ -169,15 +172,17 @@ class TrainedModel:
             raise ValidationError(
                 f"{self.kind} model expects (batch, {self.window}, features), got {x.shape}"
             )
-        return self.params.forward(x)[0]
+        return predict_in_blocks(self.params, len(x), x.__getitem__)
 
 
-def _predict_in_chunks(params, samples: SampleSet, chunk: int = 512) -> np.ndarray:
-    preds = np.empty(len(samples))
-    for start in range(0, len(samples), chunk):
-        x = samples.inputs(slice(start, start + chunk))
-        preds[start : start + chunk] = params.forward(x)[0]
-    return preds
+def predict_in_blocks(params, n: int, inputs) -> np.ndarray:
+    """Predictions for n samples, max(1, BLOCK_FLOATS // params.row_width) per forward pass
+    on inputs(slice); up to one block is one forward pass, its output returned as it is."""
+    block = max(1, BLOCK_FLOATS // params.row_width)
+    if n <= block:
+        return params.forward(inputs(slice(None)))[0]
+    return np.concatenate([params.forward(inputs(slice(start, start + block)))[0]
+                           for start in range(0, n, block)])
 
 
 def init_model_params(config: TrainConfig, n_features: int, rng: SeededRng):
@@ -242,8 +247,9 @@ def train(
             sq_sum += loss * len(idx)
 
         history.train_mse.append(sq_sum / n)
+        val_started = time.perf_counter()
         if len(val_set):
-            val_pred = _predict_in_chunks(params_obj, val_set)
+            val_pred = predict_in_blocks(params_obj, len(val_set), val_set.inputs)
             history.val_mse.append(float(np.mean((val_pred - val_set.targets) ** 2)))
             if not np.isfinite(history.val_mse[-1]):
                 raise TrainingError(
@@ -251,11 +257,12 @@ def train(
                 )
         else:
             history.val_mse.append(float("nan"))
+        history.val_seconds.append(time.perf_counter() - val_started)
         history.epoch_seconds.append(time.perf_counter() - started)
         logger.info(
-            "epoch %d/%d train_mse=%.4f val_mse=%.4f (%.1fs)",
-            epoch, config.epochs,
-            history.train_mse[-1], history.val_mse[-1], history.epoch_seconds[-1],
+            "epoch %d/%d train_mse=%.4f val_mse=%.4f (%.1fs, validation %.2fs)",
+            epoch, config.epochs, history.train_mse[-1], history.val_mse[-1],
+            history.epoch_seconds[-1], history.val_seconds[-1],
         )
 
     return params_obj, state, history

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from rulkit import dataset_io, preprocess, simdata, train_eval
+from rulkit import dataset_io, models, preprocess, simdata, train_eval
 from rulkit.cli import main
 from rulkit.numerics import SeededRng
 
@@ -97,6 +97,18 @@ def test_trajectories(corpus_paths):
 @pytest.fixture(scope="session")
 def rul_labels(corpus_paths):
     return dataset_io.read_rul_labels(corpus_paths["rul"])
+
+
+@pytest.fixture
+def forward_rows(monkeypatch) -> list[int]:
+    """The batch size of every models.lstm_forward and mlp_forward call, in order."""
+    rows: list[int] = []
+    for name in ("lstm_forward", "mlp_forward"):
+        def spy(params, x, real=getattr(models, name)):
+            rows.append(len(x))
+            return real(params, x)
+        monkeypatch.setattr(models, name, spy)
+    return rows
 
 
 @pytest.fixture(scope="session")

@@ -145,6 +145,8 @@ def test_train_reduces_loss_and_records_history(small_data):
     assert history.train_mse[-1] < history.train_mse[0]
     assert all(np.isfinite(v) for v in history.train_mse + history.val_mse)
     assert len(history.epoch_seconds) == 4
+    assert all(0.0 < v <= e for v, e in zip(history.val_seconds, history.epoch_seconds))
+    assert len(history.val_seconds) == 4
     assert state.step == 4 * -(-len(result.train_windows) // config.batch_size)
 
 
@@ -280,6 +282,62 @@ def test_trained_model_predict_validates_window_length(small_data):
     model = _wrap(config, result, params)
     with pytest.raises(ValidationError, match="expects"):
         model.predict(np.zeros((2, 5, result.selection.n_features)))
+
+
+# ---------------------------------------------------------------------------
+# Forward passes without a gradient run in blocks
+# ---------------------------------------------------------------------------
+
+
+def _blocks(n, size):
+    return [min(size, n - start) for start in range(0, n, size)]
+
+
+def test_lstm_validation_never_forwards_more_than_a_block(pipeline_seed1, forward_rows, caplog):
+    """The recipe's LSTM (4H = 256 floats per gate row) validates 128 windows
+    at a time, after its 64-window training batches; the epoch's log line
+    reports the validation seconds."""
+    val = pipeline_seed1.val_windows
+    config = TrainConfig(epochs=1, seed=0)
+    with caplog.at_level("INFO", logger="rulkit.train_eval"):
+        _, _, history = train(config, val, val, SeededRng(0))
+    assert forward_rows == _blocks(len(val), 64) + _blocks(len(val), 128)
+    assert f"validation {history.val_seconds[0]:.2f}s" in caplog.text
+
+
+def test_mlp_validation_keeps_512_row_blocks(pipeline_seed1, forward_rows):
+    """The recipe's MLP (widest layer 64) validates 512 rows at a time."""
+    val = pipeline_seed1.val_rows
+    train(TrainConfig(model="mlp", epochs=1, seed=0), val, val, SeededRng(0))
+    assert forward_rows == _blocks(len(val), 64) + _blocks(len(val), 512)
+
+
+def test_evaluate_over_more_engines_than_a_block(
+    pipeline_seed1, test_trajectories, rul_labels, forward_rows
+):
+    """200 test engines are scored in forward passes of at most 128 windows,
+    and each engine's prediction equals that of one pass over all 200."""
+    result = pipeline_seed1
+    config = TrainConfig()
+    params = models.init_lstm(result.selection.n_features, config.lstm_hidden, SeededRng(5))
+    model = _wrap(config, result, params)
+    engines = list(test_trajectories) * 2
+    report = evaluate(model, engines, dataset_io.RulLabelFile(rul_labels.ruls * 2),
+                      result.scaler, config)
+    assert forward_rows == [128, 72]
+    whole = params.forward(train_eval.final_inputs(model, engines, result.scaler, config))[0]
+    assert [r.predicted_rul for r in report.rows] == whole.tolist()
+
+
+@pytest.mark.parametrize("kind", train_eval.MODEL_KINDS)
+def test_single_engine_request_is_one_forward(small_data, forward_rows, kind):
+    result, test_trajectories, _ = small_data
+    config = _quick_config(model=kind)
+    params = train_eval.init_model_params(config, result.selection.n_features, SeededRng(0))
+    model = _wrap(config, result, params)
+    x = train_eval.final_inputs(model, test_trajectories[:1], result.scaler, config)
+    pred = model.predict(x)
+    assert forward_rows == [1] and pred.shape == (1,)
 
 
 # ---------------------------------------------------------------------------

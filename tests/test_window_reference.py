@@ -127,30 +127,58 @@ def test_engine_split_is_disjoint_and_exhaustive(corpus):
     assert set(result.val_rows.engine_ids.tolist()) == set(val_ids)
 
 
+def _forward_in_blocks(params, inputs):
+    """Each block of train_eval's rule forwarded alone, concatenated."""
+    block = train_eval.BLOCK_FLOATS // params.row_width
+    return np.concatenate([params.forward(inputs[start : start + block])[0]
+                           for start in range(0, len(inputs), block)])
+
+
 def test_validation_predictions_on_gathered_chunks_equal_stored_slices(
     train_trajectories, pipeline_seed1
 ):
-    """The validation pass gathers 512-window chunks; a random LSTM and MLP
-    must predict exactly what they predict on slices of stored windows."""
+    """The validation pass forwards gathered windows (rows) a block at a time,
+    128 windows for the recipe's LSTM and 512 rows for its MLP. A random LSTM
+    and MLP must predict exactly what one forward pass over the same stored
+    windows (rows) predicts, at block - 1 and block samples and on the whole
+    default validation set. At block + 1 the last block is one sample, whose
+    products BLAS may sum in another order than a longer batch's (OpenBLAS
+    0.3.31 does for the MLP), so there the blocks must equal their own forward
+    passes bit for bit and the single pass to 1e-12 relative, the bound
+    test_models holds a batch to against its windows run alone."""
     result = pipeline_seed1
     windows, _, _ = reference_split(
         train_trajectories, result, result.val_ids, DEFAULT_TRIM, DEFAULT_WINDOW
     )
-    assert len(result.val_windows) > 512
     n_features = result.selection.n_features
-    lstm = models.init_lstm(n_features, 64, SeededRng(3))
-    expected = np.concatenate([
-        models.lstm_forward(lstm, windows[start : start + 512])[0]
-        for start in range(0, windows.shape[0], 512)
-    ])
-    got = train_eval._predict_in_chunks(lstm, result.val_windows)
-    assert got.tobytes() == expected.tobytes()
+    cases = (
+        (models.init_lstm(n_features, 64, SeededRng(3)), result.val_windows, windows, 128),
+        (models.init_mlp((n_features, 64, 32, 1), SeededRng(3)), result.val_rows,
+         result.val_rows.rows.copy(), 512),
+    )
+    for params, samples, stored, block in cases:
+        assert train_eval.BLOCK_FLOATS // params.row_width == block
+        assert len(samples) > 2 * block and len(samples) % block > 4
+        for n in (block - 1, block, block + 1, len(samples)):
+            first_n = np.arange(n)
+            got = train_eval.predict_in_blocks(params, n, lambda s: samples.inputs(first_n[s]))
+            expected = params.forward(stored[:n])[0]
+            if n == block + 1:
+                assert got.tobytes() == _forward_in_blocks(params, stored[:n]).tobytes()
+                np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+            else:
+                assert got.tobytes() == expected.tobytes(), n
 
-    mlp = models.init_mlp((n_features, 64, 32, 1), SeededRng(3))
-    rows = result.val_rows.rows.copy()
-    expected = np.concatenate([
-        models.mlp_forward(mlp, rows[start : start + 512])[0]
-        for start in range(0, rows.shape[0], 512)
-    ])
-    got = train_eval._predict_in_chunks(mlp, result.val_rows)
-    assert got.tobytes() == expected.tobytes()
+
+def test_trained_model_predict_over_blocks_equals_one_forward(pipeline_seed1, forward_rows):
+    """TrainedModel.predict on three blocks and 100 windows runs four forward
+    passes, and their predictions equal one pass over all 484 bit for bit."""
+    result = pipeline_seed1
+    params = models.init_lstm(result.selection.n_features, 64, SeededRng(4))
+    model = train_eval.TrainedModel(
+        "lstm", params, DEFAULT_WINDOW, result.selection.feature_names, "", "", 0
+    )
+    x = result.val_windows.inputs(np.arange(3 * 128 + 100))
+    expected = models.lstm_forward(params, x)[0]
+    assert model.predict(x).tobytes() == expected.tobytes()
+    assert forward_rows == [484, 128, 128, 128, 100]
