@@ -64,5 +64,5 @@ def test_lstm_validation_pass(benchmark):
     val_set = SampleSet(rng.uniform(0.0, 1.0, (n_rows, FEATURES)),
                         rng.uniform(0.0, 125.0, (n_rows,)), engine_ids, window=WINDOW)
     assert len(val_set) == VAL_WINDOWS
-    pred = benchmark(train_eval.predict_in_blocks, params, len(val_set), val_set.inputs)
+    pred = benchmark(train_eval.predict_in_blocks, params, val_set)
     assert pred.shape == (VAL_WINDOWS,)

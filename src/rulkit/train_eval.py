@@ -41,7 +41,7 @@ KINK_MARGIN = 1e-3
 # (even: each coordinate takes two). It bounds that pass's memory to
 # FD_CHUNK parameter vectors plus FD_CHUNK models' activations.
 FD_CHUNK = 512
-# Widest-row floats per gradient-free forward pass: an LSTM step's gates fit in L2.
+# Widest-row floats per validation forward pass: an LSTM step's gates fit in L2.
 BLOCK_FLOATS = 2**15
 
 
@@ -172,17 +172,17 @@ class TrainedModel:
             raise ValidationError(
                 f"{self.kind} model expects (batch, {self.window}, features), got {x.shape}"
             )
-        return predict_in_blocks(self.params, len(x), x.__getitem__)
+        return self.params.forward(x)[0]
 
 
-def predict_in_blocks(params, n: int, inputs) -> np.ndarray:
-    """Predictions for n samples, max(1, BLOCK_FLOATS // params.row_width) per forward pass
-    on inputs(slice); up to one block is one forward pass, its output returned as it is."""
+def predict_in_blocks(params, samples: SampleSet) -> np.ndarray:
+    """Validation predictions, max(1, BLOCK_FLOATS // params.row_width) samples per forward pass."""
     block = max(1, BLOCK_FLOATS // params.row_width)
-    if n <= block:
-        return params.forward(inputs(slice(None)))[0]
-    return np.concatenate([params.forward(inputs(slice(start, start + block)))[0]
-                           for start in range(0, n, block)])
+    preds = np.empty(len(samples))
+    for start in range(0, len(samples), block):
+        x = samples.inputs(slice(start, start + block))
+        preds[start : start + block] = params.forward(x)[0]
+    return preds
 
 
 def init_model_params(config: TrainConfig, n_features: int, rng: SeededRng):
@@ -249,7 +249,7 @@ def train(
         history.train_mse.append(sq_sum / n)
         val_started = time.perf_counter()
         if len(val_set):
-            val_pred = predict_in_blocks(params_obj, len(val_set), val_set.inputs)
+            val_pred = predict_in_blocks(params_obj, val_set)
             history.val_mse.append(float(np.mean((val_pred - val_set.targets) ** 2)))
             if not np.isfinite(history.val_mse[-1]):
                 raise TrainingError(

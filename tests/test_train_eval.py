@@ -285,7 +285,7 @@ def test_trained_model_predict_validates_window_length(small_data):
 
 
 # ---------------------------------------------------------------------------
-# Forward passes without a gradient run in blocks
+# Validation forward passes run in blocks
 # ---------------------------------------------------------------------------
 
 
@@ -312,11 +312,11 @@ def test_mlp_validation_keeps_512_row_blocks(pipeline_seed1, forward_rows):
     assert forward_rows == _blocks(len(val), 64) + _blocks(len(val), 512)
 
 
-def test_evaluate_over_more_engines_than_a_block(
+def test_evaluate_scores_all_engines_in_one_forward(
     pipeline_seed1, test_trajectories, rul_labels, forward_rows
 ):
-    """200 test engines are scored in forward passes of at most 128 windows,
-    and each engine's prediction equals that of one pass over all 200."""
+    """Only validation runs in blocks: 200 test engines, more than one LSTM
+    block, are scored by one forward pass over all their final windows."""
     result = pipeline_seed1
     config = TrainConfig()
     params = models.init_lstm(result.selection.n_features, config.lstm_hidden, SeededRng(5))
@@ -324,7 +324,7 @@ def test_evaluate_over_more_engines_than_a_block(
     engines = list(test_trajectories) * 2
     report = evaluate(model, engines, dataset_io.RulLabelFile(rul_labels.ruls * 2),
                       result.scaler, config)
-    assert forward_rows == [128, 72]
+    assert forward_rows == [200]
     whole = params.forward(train_eval.final_inputs(model, engines, result.scaler, config))[0]
     assert [r.predicted_rul for r in report.rows] == whole.tolist()
 

@@ -17,6 +17,7 @@ from rulkit.preprocess import (
     DEFAULT_ALPHA,
     DEFAULT_TRIM,
     DEFAULT_WINDOW,
+    SampleSet,
     apply_minmax,
     label_rul,
     run_pipeline,
@@ -134,6 +135,13 @@ def _forward_in_blocks(params, inputs):
                            for start in range(0, len(inputs), block)])
 
 
+def _first(samples: SampleSet, n: int) -> SampleSet:
+    """The first n samples of samples, as a SampleSet cut from its rows."""
+    end = samples.starts[n - 1] + (samples.window or 1)
+    return SampleSet(samples.rows[:end], samples.rul[:end], samples.engine_ids[:end],
+                     samples.window)
+
+
 def test_validation_predictions_on_gathered_chunks_equal_stored_slices(
     train_trajectories, pipeline_seed1
 ):
@@ -141,44 +149,33 @@ def test_validation_predictions_on_gathered_chunks_equal_stored_slices(
     128 windows for the recipe's LSTM and 512 rows for its MLP. A random LSTM
     and MLP must predict exactly what one forward pass over the same stored
     windows (rows) predicts, at block - 1 and block samples and on the whole
-    default validation set. At block + 1 the last block is one sample, whose
-    products BLAS may sum in another order than a longer batch's (OpenBLAS
-    0.3.31 does for the MLP), so there the blocks must equal their own forward
-    passes bit for bit and the single pass to 1e-12 relative, the bound
-    test_models holds a batch to against its windows run alone."""
+    default validation set.
+
+    Bit equality with one pass holds only while BLAS multiplies the last block
+    with the kernels it uses for a full one. With OpenBLAS 0.3.31 a last block
+    of 1-4 LSTM windows or 2-37 MLP rows is summed in another order, so each
+    kind's whole set must leave a longer tail than that. At block + 1 the last
+    block is one sample: there the blocks must equal their own forward passes
+    bit for bit and the single pass to 1e-12 relative, the bound test_models
+    holds a batch to against its windows run alone."""
     result = pipeline_seed1
     windows, _, _ = reference_split(
         train_trajectories, result, result.val_ids, DEFAULT_TRIM, DEFAULT_WINDOW
     )
     n_features = result.selection.n_features
-    cases = (
-        (models.init_lstm(n_features, 64, SeededRng(3)), result.val_windows, windows, 128),
+    cases = (  # params, samples, stored inputs, block, longest tail BLAS sums differently
+        (models.init_lstm(n_features, 64, SeededRng(3)), result.val_windows, windows, 128, 4),
         (models.init_mlp((n_features, 64, 32, 1), SeededRng(3)), result.val_rows,
-         result.val_rows.rows.copy(), 512),
+         result.val_rows.rows.copy(), 512, 37),
     )
-    for params, samples, stored, block in cases:
+    for params, samples, stored, block, short_tail in cases:
         assert train_eval.BLOCK_FLOATS // params.row_width == block
-        assert len(samples) > 2 * block and len(samples) % block > 4
+        assert len(samples) > 2 * block and len(samples) % block > short_tail
         for n in (block - 1, block, block + 1, len(samples)):
-            first_n = np.arange(n)
-            got = train_eval.predict_in_blocks(params, n, lambda s: samples.inputs(first_n[s]))
+            got = train_eval.predict_in_blocks(params, _first(samples, n))
             expected = params.forward(stored[:n])[0]
             if n == block + 1:
                 assert got.tobytes() == _forward_in_blocks(params, stored[:n]).tobytes()
                 np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
             else:
                 assert got.tobytes() == expected.tobytes(), n
-
-
-def test_trained_model_predict_over_blocks_equals_one_forward(pipeline_seed1, forward_rows):
-    """TrainedModel.predict on three blocks and 100 windows runs four forward
-    passes, and their predictions equal one pass over all 484 bit for bit."""
-    result = pipeline_seed1
-    params = models.init_lstm(result.selection.n_features, 64, SeededRng(4))
-    model = train_eval.TrainedModel(
-        "lstm", params, DEFAULT_WINDOW, result.selection.feature_names, "", "", 0
-    )
-    x = result.val_windows.inputs(np.arange(3 * 128 + 100))
-    expected = models.lstm_forward(params, x)[0]
-    assert model.predict(x).tobytes() == expected.tobytes()
-    assert forward_rows == [484, 128, 128, 128, 100]
