@@ -21,7 +21,7 @@ engines of `score_engines_per_s` are smoothed the same way).
 import numpy as np
 import pytest
 
-from rulkit import dataset_io, preprocess, simdata, train_eval
+from rulkit import dataset_io, models, preprocess, simdata, train_eval
 from rulkit.numerics import SeededRng
 
 
@@ -83,7 +83,7 @@ def test_ewma_smooth_stack(benchmark, prepared):
 def test_final_inputs(benchmark, prepared, kind):
     _, test, result = prepared
     config = train_eval.TrainConfig(model=kind)
-    params = train_eval.init_model_params(config, result.selection.n_features, SeededRng(0))
+    params = models.MODELS[kind].init(result.selection.n_features, config, SeededRng(0))
     model = train_eval.TrainedModel(
         kind=kind, params=params, window=config.window,
         feature_names=result.selection.feature_names,

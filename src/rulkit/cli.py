@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dataset_io, models, preprocess, simdata, train_eval
+from . import dataset_io, preprocess, simdata, train_eval
 from .errors import ConfigError, ValidationError
 from .ioutil import read_json, sha256_text
 from .numerics import SeededRng
@@ -110,22 +110,25 @@ def cmd_train(args: argparse.Namespace) -> int:
         ("model", "epochs", "batch_size", "lr", "seed",
          "grad_clip", "lstm_hidden", "mlp_hidden"),
     )
-    for key in _PIPELINE_KEYS:
-        bundle_value = bundle.meta["pipeline"][key]
+    meta_path = Path(args.bundle) / "meta.json"
+    try:
+        pipeline = {key: bundle.meta["pipeline"][key] for key in _PIPELINE_KEYS}
+        train_eval.TrainConfig(**pipeline)  # TrainConfig's own rules, on the bundle's values
+    except KeyError as exc:
+        raise ValidationError(f"{meta_path}: pipeline has no entry {exc}") from None
+    except ConfigError as exc:
+        raise ValidationError(f"{meta_path}: pipeline {exc}") from None
+    for key, bundle_value in pipeline.items():
         if key in merged and merged[key] != bundle_value:
             raise ConfigError(
                 f"config {key}={merged[key]} conflicts with the bundle's "
                 f"{key}={bundle_value}; re-run preprocess to change it"
             )
-        merged[key] = bundle_value
-    config = train_eval.TrainConfig(**merged)
+    config = train_eval.TrainConfig(**{**merged, **pipeline})
 
-    if models.MODELS[config.model].takes_windows:
-        train_set, val_set = bundle.train_windows, bundle.val_windows
-    else:
-        train_set, val_set = bundle.train_rows, bundle.val_rows
-    rng = SeededRng(config.seed)
-    params, state, history = train_eval.train(config, train_set, val_set, rng)
+    params, state, history = train_eval.train(
+        config, bundle.train_rows, bundle.val_rows, SeededRng(config.seed)
+    )
 
     model = train_eval.TrainedModel(
         kind=config.model,

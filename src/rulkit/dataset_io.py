@@ -246,7 +246,6 @@ def _engine_blocks(rows: np.ndarray) -> list[EngineTrajectory]:
             raise ValidationError(
                 f"engine {engine_id}: first cycle must be 1, got {int(block[0, 1])}"
             )
-        _check_contiguous(engine_id, block[:, 1])
         trajectories.append(EngineTrajectory(
             engine_id,
             block[:, 1].astype(np.int64),

@@ -50,6 +50,8 @@ from .errors import ConfigError, ShapeError, ValidationError
 from .numerics import SeededRng, sigmoid
 
 GATE_ORDER = ("i", "f", "g", "o")
+# Distance from relu's kink at zero within which a gradient-check MLP is redrawn.
+KINK_MARGIN = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +120,25 @@ class MlpParams:
     def arch(self) -> dict:
         return {"layer_sizes": list(self.layer_sizes)}
 
+    @classmethod
+    def init(cls, n_features: int, config, rng: SeededRng) -> "MlpParams":
+        """A fresh model for n_features inputs and config.mlp_hidden hidden layers."""
+        return init_mlp((n_features, *config.mlp_hidden, 1), rng)
+
+    @classmethod
+    def draw_check_case(cls, feats: int, batch: int, rng: SeededRng):
+        """(params, x, pred, cache) of a random two-hidden-layer model on a batch,
+        redrawn while a pre-activation lies within KINK_MARGIN of relu's kink,
+        where finite differences do not approximate the derivative."""
+        while True:
+            h1 = int(rng.generator.integers(1, 7))
+            h2 = int(rng.generator.integers(1, 7))
+            params = init_mlp((feats, h1, h2, 1), rng)
+            x = rng.uniform(-1.0, 1.0, (batch, feats))
+            pred, cache = params.forward(x)
+            if min(np.abs(z).min() for z in cache.pre_acts) > KINK_MARGIN:
+                return params, x, pred, cache
+
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, MlpCache]:
         return mlp_forward(self, x)
 
@@ -182,6 +203,21 @@ class LstmParams:
     @property
     def arch(self) -> dict:
         return {"hidden_size": self.hidden_size, "input_size": self.input_size}
+
+    @classmethod
+    def init(cls, n_features: int, config, rng: SeededRng) -> "LstmParams":
+        """A fresh model for n_features inputs and config.lstm_hidden units."""
+        return init_lstm(n_features, config.lstm_hidden, rng)
+
+    @classmethod
+    def draw_check_case(cls, feats: int, batch: int, rng: SeededRng):
+        """(params, x, pred, cache) of a random model on a batch of windows.
+        The cell is smooth everywhere, so no instance needs redrawing."""
+        hidden = int(rng.generator.integers(1, 5))
+        steps = int(rng.generator.integers(1, 6))
+        params = init_lstm(feats, hidden, rng)
+        x = rng.uniform(-1.0, 1.0, (batch, steps, feats))
+        return params, x, *params.forward(x)
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, LstmCache]:
         return lstm_forward(self, x)
@@ -321,16 +357,6 @@ class LstmCache:
     cells: np.ndarray  # (T + 1, B, H)
     tanh_c: np.ndarray  # (T, B, H)
     hiddens: np.ndarray  # (T + 1, B, H)
-
-    @property
-    def c(self) -> np.ndarray:
-        """Cell state after each step, (T, B, H)."""
-        return self.cells[1:]
-
-    @property
-    def h(self) -> np.ndarray:
-        """Hidden state after each step, (T, B, H)."""
-        return self.hiddens[1:]
 
 
 def _gate_blocks(a: np.ndarray, hsz: int) -> tuple[np.ndarray, ...]:

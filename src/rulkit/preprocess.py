@@ -375,14 +375,6 @@ def split_by_engine(
     return train, val
 
 
-def final_window(scaled: np.ndarray, window: int = DEFAULT_WINDOW) -> np.ndarray:
-    """Last `window` scaled rows, front-padded with the earliest row if short."""
-    if len(scaled) >= window:
-        return scaled[-window:].copy()
-    pad = np.repeat(scaled[:1], window - len(scaled), axis=0)
-    return np.vstack([pad, scaled])
-
-
 @dataclass
 class PreprocessResult:
     """Everything the trainer needs; a split's windows and rows share arrays."""
@@ -646,14 +638,15 @@ def prepare_test_engine(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Test-time features for one engine: (final window (W, F), final row (F,)).
 
-    Smooths, then runs final_features; a trajectory shorter than the window
-    is front-padded with its earliest scaled row. `trim` cannot change the
-    result (see the module docstring); a negative one is still rejected.
+    Smooths, then runs final_features for the window, whose last row is the row.
+    `trim` cannot change the result (see the module docstring); a negative
+    one is still rejected.
     """
     smoothed = smooth_trajectory(traj, alpha)
     if trim < 0:
         raise ConfigError(f"trim length must be >= 0, got {trim}")
-    return final_features(smoothed, scaler, selection, window=window)
+    w = final_features(smoothed, scaler, selection, window=window)
+    return w, w[-1].copy()
 
 
 def final_features(
@@ -661,10 +654,13 @@ def final_features(
     scaler: ScalerParams,
     selection: FeatureSelection,
     *,
-    window: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """prepare_test_engine's steps after smoothing: scale only the rows the
-    final window needs, then cut the final window and row."""
-    needed = trim_head(smoothed, max(len(smoothed) - window, 0))
-    scaled = apply_minmax(scaler, needed, selection)
-    return final_window(scaled, window), scaled[-1].copy()
+    window: int | None,
+) -> np.ndarray:
+    """One smoothed engine's model input, scaling only the rows it needs:
+    with `window` None the final row (F,); with window W the final W rows
+    (W, F), front-padded with the earliest scaled row if the engine is shorter."""
+    scaled = apply_minmax(scaler, trim_head(smoothed, max(len(smoothed) - (window or 1), 0)),
+                          selection)
+    if window is None:
+        return scaled[0]
+    return np.vstack([np.repeat(scaled[:1], window - len(scaled), axis=0), scaled])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -24,8 +24,8 @@ from .ioutil import atomic_write_text, canonical_json, fmt_double, read_json, sh
 from .numerics import SeededRng
 from .optim import AdamState, adam_step, clip_gradients, flatten_params, init_adam, unflatten
 from .preprocess import (
-    SampleSet, ScalerParams, final_features, scaler_hash, selection_from_feature_names,
-    smooth_trajectories,
+    DEFAULT_ALPHA, DEFAULT_N_VAL, DEFAULT_TRIM, DEFAULT_WINDOW, SampleSet, ScalerParams,
+    final_features, scaler_hash, selection_from_feature_names, smooth_trajectories,
 )
 from .preprocess import prepare_test_engine  # noqa: F401  perfbench's tracer wraps it here too
 
@@ -33,10 +33,8 @@ logger = logging.getLogger(__name__)
 
 MODEL_KINDS = tuple(models.MODELS)
 
-# Finite-difference step of the gradient check, and the distance from relu's
-# kink at zero within which an MLP instance is redrawn.
+# Finite-difference step of the gradient check.
 FD_EPS = 1e-5
-KINK_MARGIN = 1e-3
 # Perturbed parameter copies per stacked forward pass of numeric_gradients
 # (even: each coordinate takes two). It bounds that pass's memory to
 # FD_CHUNK parameter vectors plus FD_CHUNK models' activations.
@@ -70,17 +68,18 @@ def check_field_types(values: dict) -> None:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Run configuration; defaults mirror the reference training recipe."""
+    """Run configuration; defaults mirror the reference training recipe, and
+    the pipeline's are run_pipeline's."""
 
     model: str = "lstm"
     epochs: int = 35
     batch_size: int = 64
     lr: float = 0.001
-    window: int = 20
+    window: int = DEFAULT_WINDOW
     seed: int = 42
-    alpha: float = 0.1
-    trim: int = 10
-    n_val: int = 20
+    alpha: float = DEFAULT_ALPHA
+    trim: int = DEFAULT_TRIM
+    n_val: int = DEFAULT_N_VAL
     rul_cap: int | None = None
     grad_clip: float | None = None
     lstm_hidden: int = 64
@@ -107,6 +106,11 @@ class TrainConfig:
             raise ConfigError(f"grad_clip must be positive, got {self.grad_clip}")
         if any(h < 1 for h in self.mlp_hidden):
             raise ConfigError(f"mlp hidden sizes must be >= 1, got {self.mlp_hidden}")
+
+    @property
+    def input_window(self) -> int | None:
+        """The model's sample window: `window` for a model that takes windows, else None."""
+        return self.window if models.MODELS[self.model].takes_windows else None
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -185,12 +189,6 @@ def predict_in_blocks(params, samples: SampleSet) -> np.ndarray:
     return preds
 
 
-def init_model_params(config: TrainConfig, n_features: int, rng: SeededRng):
-    if config.model == "lstm":
-        return models.init_lstm(n_features, config.lstm_hidden, rng)
-    return models.init_mlp((n_features, *config.mlp_hidden, 1), rng)
-
-
 def train(
     config: TrainConfig,
     train_set: SampleSet,
@@ -199,9 +197,11 @@ def train(
 ) -> tuple[models.MlpParams | models.LstmParams, AdamState, TrainHistory]:
     """Train per config; returns final parameters, optimizer state, history.
 
-    The LSTM trains on windows of config.window cycles, the MLP on single
-    rows (window None). The rng drives the weight init and one shuffle per
-    epoch, in that order, so a given seed fixes the whole trajectory.
+    Each split may come cut into rows or into windows of any length: train
+    re-cuts it to config.input_window, so the LSTM trains on windows of
+    config.window cycles and the MLP on single rows. The rng drives the
+    weight init and one shuffle per epoch, in that order, so a given seed
+    fixes the whole trajectory.
 
     The parameters live in one flat vector that Adam updates in place; the
     returned model's tensors are views of it.
@@ -209,18 +209,12 @@ def train(
     A non-finite training or validation loss raises TrainingError. An empty
     validation split has no loss: its history entry is nan.
     """
+    train_set, val_set = (replace(s, window=config.input_window) for s in (train_set, val_set))
     n = len(train_set)
     if n == 0:
         raise ConfigError("training set is empty")
-    window = config.window if models.MODELS[config.model].takes_windows else None
-    for name, samples in (("training", train_set), ("validation", val_set)):
-        if samples.window != window:
-            raise ConfigError(
-                f"{config.model} model needs samples with window {window}, "
-                f"got {name} samples with window {samples.window}"
-            )
 
-    init = init_model_params(config, train_set.rows.shape[1], rng)
+    init = models.MODELS[config.model].init(train_set.rows.shape[1], config, rng)
     flat, views = flatten_params(init.to_dict())
     params_obj = type(init).from_dict(views)
     state = init_adam(views, lr=config.lr)
@@ -276,7 +270,7 @@ def evaluate(
     config: TrainConfig,
     checkpoint_hash: str = "",
 ) -> EvalReport:
-    """One prediction per test engine from its final window (or row).
+    """One prediction per test engine from its final_inputs.
 
     The i-th label pairs with the i-th engine in id order. Negative
     predictions are reported raw (they drive the MSE) with a clamped
@@ -321,14 +315,12 @@ def check_scaler(model: TrainedModel, scaler: ScalerParams) -> None:
 
 def final_inputs(model: TrainedModel, trajectories: Sequence[EngineTrajectory],
                  scaler: ScalerParams, config: TrainConfig) -> np.ndarray:
-    """Each engine's final window (or row), stacked; the scaler must be the model's."""
+    """Each engine's model input, final_features at config.input_window, stacked:
+    (N, W, F) windows or (N, F) rows. The scaler must be the model's."""
     check_scaler(model, scaler)
     selection = selection_from_feature_names(scaler.feature_names)
-    samples = []
-    for smoothed in smooth_trajectories(trajectories, config.alpha):
-        window, row = final_features(smoothed, scaler, selection, window=config.window)
-        samples.append(window if model.params.takes_windows else row)
-    return np.stack(samples)
+    return np.stack([final_features(smoothed, scaler, selection, window=config.input_window)
+                     for smoothed in smooth_trajectories(trajectories, config.alpha)])
 
 
 # ---------------------------------------------------------------------------
@@ -375,14 +367,10 @@ def numeric_gradients(
 def gradient_check_suite(model_kind: str, trials: int, rng: SeededRng) -> float:
     """Worst relative gap between analytic and finite-difference gradients.
 
-    Each trial draws a small random architecture, inputs and targets, and
-    compares every coordinate with denominator max(1, |analytic|).
-
-    Finite differences only approximate a derivative where the function is
-    differentiable across the whole +/-FD_EPS interval, and relu has a kink
-    at zero, so instances whose pre-activations land within KINK_MARGIN of
-    zero are redrawn. The recurrent model is smooth everywhere and needs
-    no such screening.
+    Each trial draws a feature count and a batch size, then the model
+    class's draw_check_case (a small random architecture and inputs), then
+    targets, and compares every coordinate with denominator
+    max(1, |analytic|).
     """
     if model_kind not in MODEL_KINDS:
         raise ConfigError(f"model kind must be one of {MODEL_KINDS}, got {model_kind!r}")
@@ -391,21 +379,7 @@ def gradient_check_suite(model_kind: str, trials: int, rng: SeededRng) -> float:
     for _ in range(trials):
         feats = int(gen.integers(1, 6))
         batch = int(gen.integers(1, 4))
-        if model_kind == "lstm":
-            hidden = int(gen.integers(1, 5))
-            steps = int(gen.integers(1, 6))
-            params_obj = models.init_lstm(feats, hidden, rng)
-            x = rng.uniform(-1.0, 1.0, (batch, steps, feats))
-            pred, cache = params_obj.forward(x)
-        else:
-            while True:
-                h1 = int(gen.integers(1, 7))
-                h2 = int(gen.integers(1, 7))
-                params_obj = models.init_mlp((feats, h1, h2, 1), rng)
-                x = rng.uniform(-1.0, 1.0, (batch, feats))
-                pred, cache = params_obj.forward(x)
-                if min(np.abs(z).min() for z in cache.pre_acts) > KINK_MARGIN:
-                    break
+        params_obj, x, pred, cache = models.MODELS[model_kind].draw_check_case(feats, batch, rng)
         y = rng.uniform(0.0, 5.0, (batch,))
         _, dpred = models.mse_loss(pred, y)
         analytic = params_obj.backward(cache, dpred)

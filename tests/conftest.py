@@ -129,12 +129,8 @@ def reference_runs(train_trajectories, test_trajectories, rul_labels):
         scaler_hash = train_eval.scaler_hash(result.scaler)
         for kind in train_eval.MODEL_KINDS:
             config = train_eval.TrainConfig(model=kind, seed=seed)
-            if kind == "lstm":
-                data = (result.train_windows, result.val_windows)
-            else:
-                data = (result.train_rows, result.val_rows)
             params, state, history = train_eval.train(
-                config, *data, SeededRng(config.seed)
+                config, result.train_rows, result.val_rows, SeededRng(config.seed)
             )
             model = train_eval.TrainedModel(
                 kind=kind,

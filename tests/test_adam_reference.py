@@ -10,7 +10,7 @@ gradient clipping.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -21,7 +21,7 @@ from rulkit import dataset_io, models, preprocess
 from rulkit.errors import ConfigError, TrainingError
 from rulkit.numerics import SeededRng
 from rulkit.optim import adam_step, flatten_params, init_adam
-from rulkit.train_eval import TrainConfig, init_model_params, train
+from rulkit.train_eval import TrainConfig, train
 
 
 @dataclass
@@ -99,7 +99,7 @@ def _backward(kind, params, cache, dpred):
 def reference_train(config, train_set, val_set, rng):
     """The training loop over a dict of separate tensors; returns params, state, mse curves."""
     n = len(train_set)
-    params_obj = init_model_params(config, train_set.rows.shape[1], rng)
+    params_obj = models.MODELS[config.model].init(train_set.rows.shape[1], config, rng)
     params = params_obj.to_dict()
     state = reference_init(params, lr=config.lr)
     train_mse, val_mse = [], []
@@ -243,13 +243,10 @@ def test_train_matches_per_tensor_loop_bit_for_bit(small_pipeline, kind, grad_cl
     config = TrainConfig(
         model=kind, epochs=2, seed=0, lstm_hidden=12, n_val=1, grad_clip=grad_clip
     )
-    if kind == "lstm":
-        data = (small_pipeline.train_windows, small_pipeline.val_windows)
-    else:
-        data = (small_pipeline.train_rows, small_pipeline.val_rows)
+    data = (small_pipeline.train_rows, small_pipeline.val_rows)
 
     ref_obj, ref_state, ref_train_mse, ref_val_mse = reference_train(
-        config, *data, SeededRng(config.seed)
+        config, *(replace(s, window=config.input_window) for s in data), SeededRng(config.seed)
     )
     params, state, history = train(config, *data, SeededRng(config.seed))
 

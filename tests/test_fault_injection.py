@@ -87,6 +87,17 @@ BUNDLE_JSON_FAULTS = {
          "counts.val_rows must be a non-negative integer, got nan"),
         ("negative count", _json(lambda d: d["counts"].update(engines=-6)),
          "counts.engines must be a non-negative integer, got -6"),
+        # The pipeline values go through TrainConfig's own checks.
+        ("pipeline alpha a string", _json(lambda d: d["pipeline"].update(alpha="x")),
+         "pipeline alpha must be a finite real number, got 'x'"),
+        ("negative pipeline trim", _json(lambda d: d["pipeline"].update(trim=-1)),
+         "pipeline trim must be >= 0, got -1"),
+        ("zero pipeline rul_cap", _json(lambda d: d["pipeline"].update(rul_cap=0)),
+         "pipeline rul_cap must be positive, got 0"),
+        ("null pipeline n_val", _json(lambda d: d["pipeline"].update(n_val=None)),
+         "pipeline n_val must be an integer, got None"),
+        ("pipeline missing alpha", _json(lambda d: d["pipeline"].pop("alpha")),
+         "pipeline has no entry 'alpha'"),
     ],
     # A valid scaler that is not the one meta.json's scaler_hash records.
     "scaler.json": SCALER_FAULTS + [

@@ -94,12 +94,10 @@ def test_test_time_chain_equals_the_trimming_reference(fitted, lengths, trim, wi
         assert got_window.tobytes() == want_window.tobytes()
         assert got_row.tobytes() == want_row.tobytes()
 
-    config = train_eval.TrainConfig(window=window, trim=trim, alpha=alpha, lstm_hidden=2,
-                                    mlp_hidden=(2,))
-    for kind, params in (
-        ("lstm", models.init_lstm(selection.n_features, 2, SeededRng(0))),
-        ("mlp", models.init_mlp((selection.n_features, 2, 1), SeededRng(0))),
-    ):
+    for kind in train_eval.MODEL_KINDS:
+        config = train_eval.TrainConfig(model=kind, window=window, trim=trim, alpha=alpha,
+                                        lstm_hidden=2, mlp_hidden=(2,))
+        params = models.MODELS[kind].init(selection.n_features, config, SeededRng(0))
         model = train_eval.TrainedModel(
             kind=kind, params=params, window=window, feature_names=selection.feature_names,
             scaler_hash=train_eval.scaler_hash(scaler), config_hash="", seed=0,

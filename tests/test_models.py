@@ -157,8 +157,8 @@ def test_lstm_cell_single_step_hand_oracle():
     assert f == pytest.approx(0.62245933120185459, rel=1e-15)
     assert g == pytest.approx(0.9640275800758169, rel=1e-15)
     assert o == pytest.approx(0.81757447619364365, rel=1e-15)
-    assert cache.c[0, 0, 0] == pytest.approx(0.70476063245034992, rel=1e-15)
-    assert cache.h[0, 0, 0] == pytest.approx(0.49657907793517897, rel=1e-15)
+    assert cache.cells[1, 0, 0] == pytest.approx(0.70476063245034992, rel=1e-15)
+    assert cache.hiddens[1, 0, 0] == pytest.approx(0.49657907793517897, rel=1e-15)
 
 
 def test_lstm_forward_two_step_hand_oracle():
@@ -166,8 +166,8 @@ def test_lstm_forward_two_step_hand_oracle():
     pred, cache = models.lstm_forward(_tiny_lstm(), np.array([[[2.0]], [[2.0]]])[:1])
     assert pred[0] == pytest.approx(1.4931581558703579, rel=1e-14)
     pred2, cache2 = models.lstm_forward(_tiny_lstm(), np.array([[[2.0], [-1.0]]]))
-    assert cache2.c[1, 0, 0] == pytest.approx(0.26027757477274599, rel=1e-14)
-    assert cache2.h[1, 0, 0] == pytest.approx(0.081666710940140663, rel=1e-14)
+    assert cache2.cells[2, 0, 0] == pytest.approx(0.26027757477274599, rel=1e-14)
+    assert cache2.hiddens[2, 0, 0] == pytest.approx(0.081666710940140663, rel=1e-14)
     assert pred2[0] == pytest.approx(0.66333342188028133, rel=1e-14)
 
 
@@ -211,7 +211,7 @@ def test_lstm_batch_matches_per_sample_runs_property(feats, hidden, steps, batch
     batched, _ = models.lstm_forward(params, x)
     for i in range(batch):
         single, cache = models.lstm_forward(params, x[i : i + 1])
-        size = np.abs(cache.h[-1][0]) @ np.abs(params.w_head) + abs(params.b_head[0])
+        size = np.abs(cache.hiddens[-1][0]) @ np.abs(params.w_head) + abs(params.b_head[0])
         assert abs(batched[i] - single[0]) <= 1e-12 * size
 
 

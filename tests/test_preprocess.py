@@ -19,7 +19,7 @@ from rulkit.preprocess import (
     apply_minmax,
     ewma_smooth,
     feature_matrix,
-    final_window,
+    final_features,
     fit_minmax,
     INVARIANTS,
     invariant_failures,
@@ -591,12 +591,19 @@ def test_split_by_engine_validation():
         split_by_engine([1, 2], n_val=-1)
 
 
-def test_final_window_slices_or_pads():
-    feats = np.arange(10.0)[:, None]
-    assert final_window(feats, window=4)[:, 0].tolist() == [6.0, 7.0, 8.0, 9.0]
-    short = np.array([[5.0], [6.0]])
-    padded = final_window(short, window=5)
-    assert padded[:, 0].tolist() == [5.0, 5.0, 5.0, 5.0, 6.0]
+def test_final_features_slices_or_pads():
+    # sensor_1 takes the values k/16, which the [0, 1] scaler leaves exact.
+    selection = FeatureSelection(("sensor_1",))
+    scaler = ScalerParams(("sensor_1",), np.array([0.0]), np.array([1.0]))
+    sensors = np.zeros((10, N_SENSORS))
+    sensors[:, 0] = np.arange(10.0) / 16
+    traj = make_traj(1, sensors)
+    window = final_features(traj, scaler, selection, window=4)
+    assert (window[:, 0] * 16).tolist() == [6.0, 7.0, 8.0, 9.0]
+    padded = final_features(make_traj(1, sensors[5:7]), scaler, selection, window=5)
+    assert (padded[:, 0] * 16).tolist() == [5.0, 5.0, 5.0, 5.0, 6.0]
+    row = final_features(traj, scaler, selection, window=None)
+    assert row.shape == (1,) and row[0] * 16 == 9.0
 
 
 # ---------------------------------------------------------------------------
@@ -682,6 +689,20 @@ def test_prepare_test_engine_pads_short_trajectory(tiny_corpus):
     # Front rows repeat the earliest available scaled row.
     assert np.array_equal(window[0], window[1])
     assert np.array_equal(window[-1], row)
+
+
+@pytest.mark.parametrize("length", [45, 6])
+def test_final_features_row_is_prepare_test_engines_row(tiny_corpus, length):
+    """The row alone, one scaled row, is bit for bit the last row of the
+    (front-padded, for the short engine) window that prepare_test_engine scales."""
+    result = run_pipeline(tiny_corpus, trim=5, window=10, n_val=1, seed=2)
+    traj = random_traj(9, length, seed=104)
+    _, want = prepare_test_engine(
+        traj, result.scaler, result.selection, alpha=0.1, trim=5, window=10
+    )
+    got = final_features(smooth_trajectory(traj, 0.1), result.scaler, result.selection,
+                         window=None)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_bundle_write_load_round_trip(tiny_corpus, tmp_path):

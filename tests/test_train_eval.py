@@ -2,6 +2,7 @@
 
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,11 +42,7 @@ def _quick_config(**overrides):
 
 
 def _fit(config, result):
-    if config.model == "lstm":
-        data = (result.train_windows, result.val_windows)
-    else:
-        data = (result.train_rows, result.val_rows)
-    return train(config, *data, SeededRng(config.seed))
+    return train(config, result.train_rows, result.val_rows, SeededRng(config.seed))
 
 
 def _wrap(config, result, params):
@@ -175,27 +172,45 @@ def test_train_mlp_on_rows(small_data):
     assert history.train_mse[-1] < history.train_mse[0]
 
 
-def test_train_rejects_empty_and_mismatched_data(small_data):
+def test_train_rejects_empty_and_non_finite_data(small_data):
     result, _, _ = small_data
     empty = preprocess.SampleSet(
         np.zeros((0, 16)), np.zeros(0), np.zeros(0, dtype=np.int64), window=20
     )
     with pytest.raises(ConfigError, match="empty"):
         train(_quick_config(), empty, empty, SeededRng(0))
-    with pytest.raises(ConfigError, match="lstm model needs samples with window 20, "
-                       "got training samples with window None"):
-        train(_quick_config(), result.train_rows, result.val_rows, SeededRng(0))
-    with pytest.raises(ConfigError, match="mlp model needs samples with window None, "
-                       "got validation samples with window 20"):
-        train(_quick_config(model="mlp"), result.train_rows, result.val_windows, SeededRng(0))
-    with pytest.raises(ConfigError, match="window 12, got training samples with window 20"):
-        train(_quick_config(window=12), result.train_windows, result.val_windows, SeededRng(0))
     val = result.val_windows
     rows = val.rows.copy()
     rows[-1, 0] = np.nan
     poisoned = preprocess.SampleSet(rows, val.rul, val.engine_ids, window=val.window)
     with pytest.raises(TrainingError, match="epoch 1: non-finite validation loss nan"):
         train(_quick_config(epochs=1), result.train_windows, poisoned, SeededRng(0))
+
+
+@pytest.mark.parametrize("kind", train_eval.MODEL_KINDS)
+def test_train_cuts_rows_and_windows_alike(small_data, kind):
+    """train re-cuts each split to config.input_window, so rows, the pipeline's
+    windows and windows of another length all give the same run, bit for bit."""
+    result, _, _ = small_data
+    config = _quick_config(model=kind, mlp_hidden=(8,))
+    runs = [
+        train(config, replace(result.train_rows, window=w), replace(result.val_rows, window=w),
+              SeededRng(config.seed))
+        for w in (None, config.window, 7)
+    ]
+    want_params, _, want_history = runs[0]
+    for params, _, history in runs[1:]:
+        for curve in ("train_mse", "val_mse"):
+            assert list(map(float.hex, getattr(history, curve))) == list(
+                map(float.hex, getattr(want_history, curve)))
+        for name, tensor in want_params.to_dict().items():
+            assert params.to_dict()[name].tobytes() == tensor.tobytes(), name
+
+
+def test_input_window_follows_the_model_kind():
+    assert TrainConfig(model="lstm", window=12).input_window == 12
+    assert TrainConfig(model="mlp", window=12).input_window is None
+    assert "input_window" not in TrainConfig().to_dict()
 
 
 def test_partial_final_batch_is_used(small_data):
@@ -252,7 +267,7 @@ def test_evaluate_rejects_stale_scaler(small_data):
 def test_final_inputs_stack_per_engine_prepare_test_engine(small_data, kind):
     result, test_trajectories, _ = small_data
     config = _quick_config(model=kind)
-    params = train_eval.init_model_params(config, result.selection.n_features, SeededRng(0))
+    params = models.MODELS[kind].init(result.selection.n_features, config, SeededRng(0))
     longest = max(test_trajectories, key=len)
     assert len(longest) > config.window + config.trim
     # Shorter than the window (front-padded), as long as it, and up to a trim longer.
@@ -333,7 +348,7 @@ def test_evaluate_scores_all_engines_in_one_forward(
 def test_single_engine_request_is_one_forward(small_data, forward_rows, kind):
     result, test_trajectories, _ = small_data
     config = _quick_config(model=kind)
-    params = train_eval.init_model_params(config, result.selection.n_features, SeededRng(0))
+    params = models.MODELS[kind].init(result.selection.n_features, config, SeededRng(0))
     model = _wrap(config, result, params)
     x = train_eval.final_inputs(model, test_trajectories[:1], result.scaler, config)
     pred = model.predict(x)
