@@ -5,10 +5,13 @@ Not part of the test suite (pyproject's testpaths is `tests`). Run with
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python -m pytest benchmarks/ --benchmark-only
 
 The corpus is the default `simulate` corpus (seed 2014, 100 engines,
-20,631 training rows). `prepare_test_engine` is timed on the longest test
-engine, the single-engine scoring path; `final_inputs` on all 100 test
-engines, the path of `evaluate` and `rulkit predict`. The bundle round trip
-times `write_bundle` followed by `load_bundle`.
+20,631 training rows). The training file is parsed twice: as written,
+which np.loadtxt reads, and with one value spelled with an underscore,
+which sends the whole file to the line-by-line reader.
+`prepare_test_engine` is timed on the longest test engine, the
+single-engine scoring path; `final_inputs` on all 100 test engines, the
+path of `evaluate` and `rulkit predict`. The bundle round trip times
+`write_bundle` followed by `load_bundle`.
 
 `ewma_smooth` is also timed on its own, as the two shapes it is called with:
 the longest test engine's (L, 21) sensors, the smoothing inside every
@@ -40,6 +43,15 @@ def prepared(corpus):
 
 def test_parse_trajectory_file(benchmark, corpus):
     trajectories = benchmark(dataset_io.parse_trajectory_file, corpus[0])
+    assert sum(len(t) for t in trajectories) == 20631
+
+
+def test_parse_trajectory_file_line_by_line(benchmark, corpus):
+    # One "100.0000" spelled "1_00.0000": np.loadtxt rejects the file, so the
+    # line-by-line reader reads all of it.
+    text = corpus[0].replace(" 100.0000 ", " 1_00.0000 ", 1)
+    assert text != corpus[0]
+    trajectories = benchmark(dataset_io.parse_trajectory_file, text)
     assert sum(len(t) for t in trajectories) == 20631
 
 

@@ -4,6 +4,7 @@ File layout (train/test trajectory files):
     26 whitespace-delimited numeric columns per row, no header:
     unit id, cycle, 3 operating settings, 21 sensor channels.
     Rows are grouped by engine, cycle-ascending, cycles starting at 1.
+    Unit ids and cycles are integers in [1, 2^63), so they fit an int64.
 
 The companion RUL file holds one non-negative integer per line: the
 remaining life of the i-th test engine at its last recorded cycle.
@@ -15,19 +16,21 @@ trajectory can share its parent's arrays without copying.
 Parsing is fail-fast: a malformed row raises ParseError with its line
 number, and structural violations (cycle gaps, duplicated engine blocks)
 raise ValidationError naming the engine. When a file has several faults,
-the one reported is the first a row-by-row reader would meet; read_*
-puts the file's path in front of the message. Values are
-kept at full double precision; downstream gradient checks depend on it.
+the one reported is the first a line-by-line reader meets; read_* puts
+the file's path in front of the message. Values are kept at full double
+precision; downstream gradient checks depend on it.
 
-Rows are read by one np.loadtxt call; a file it rejects, or whose rows
-fail a check, is read again line by line with Python's float(), and that
-reader reports the fault (see parse_trajectory_file).
+The fast path is one np.loadtxt call and one vectorised screen of the
+rows it returns. Only a file that loadtxt rejects, or whose rows fail the
+screen, goes to the plain line-by-line reader, which holds the per-row
+rules and raises the first fault (see parse_trajectory_file).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +40,8 @@ from .errors import ParseError, ValidationError
 N_SETTINGS = 3
 N_SENSORS = 21
 N_COLUMNS = 2 + N_SETTINGS + N_SENSORS
+# Unit ids and cycles must lie below this bound, so that they fit an int64.
+_ID_LIMIT = 2.0**63
 
 
 def _read_only(values, dtype) -> np.ndarray:
@@ -143,95 +148,52 @@ class RulLabelFile:
         return len(self.ruls)
 
 
-def _row_faults(rows: np.ndarray) -> np.ndarray:
-    """(n, 4) fault flags of converted rows, one column per per-row check in
-    the order a row-by-row reader runs them: unit id, cycle, a repeated
-    engine block, then non-finite settings or sensors."""
-    ids = rows[:, 0]
-    new_block = np.ones(len(ids), dtype=bool)
-    new_block[1:] = ids[1:] != ids[:-1]
-    starts = np.flatnonzero(new_block)
-    _, first = np.unique(ids[starts], return_index=True)
-    repeated = new_block.copy()
-    repeated[starts[first]] = False
+def _passes_screen(rows: np.ndarray) -> bool:
+    """Whether np.loadtxt's rows can be used as they are: there are rows, each
+    26 wide, and they pass every per-row check: unit ids and cycles
+    are integers in [1, 2^63), no engine appears in two blocks, and every
+    setting and sensor value is finite."""
+    if rows.shape[0] == 0 or rows.shape[1] != N_COLUMNS:
+        return False
     id_cycle = rows[:, :2]
-    positive_int = np.isfinite(id_cycle) & (id_cycle == np.trunc(id_cycle)) & (id_cycle >= 1)
-    return np.column_stack([~positive_int, repeated, ~np.isfinite(rows[:, 2:]).all(axis=1)])
+    if not ((id_cycle >= 1) & (id_cycle < _ID_LIMIT) & (id_cycle == np.trunc(id_cycle))).all():
+        return False
+    block_ids = rows[np.flatnonzero(np.diff(rows[:, 0], prepend=0.0)), 0]
+    return len(np.unique(block_ids)) == len(block_ids) and bool(np.isfinite(rows[:, 2:]).all())
 
 
-def _raise_row_fault(rows: np.ndarray, linenos: list[int]) -> None:
-    """Raise the first fault that _row_faults flags, in file order, if any."""
-    faults = _row_faults(rows)
-    bad_rows = np.flatnonzero(faults.any(axis=1))
-    if not bad_rows.size:
-        return
-    row = bad_rows[0]
-    kind = int(np.argmax(faults[row]))
-    lineno = linenos[row]
-    if kind == 0:
-        raise ParseError(f"line {lineno}: unit id must be a positive integer")
-    if kind == 1:
-        raise ParseError(f"line {lineno}: cycle must be a positive integer")
-    if kind == 2:
-        raise ValidationError(
-            f"line {lineno}: engine {int(rows[row, 0])} appears in more than one block"
-        )
-    raise ParseError(f"line {lineno}: {_non_finite(rows[row, 2:], rows[row, 1])}")
-
-
-def _loadtxt_rows(lines: list[str]) -> np.ndarray | None:
-    """Every data row, read by np.loadtxt, or None when the file needs the
-    line-by-line reader: loadtxt rejects it, it has no rows or rows that
-    are not 26 wide, or a row fails a per-row check."""
-    try:
-        with warnings.catch_warnings():
-            # An empty or blank file: the line-by-line reader reports it.
-            warnings.filterwarnings("ignore", ".*input contained no data", UserWarning)
-            rows = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
-    except ValueError:
-        return None
-    if rows.shape[0] == 0 or rows.shape[1] != N_COLUMNS or _row_faults(rows).any():
-        return None
-    return rows
-
-
-def _token_rows(lines: list[str]) -> np.ndarray:
-    """Every data row, read line by line with Python's float(); raises the
-    first fault a row-by-row reader meets, naming its line."""
-    linenos: list[int] = []
-    tokens: list[str] = []
-    fault = None
+def _read_lines(lines: list[str]) -> np.ndarray:
+    """Every data row, read line by line with Python's float(). Each line is
+    checked for its column count, its tokens, its unit id, its cycle, a
+    repeated engine block and non-finite values, in that order; the first
+    fault raises, naming its line."""
+    rows = []
+    seen = set()
     for lineno, line in enumerate(lines, start=1):
-        fields = line.split()
-        if not fields:
+        tokens = line.split()
+        if not tokens:
             continue
-        if len(fields) != N_COLUMNS:
-            fault = ParseError(
-                f"line {lineno}: expected {N_COLUMNS} columns, got {len(fields)}"
+        if len(tokens) != N_COLUMNS:
+            raise ParseError(f"line {lineno}: expected {N_COLUMNS} columns, got {len(tokens)}")
+        try:
+            values = list(map(float, tokens))
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: non-numeric token ({exc})") from None
+        for what, v in (("unit id", values[0]), ("cycle", values[1])):
+            if not (1 <= v < _ID_LIMIT and v.is_integer()):
+                raise ParseError(f"line {lineno}: {what} must be a positive integer")
+        engine_id = values[0]
+        if engine_id in seen and engine_id != rows[-1][0]:
+            raise ValidationError(
+                f"line {lineno}: engine {int(engine_id)} appears in more than one block"
             )
-            break
-        linenos.append(lineno)
-        tokens += fields
-    try:
-        values = np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
-    except ValueError:
-        for i, token in enumerate(tokens):
-            try:
-                float(token)
-            except ValueError as exc:
-                fault = ParseError(
-                    f"line {linenos[i // N_COLUMNS]}: non-numeric token ({exc})"
-                )
-                break
-        del tokens[i - i % N_COLUMNS :]
-        values = np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
-    rows = values.reshape(-1, N_COLUMNS)
-    _raise_row_fault(rows, linenos)
-    if fault is not None:
-        raise fault
-    if not rows.shape[0]:
+        seen.add(engine_id)
+        if not all(map(isfinite, values[2:])):
+            raise ParseError(f"line {lineno}: {_non_finite(np.array(values[2:]), values[1])}")
+        rows.append(values)
+    if not rows:
         raise ValidationError("trajectory file contains no data rows")
-    return rows
+    return np.array(rows, dtype=np.float64)
 
 
 def _engine_blocks(rows: np.ndarray) -> list[EngineTrajectory]:
@@ -261,17 +223,28 @@ def parse_trajectory_file(text: str) -> list[EngineTrajectory]:
     Lines are those of str.splitlines(). Tolerates repeated delimiters,
     blank lines and trailing whitespace (the published files use
     double-space separators). Every row must contribute to the output;
-    engine blocks may appear in any order but must not repeat.
+    engine blocks may appear in any order but must not repeat. Unit ids
+    and cycles must be integers in [1, 2^63), so that they fit an int64.
 
-    np.loadtxt reads the lines; a file it rejects, or whose rows fail a
-    check, is read again token by token with Python's float(), which
-    reports the fault. Both give the same values: they share CPython's
-    string-to-double conversion, and the spellings only float() accepts
-    (underscores, non-ASCII digits) make loadtxt fail.
+    One np.loadtxt call reads the lines, and one vectorised screen checks
+    the rows it returns. A file that loadtxt rejects, or whose rows fail
+    the screen, is read again line by line with Python's float(), which
+    raises the first fault with its line number. Both readers give the
+    same values: they share CPython's string-to-double conversion, and
+    the spellings only float() accepts (underscores, non-ASCII digits)
+    make loadtxt fail.
     """
     lines = text.splitlines()
-    rows = _loadtxt_rows(lines)
-    return _engine_blocks(_token_rows(lines) if rows is None else rows)
+    try:
+        with warnings.catch_warnings():
+            # An empty or blank file: the line-by-line reader reports it.
+            warnings.filterwarnings("ignore", ".*input contained no data", UserWarning)
+            rows = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        rows = None
+    if rows is None or not _passes_screen(rows):
+        rows = _read_lines(lines)
+    return _engine_blocks(rows)
 
 
 def parse_rul_file(text: str) -> RulLabelFile:

@@ -306,7 +306,7 @@ def check_scaler(model: TrainedModel, scaler: ScalerParams) -> None:
     """Raise ValidationError unless `scaler` is the one the model was trained on."""
     if model.feature_names != scaler.feature_names:
         raise ValidationError("model feature order does not match the scaler")
-    if model.scaler_hash and model.scaler_hash != scaler_hash(scaler):
+    if model.scaler_hash != scaler_hash(scaler):
         raise ValidationError(
             "checkpoint was trained against a different scaler (hash mismatch); "
             "re-run preprocessing or use the matching scaler.json"
@@ -431,7 +431,7 @@ def write_checkpoint(
 
 def load_checkpoint(path: Path | str) -> tuple[TrainedModel, AdamState, TrainConfig]:
     """Read a checkpoint; a missing or malformed entry, or a top-level model,
-    window or seed unequal to its config's, fails naming the file."""
+    window, seed or config_hash unequal to its config's, fails naming the file."""
     d = read_json(path)
     try:
         return _checkpoint_from_dict(d)
@@ -463,11 +463,12 @@ def _checkpoint_from_dict(d: dict) -> tuple[TrainedModel, AdamState, TrainConfig
     cfg_dict = dict(d["config"])
     cfg_dict["mlp_hidden"] = tuple(cfg_dict["mlp_hidden"])
     config = TrainConfig(**cfg_dict)
-    for key in ("model", "window", "seed"):
-        if d[key] != getattr(config, key):
+    expected = {"model": config.model, "window": config.window, "seed": config.seed,
+                "config_hash": config.config_hash()}
+    for key, want in expected.items():
+        if d[key] != want:
             raise ValidationError(
-                f"checkpoint {key} {d[key]!r} does not match its config's "
-                f"{getattr(config, key)!r}"
+                f"checkpoint {key} {d[key]!r} does not match its config's {want!r}"
             )
     model = TrainedModel(
         kind=d["model"],

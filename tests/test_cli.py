@@ -28,6 +28,18 @@ def test_preprocess_reports_counts(workspace, tmp_path, capsys):
     assert "wrote bundle to" in out
 
 
+def test_preprocess_unit_id_too_large_names_the_line(workspace, tmp_path, capsys):
+    lines = workspace.train_file.read_text().splitlines(keepends=True)
+    lines[2] = "1e19 " + lines[2].split(maxsplit=1)[1]
+    train_file = tmp_path / "train.txt"
+    train_file.write_text("".join(lines))
+    out = tmp_path / "bundle"
+    assert main(["preprocess", "--train-file", str(train_file), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {train_file}: line 3: unit id must be a positive integer" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_train_writes_artifacts(workspace):
     history = (workspace.run / "history.csv").read_text().splitlines()
     assert history[0] == "epoch,train_mse,val_mse"

@@ -288,9 +288,10 @@ def test_trajectory_copies_writable_input():
     assert sensors.flags.writeable
 
 
-@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e19", "9223372036854775808"])
 @pytest.mark.parametrize("column", [0, 1])
 def test_parse_rejects_non_finite_unit_or_cycle_with_line_number(token, column):
+    # 1e19 and 2^63 are finite but do not fit an int64.
     bad = _row(1, 2).split()
     bad[column] = token
     what = "unit id" if column == 0 else "cycle"

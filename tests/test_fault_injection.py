@@ -148,6 +148,10 @@ CHECKPOINT_FAULTS = [
      "checkpoint window 19 does not match"),
     ("config window a float", _json(lambda d: d["config"].update(window=20.0)),
      "window must be an integer, got 20.0"),
+    ("config_hash not the config's", _json(lambda d: d.update(config_hash="0" * 64)),
+     f"checkpoint config_hash '{'0' * 64}' does not match its config's"),
+    # An empty hash must not pass for any scaler.
+    ("blank scaler_hash", _json(lambda d: d.update(scaler_hash="")), "hash mismatch"),
 ]
 TEST_FILE_FAULTS = [
     ("truncated", _truncate, "expected 26 columns"),
