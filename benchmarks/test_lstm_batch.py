@@ -17,7 +17,7 @@ import pytest
 
 from rulkit import models, train_eval
 from rulkit.numerics import SeededRng
-from rulkit.optim import adam_step, flatten_params, init_adam
+from rulkit.optim import adam_step, flatten_params, init_adam, unflatten
 from rulkit.preprocess import SampleSet
 
 BATCH, WINDOW, FEATURES, HIDDEN = 64, 20, 16, 64
@@ -42,17 +42,20 @@ def test_lstm_forward_batch(benchmark, lstm_batch):
 
 
 def test_lstm_backward_batch(benchmark, lstm_batch):
+    # As in `train`: the gradients go into views of one flat vector.
     params, _, cache, dpred = lstm_batch
-    grads = benchmark(models.lstm_backward, params, cache, dpred)
+    grad_views = flatten_params(params.to_dict())[1]  # every call overwrites them
+    grads = benchmark(models.lstm_backward, params, cache, dpred, grad_views)
     assert grads["w_h"].shape == (4 * HIDDEN, HIDDEN)
 
 
 def test_adam_step_batch(benchmark, lstm_batch):
     params, _, cache, dpred = lstm_batch
     flat, views = flatten_params(params.to_dict())
-    grads = models.lstm_backward(params, cache, dpred)
+    grad = np.empty_like(flat)
+    models.lstm_backward(params, cache, dpred, unflatten(grad, views))
     state = init_adam(views)
-    benchmark(adam_step, state, flat, grads)
+    benchmark(adam_step, state, flat, grad)
     assert state.step > 0
 
 

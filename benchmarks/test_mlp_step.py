@@ -7,8 +7,9 @@ Not part of the test suite (pyproject's testpaths is `tests`). Run with
 Shapes follow the default MLP recipe on the default corpus: a batch of 64
 rows of 16 features through hidden layers (64, 32), 3,201 parameters in six
 tensors. As in `train`, the tensors are views of one flat vector, which
-`adam_step` updates. Inputs are uniform on [0, 1], the range of min-max
-scaled features.
+`adam_step` updates from one flat gradient vector, allocated once, whose
+views the backward pass writes into. Inputs are uniform on [0, 1], the
+range of min-max scaled features.
 """
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 
 from rulkit import models
 from rulkit.numerics import SeededRng
-from rulkit.optim import adam_step, flatten_params, init_adam
+from rulkit.optim import adam_step, flatten_params, init_adam, unflatten
 
 BATCH, FEATURES, HIDDEN = 64, 16, (64, 32)
 
@@ -25,29 +26,32 @@ BATCH, FEATURES, HIDDEN = 64, 16, (64, 32)
 def mlp_batch():
     rng = SeededRng(0)
     flat, views = flatten_params(models.init_mlp((FEATURES, *HIDDEN, 1), rng).to_dict())
+    grad = np.empty_like(flat)
     x = rng.uniform(0.0, 1.0, (BATCH, FEATURES))
     y = rng.uniform(0.0, 125.0, (BATCH,))
-    return flat, models.MlpParams.from_dict(views), init_adam(views), x, y
+    return flat, grad, models.MlpParams.from_dict(views), init_adam(views), x, y
 
 
-def _train_step(flat, params, state, x, y):
+def _train_step(flat, grad, grad_views, params, state, x, y):
     pred, cache = models.mlp_forward(params, x)
     loss, dpred = models.mse_loss(pred, y)
-    adam_step(state, flat, models.mlp_backward(params, cache, dpred))
+    models.mlp_backward(params, cache, dpred, grad_views)
+    adam_step(state, flat, grad)
     return loss
 
 
 def test_mlp_train_step(benchmark, mlp_batch):
-    flat, params, state, x, y = mlp_batch
+    flat, grad, params, state, x, y = mlp_batch
     assert flat.size == 3201
-    loss = benchmark(_train_step, flat, params, state, x, y)
+    grad_views = unflatten(grad, params.to_dict())
+    loss = benchmark(_train_step, flat, grad, grad_views, params, state, x, y)
     assert np.isfinite(loss) and state.step > 0
 
 
 def test_mlp_adam_step(benchmark, mlp_batch):
-    flat, params, state, x, y = mlp_batch
+    flat, grad, params, state, x, y = mlp_batch
     pred, cache = models.mlp_forward(params, x)
     _, dpred = models.mse_loss(pred, y)
-    grads = models.mlp_backward(params, cache, dpred)
-    benchmark(adam_step, state, flat, grads)
+    models.mlp_backward(params, cache, dpred, unflatten(grad, params.to_dict()))
+    benchmark(adam_step, state, flat, grad)
     assert state.step > 0

@@ -248,7 +248,7 @@ def parse_trajectory_file(text: str) -> list[EngineTrajectory]:
 
 
 def parse_rul_file(text: str) -> RulLabelFile:
-    """Parse the companion RUL file: one non-negative integer per line."""
+    """Parse the companion RUL file: one integer in [0, 2^63) per line."""
     labels = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -258,8 +258,8 @@ def parse_rul_file(text: str) -> RulLabelFile:
             value = int(stripped)
         except ValueError:
             raise ParseError(f"line {lineno}: expected an integer, got {stripped!r}") from None
-        if value < 0:
-            raise ParseError(f"line {lineno}: RUL must be non-negative, got {value}")
+        if not 0 <= value < 2**63:
+            raise ParseError(f"line {lineno}: RUL must be non-negative and below 2^63, got {value}")
         labels.append(value)
     return RulLabelFile(tuple(labels))
 

@@ -8,8 +8,11 @@ views of one contiguous vector (optim.flatten_params) that Adam updates in
 a single pass; from_dict keeps float64 views as they are, without a copy.
 
 The parameter object is the model: `params.forward(x)` gives (predictions,
-cache) and `params.backward(cache, dpred)` the gradients, through this
-module's mlp_* / lstm_* functions. `takes_windows` says whether a sample is
+cache) and `params.backward(cache, dpred, out)` the gradients, through this
+module's mlp_* / lstm_* functions. The backward pass writes each gradient
+into the tensor of the same name in `out` (training passes views of one
+flat gradient vector) and returns `out`; without `out` it returns fresh
+tensors in to_dict order. `takes_windows` says whether a sample is
 a (W, F) window (LSTM) or one (F,) row (MLP); MODELS maps kinds to classes.
 
 A parameter object may also hold a stack of S models: every tensor then
@@ -142,8 +145,8 @@ class MlpParams:
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, MlpCache]:
         return mlp_forward(self, x)
 
-    def backward(self, cache: MlpCache, dpred: np.ndarray) -> dict[str, np.ndarray]:
-        return mlp_backward(self, cache, dpred)
+    def backward(self, cache: MlpCache, dpred: np.ndarray, out=None) -> dict[str, np.ndarray]:
+        return mlp_backward(self, cache, dpred, out)
 
     def to_dict(self) -> dict[str, np.ndarray]:
         out: dict[str, np.ndarray] = {}
@@ -222,8 +225,8 @@ class LstmParams:
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, LstmCache]:
         return lstm_forward(self, x)
 
-    def backward(self, cache: LstmCache, dpred: np.ndarray) -> dict[str, np.ndarray]:
-        return lstm_backward(self, cache, dpred)
+    def backward(self, cache: LstmCache, dpred: np.ndarray, out=None) -> dict[str, np.ndarray]:
+        return lstm_backward(self, cache, dpred, out)
 
     def to_dict(self) -> dict[str, np.ndarray]:
         return {
@@ -307,9 +310,10 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, MlpCache]
 
 
 def mlp_backward(
-    params: MlpParams, cache: MlpCache, dpred: np.ndarray
+    params: MlpParams, cache: MlpCache, dpred: np.ndarray, out: dict | None = None
 ) -> dict[str, np.ndarray]:
-    """Gradients of the loss w.r.t. every weight and bias of one model.
+    """Gradients of the loss w.r.t. every weight and bias of one model, written
+    into `out` (tensors of the parameters' names and shapes) or fresh tensors.
 
     dpred is dLoss/dPrediction per sample, shape (B,).
     """
@@ -322,19 +326,15 @@ def mlp_backward(
             f"cache input width {cache.inputs[0].shape[1]} does not match "
             f"model input {params.input_size}"
         )
-    grads: dict[str, np.ndarray] = {}
+    out = {k: np.empty_like(t) for k, t in params.to_dict().items()} if out is None else out
     last = len(params.weights) - 1
-    delta = np.asarray(dpred, dtype=np.float64)[:, None]  # (B, 1)
-    grads[f"w{last}"] = delta.T @ cache.inputs[last]
-    grads[f"b{last}"] = delta.sum(axis=0)
-    dh = delta @ params.weights[last]
-    for l in range(last - 1, -1, -1):
-        dz = dh * (cache.pre_acts[l] > 0.0)
-        grads[f"w{l}"] = dz.T @ cache.inputs[l]
-        grads[f"b{l}"] = dz.sum(axis=0)
-        if l > 0:
-            dh = dz @ params.weights[l]
-    return grads
+    dz = np.asarray(dpred, dtype=np.float64)[:, None]  # (B, 1)
+    for l in range(last, -1, -1):
+        if l < last:
+            dz = (dz @ params.weights[l + 1]) * (cache.pre_acts[l] > 0.0)
+        np.matmul(dz.T, cache.inputs[l], out=out[f"w{l}"])
+        dz.sum(axis=0, out=out[f"b{l}"])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +420,10 @@ def lstm_forward(params: LstmParams, x: np.ndarray) -> tuple[np.ndarray, LstmCac
 
 
 def lstm_backward(
-    params: LstmParams, cache: LstmCache, dpred: np.ndarray
+    params: LstmParams, cache: LstmCache, dpred: np.ndarray, out: dict | None = None
 ) -> dict[str, np.ndarray]:
-    """Full backpropagation through time, accumulating into every tensor of one model."""
+    """Full backpropagation through time for one model, written into `out`
+    (tensors of the parameters' names and shapes) or fresh tensors."""
     if params.stack_shape:
         raise ShapeError("lstm_backward takes one model, not a stack")
     steps, bsz, hsz = cache.tanh_c.shape
@@ -432,8 +433,9 @@ def lstm_backward(
     if dpred.shape != (bsz,):
         raise ShapeError(f"dpred shape {dpred.shape} does not match batch {bsz}")
 
-    grad_w_head = cache.hiddens[steps].T @ dpred
-    grad_b_head = np.array([dpred.sum()])
+    out = {k: np.empty_like(t) for k, t in params.to_dict().items()} if out is None else out
+    np.matmul(cache.hiddens[steps].T, dpred, out=out["w_head"])
+    dpred.sum(keepdims=True, out=out["b_head"])
 
     dz_all = np.empty((steps, bsz, 4 * hsz))
     dh = dpred[:, None] * params.w_head[None, :]
@@ -471,13 +473,10 @@ def lstm_backward(
         dc *= gf[t]
 
     dz_flat = dz_all.reshape(steps * bsz, 4 * hsz)
-    return {
-        "w_x": dz_flat.T @ cache.x.reshape(steps * bsz, -1),
-        "w_h": dz_flat.T @ cache.hiddens[:steps].reshape(steps * bsz, hsz),
-        "b": dz_flat.sum(axis=0),
-        "w_head": grad_w_head,
-        "b_head": grad_b_head,
-    }
+    np.matmul(dz_flat.T, cache.x.reshape(steps * bsz, -1), out=out["w_x"])
+    np.matmul(dz_flat.T, cache.hiddens[:steps].reshape(steps * bsz, hsz), out=out["w_h"])
+    dz_flat.sum(axis=0, out=out["b"])
+    return out
 
 
 # ---------------------------------------------------------------------------

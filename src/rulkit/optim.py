@@ -2,11 +2,12 @@
 
 While a model trains, all of its parameters live in one contiguous float64
 vector and its tensors are reshaped views of that vector (flatten_params).
-The optimizer state mirrors it: `m` and `v` are flat vectors of the same
-length, and `layout` names each tensor and its shape, in vector order. A
-step concatenates the gradients once, in layout order, and updates the
-whole vector with one sequence of ufuncs, so its cost does not grow with
-the number of tensors.
+The gradients live the same way, in one vector with the same layout whose
+views the backward pass writes into. The optimizer state mirrors it: `m`
+and `v` are flat vectors of the same length, and `layout` names each tensor
+and its shape, in vector order. A step updates the whole parameter vector
+from the whole gradient vector with one sequence of ufuncs, so its cost
+does not grow with the number of tensors.
 
 Update rule per step t (canonical constants unless overridden):
 
@@ -139,29 +140,20 @@ def init_adam(
     )
 
 
-def adam_step(state: AdamState, params: np.ndarray, grads: dict[str, np.ndarray]) -> None:
-    """One in-place Adam update of the flat vector `params`.
+def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> None:
+    """One in-place Adam update of the flat vector `params` from the flat
+    gradient `grad`, both laid out as `state.layout`.
 
-    `grads` holds one gradient per layout tensor. A non-finite gradient
-    raises TrainingError naming its tensor and leaves everything untouched.
+    A non-finite gradient raises TrainingError naming the first tensor, in
+    layout order, that holds one, and leaves everything untouched.
     """
-    if params.shape != state.m.shape:
+    if params.shape != state.m.shape or grad.shape != state.m.shape:
         raise ConfigError(
-            f"parameter vector of shape {params.shape} does not match optimizer "
-            f"state of shape {state.m.shape}"
+            f"parameter vector of shape {params.shape} and gradient of shape "
+            f"{grad.shape} do not match optimizer state of shape {state.m.shape}"
         )
-    if grads.keys() != state.layout.keys():
-        raise ConfigError(
-            f"gradient keys {sorted(grads)} do not match parameters {sorted(state.layout)}"
-        )
-    for name, shape in state.layout.items():
-        if grads[name].shape != shape:
-            raise ConfigError(
-                f"gradient {name} shape {grads[name].shape} does not match parameter {shape}"
-            )
-    g = np.concatenate([grads[name].ravel() for name in state.layout])
-    if not np.isfinite(g).all():
-        bad = next(name for name, t in grads.items() if not np.isfinite(t).all())
+    if not np.isfinite(grad).all():
+        bad = next(n for n, t in _views(grad, state.layout).items() if not np.isfinite(t).all())
         raise TrainingError(f"non-finite gradient in tensor {bad!r}")
 
     state.step += 1
@@ -170,9 +162,9 @@ def adam_step(state: AdamState, params: np.ndarray, grads: dict[str, np.ndarray]
     bc2 = 1.0 - state.beta2**t
     m, v = state.m, state.v
     m *= state.beta1
-    m += (1.0 - state.beta1) * g
+    m += (1.0 - state.beta1) * grad
     v *= state.beta2
-    v += (1.0 - state.beta2) * (g * g)
+    v += (1.0 - state.beta2) * (grad * grad)
     params -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
 
 

@@ -204,7 +204,8 @@ def train(
     fixes the whole trajectory.
 
     The parameters live in one flat vector that Adam updates in place; the
-    returned model's tensors are views of it.
+    returned model's tensors are views of it. Each batch's backward pass
+    writes into views of one flat gradient vector, allocated once per call.
 
     A non-finite training or validation loss raises TrainingError. An empty
     validation split has no loss: its history entry is nan.
@@ -218,6 +219,8 @@ def train(
     flat, views = flatten_params(init.to_dict())
     params_obj = type(init).from_dict(views)
     state = init_adam(views, lr=config.lr)
+    grad = np.empty_like(flat)
+    grad_views = unflatten(grad, views)
     history = TrainHistory()
 
     for epoch in range(1, config.epochs + 1):
@@ -234,10 +237,10 @@ def train(
                 raise TrainingError(
                     f"epoch {epoch} batch {b}: non-finite training loss {loss}"
                 )
-            grads = params_obj.backward(cache, dpred)
+            params_obj.backward(cache, dpred, grad_views)
             if config.grad_clip is not None:
-                clip_gradients(grads, config.grad_clip)
-            adam_step(state, flat, grads)
+                clip_gradients(grad_views, config.grad_clip)
+            adam_step(state, flat, grad)
             sq_sum += loss * len(idx)
 
         history.train_mse.append(sq_sum / n)

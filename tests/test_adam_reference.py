@@ -182,10 +182,11 @@ def test_flat_adam_is_bit_identical_to_per_tensor_reference(tensor_shapes, steps
     flat, _ = flatten_params(start)
     state = init_adam(start, **hp)
     for _ in range(steps):
-        # Gradients arrive in backward-pass order, not layout order.
+        # The reference takes them in backward-pass order, not layout order;
+        # adam_step takes them flattened in layout order.
         grads = {name: _random_tensor(gen, layout[name]) for name in reversed(list(layout))}
         reference_adam_step(ref_state, ref_params, {k: g.copy() for k, g in grads.items()})
-        adam_step(state, flat, grads)
+        adam_step(state, flat, flatten_params({name: grads[name] for name in layout})[0])
     _assert_states_equal(flat, state, ref_params, ref_state)
 
 
@@ -204,7 +205,8 @@ def test_non_finite_gradient_names_tensor_and_leaves_state_untouched(
     flat, views = flatten_params({n: _random_tensor(gen, s) for n, s in layout.items()})
     state = init_adam(views, lr=0.01)
     for _ in range(steps):
-        adam_step(state, flat, {n: _random_tensor(gen, s) for n, s in layout.items()})
+        adam_step(state, flat, flatten_params(
+            {n: _random_tensor(gen, s) for n, s in layout.items()})[0])
     before = (flat.copy(), state.m.copy(), state.v.copy(), state.step)
 
     grads = {str(n): _random_tensor(gen, layout[n]) for n in gen.permutation(list(layout))}
@@ -215,11 +217,12 @@ def test_non_finite_gradient_names_tensor_and_leaves_state_untouched(
     ref_params = {n: v.copy() for n, v in views.items()}
     with pytest.raises(TrainingError) as ref_err:
         reference_adam_step(reference_init(ref_params), ref_params, grads)
-    expected = next(n for n in grads if n in poisoned)
-    assert f"tensor {expected!r}" in str(ref_err.value)
+    assert f"tensor {next(n for n in grads if n in poisoned)!r}" in str(ref_err.value)
 
+    # The flat step names the first poisoned tensor in layout order.
+    expected = next(n for n in layout if n in poisoned)
     with pytest.raises(TrainingError, match=f"tensor {expected!r}$"):
-        adam_step(state, flat, grads)
+        adam_step(state, flat, flatten_params({n: grads[n] for n in layout})[0])
     _assert_same_bits(flat, before[0], "params")
     _assert_same_bits(state.m, before[1], "m")
     _assert_same_bits(state.v, before[2], "v")

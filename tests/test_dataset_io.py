@@ -211,6 +211,10 @@ def test_parse_rul_file_rejects_bad_lines():
         parse_rul_file("10\nten\n")
     with pytest.raises(ParseError, match="line 1: RUL must be non-negative"):
         parse_rul_file("-3\n")
+    # 2^63 does not fit an int64; 2^63 - 1 does.
+    with pytest.raises(ParseError, match="line 2: RUL must be non-negative and below 2\\^63"):
+        parse_rul_file("10\n9223372036854775808\n")
+    assert parse_rul_file("9223372036854775807\n").ruls == (2**63 - 1,)
 
 
 def test_rul_label_file_rejects_empty_and_negative():

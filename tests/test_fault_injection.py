@@ -162,6 +162,8 @@ TEST_FILE_FAULTS = [
 RUL_FILE_FAULTS = [
     ("NaN", _lines(lambda lines: ["nan\n"] + lines[1:]), "line 1"),
     ("extra token", _lines(lambda lines: ["12 7\n"] + lines[1:]), "line 1"),
+    # Above the float range: evaluate's float(label) would overflow.
+    ("huge label", _lines(lambda lines: ["1" + "0" * 400 + "\n"] + lines[1:]), "line 1"),
     ("empty", _text(lambda t: ""), "empty"),
     ("too short", _lines(lambda lines: lines[:2]), "label count 2 does not match"),
 ]

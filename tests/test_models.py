@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from rulkit import models
 from rulkit.errors import ConfigError, ShapeError, ValidationError
 from rulkit.numerics import SeededRng
+from rulkit.optim import flatten_params
 from rulkit.train_eval import numeric_gradients
 
 # ---------------------------------------------------------------------------
@@ -349,3 +350,30 @@ def test_backward_takes_one_model():
         _, cache = stacked.forward(x)
         with pytest.raises(ShapeError, match="one model, not a stack"):
             stacked.backward(cache, np.ones(2))
+
+
+@pytest.mark.parametrize("batch", [1, 64])
+@pytest.mark.parametrize("make", [
+    lambda rng: models.init_mlp((14, 1), rng),
+    lambda rng: models.init_mlp((14, 64, 1), rng),
+    lambda rng: models.init_mlp((14, 64, 32, 1), rng),
+    lambda rng: models.init_lstm(14, 64, rng),
+], ids=["mlp-1-layer", "mlp-2-layers", "mlp-3-layers", "lstm"])
+def test_backward_into_out_writes_the_fresh_bits(make, batch):
+    # Training passes views of one flat gradient vector as `out`. A batch of
+    # 1 reaches other BLAS kernels than a batch of 64.
+    rng = SeededRng(batch)
+    params = make(rng)
+    shape = (batch, 20, 14) if params.takes_windows else (batch, 14)
+    pred, cache = params.forward(rng.uniform(0.0, 1.0, shape))
+    _, dpred = models.mse_loss(pred, rng.uniform(0.0, 125.0, (batch,)))
+    fresh = params.backward(cache, dpred)
+    assert list(fresh) == list(params.to_dict())
+
+    grad, out = flatten_params(params.to_dict())
+    grad[...] = np.nan  # every element must be written
+    arrays = dict(out)
+    assert params.backward(cache, dpred, out) is out
+    assert all(out[name] is arrays[name] for name in arrays)
+    for name, g in fresh.items():
+        assert np.array_equal(out[name].view(np.uint64), g.view(np.uint64)), name

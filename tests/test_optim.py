@@ -16,7 +16,7 @@ def test_adam_first_step_hand_oracle():
     # lr * g / (|g| + eps). Expected value computed independently.
     flat, params = flatten_params({"w": np.array([1.0])})
     state = init_adam(params, lr=0.1)
-    adam_step(state, flat, {"w": np.array([0.5])})
+    adam_step(state, flat, np.array([0.5]))
     assert state.step == 1
     assert params["w"][0] == pytest.approx(0.90000000199999997, abs=1e-16)
 
@@ -25,7 +25,7 @@ def test_adam_second_step_hand_oracle():
     flat, params = flatten_params({"w": np.array([1.0])})
     state = init_adam(params, lr=0.1)
     for _ in range(2):
-        adam_step(state, flat, {"w": np.array([0.5])})
+        adam_step(state, flat, np.array([0.5]))
     assert params["w"][0] == pytest.approx(0.8000000040000006, abs=1e-15)
 
 
@@ -37,7 +37,7 @@ def test_adam_matches_scalar_reference_over_random_steps():
     flat, params = flatten_params({"w": np.array([0.7])})
     state = init_adam(params, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
     for g in grads_seq:
-        adam_step(state, flat, {"w": np.array([g])})
+        adam_step(state, flat, np.array([g]))
 
     theta, m, v = 0.7, 0.0, 0.0
     for t, g in enumerate(grads_seq, start=1):
@@ -53,14 +53,14 @@ def test_adam_matches_scalar_reference_over_random_steps():
 def test_adam_zero_gradient_keeps_parameters_fixed():
     flat, params = flatten_params({"w": np.array([1.0, -2.0])})
     state = init_adam(params)
-    adam_step(state, flat, {"w": np.zeros(2)})
+    adam_step(state, flat, np.zeros(2))
     assert params["w"].tolist() == [1.0, -2.0]
 
 
 def test_adam_updates_multiple_tensors_independently():
     flat, params = flatten_params({"a": np.array([1.0]), "b": np.array([1.0])})
     state = init_adam(params, lr=0.1)
-    adam_step(state, flat, {"a": np.array([1.0]), "b": np.array([-1.0])})
+    adam_step(state, flat, np.array([1.0, -1.0]))
     # Same magnitude, opposite gradient sign -> mirrored updates.
     assert params["a"][0] == pytest.approx(2.0 - params["b"][0], rel=1e-15)
 
@@ -69,23 +69,21 @@ def test_adam_step_size_is_bounded_by_lr_scale():
     # |update| is at most ~lr/(1-beta1) regardless of gradient magnitude.
     flat, params = flatten_params({"w": np.array([0.0])})
     state = init_adam(params, lr=0.001)
-    adam_step(state, flat, {"w": np.array([1e9])})
+    adam_step(state, flat, np.array([1e9]))
     assert abs(params["w"][0]) < 0.0011
 
 
 def test_adam_rejects_mismatched_keys_and_shapes():
+    # Gradients are one flat vector, so only its length and the parameter
+    # vector's length can disagree with the state.
     flat, params = flatten_params({"w": np.zeros(2)})
     state = init_adam(params)
-    with pytest.raises(ConfigError, match="gradient keys"):
-        adam_step(state, flat, {"x": np.zeros(2)})
-    with pytest.raises(ConfigError, match="gradient keys"):
-        adam_step(state, flat, {"w": np.zeros(2), "x": np.zeros(2)})
-    with pytest.raises(ConfigError, match="shape"):
-        adam_step(state, flat, {"w": np.zeros(3)})
-    with pytest.raises(ConfigError, match="shape"):
-        adam_step(state, flat, {"w": np.zeros((2, 1))})
-    with pytest.raises(ConfigError, match="parameter vector"):
-        adam_step(state, np.zeros(3), {"w": np.zeros(2)})
+    with pytest.raises(ConfigError, match=r"gradient of shape \(3,\) do not match"):
+        adam_step(state, flat, np.zeros(3))
+    with pytest.raises(ConfigError, match=r"gradient of shape \(2, 1\) do not match"):
+        adam_step(state, flat, np.zeros((2, 1)))
+    with pytest.raises(ConfigError, match=r"parameter vector of shape \(3,\)"):
+        adam_step(state, np.zeros(3), np.zeros(2))
     assert state.step == 0
 
 
@@ -94,7 +92,7 @@ def test_adam_aborts_on_non_finite_gradient_without_mutating_state():
     state = init_adam(params)
     before = flat.copy()
     with pytest.raises(TrainingError, match="'u'"):
-        adam_step(state, flat, {"w": np.array([0.5]), "u": np.array([np.nan])})
+        adam_step(state, flat, np.array([0.5, np.nan]))
     assert state.step == 0
     assert np.array_equal(flat, before)
     assert not state.m.any() and not state.v.any()
@@ -112,10 +110,7 @@ def test_adam_state_dict_round_trip_is_lossless():
     state = init_adam(params, lr=0.05)
     rng = SeededRng(6)
     for _ in range(3):
-        adam_step(
-            state, flat,
-            {"w": rng.uniform(-1, 1, 2), "b": rng.uniform(-1, 1, (1, 2))},
-        )
+        adam_step(state, flat, rng.uniform(-1, 1, 4))
     saved = state.to_dict()
     assert saved["m"]["b"] == state.m[2:].reshape(1, 2).tolist()
     restored = AdamState.from_dict(json.loads(json.dumps(saved)), params)
@@ -127,7 +122,7 @@ def test_adam_state_dict_round_trip_is_lossless():
 
     # Both copies must evolve identically afterwards.
     flat_copy = flat.copy()
-    g = {"w": np.array([0.3, -0.7]), "b": np.array([[0.1, 0.9]])}
+    g = np.array([0.3, -0.7, 0.1, 0.9])
     adam_step(state, flat, g)
     adam_step(restored, flat_copy, g)
     assert np.array_equal(flat, flat_copy)
@@ -180,6 +175,12 @@ def test_clip_gradients_scales_to_max_norm():
     assert grads["b"][0] == pytest.approx(0.8, rel=1e-15)
     total = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
     assert total == pytest.approx(1.0, rel=1e-15)
+
+    # Views of one flat gradient vector, as train passes them: the vector
+    # itself is scaled, by the same bits.
+    grad, views = flatten_params({"w": np.array([3.0]), "b": np.array([4.0])})
+    assert clip_gradients(views, max_norm=1.0) == 5.0
+    assert grad.tolist() == [grads["w"][0], grads["b"][0]]
 
 
 def test_clip_gradients_sums_squared_norms_in_dict_order():

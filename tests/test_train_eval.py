@@ -476,9 +476,9 @@ def test_gradient_check_suite_catches_broken_gradients(monkeypatch):
     # Corrupt one gradient tensor and confirm the suite notices.
     real_backward = models.mlp_backward
 
-    def broken(params, cache, dpred):
-        grads = real_backward(params, cache, dpred)
-        grads["b0"] = grads["b0"] + 1.0
+    def broken(params, cache, dpred, out=None):
+        grads = real_backward(params, cache, dpred, out)
+        grads["b0"] += 1.0
         return grads
 
     monkeypatch.setattr(models, "mlp_backward", broken)
