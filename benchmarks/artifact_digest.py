@@ -11,10 +11,10 @@ eval_report.json, predictions.csv and the stdout of `predict` for each
 model kind. A refactor that should leave the numbers alone leaves every
 line unchanged, so compare a change against its parent with
 
-    git archive <parent> src | tar -x -C /tmp/parent
-    python benchmarks/artifact_digest.py --src /tmp/parent/src > parent.txt
-    python benchmarks/artifact_digest.py > change.txt
-    diff parent.txt change.txt
+    python benchmarks/artifact_digest.py --against <parent>
+
+which digests `git archive <parent> src` as well, prints each line of either
+tree that differs (`-` for <parent>, `+` for this tree) and exits 1 if any do.
 
 Each CLI step's peak resident set size goes to stderr, one line per step,
 so memory can be compared the same way without touching stdout.
@@ -38,6 +38,7 @@ BUNDLE_FILES = ("meta.json", "scaler.json") + tuple(
 RUN_FILES = ("history.csv", "checkpoint.json")
 REPORT_FILES = ("eval_report.json", "predictions.csv")
 KINDS = ("mlp", "lstm")
+REPO = Path(__file__).resolve().parents[1]
 
 
 def _rulkit(src: Path, *args: str) -> bytes:
@@ -85,19 +86,47 @@ def digests(src: Path, work: Path) -> list[tuple[str, str]]:
     return [(name, hashlib.sha256(data).hexdigest()) for name, data in out]
 
 
+def _archive_src(rev: str, dest: Path) -> Path:
+    """Extract `git archive rev src` of this checkout under dest; return its src."""
+    archive = subprocess.run(["git", "archive", rev, "src"], cwd=REPO, capture_output=True)
+    if archive.returncode != 0:
+        raise SystemExit(f"git archive {rev} failed:\n{archive.stderr.decode(errors='replace')}")
+    dest.mkdir()
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
+    return dest / "src"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--src", type=Path, default=Path(__file__).resolve().parents[1] / "src",
+        "--src", type=Path, default=REPO / "src",
         help="directory holding the rulkit package to run (default: this checkout's src)",
+    )
+    parser.add_argument(
+        "--against", metavar="REV",
+        help="also digest `git archive REV src` and print only the lines that differ",
     )
     args = parser.parse_args(argv)
     if not (args.src / "rulkit" / "__init__.py").is_file():
         parser.error(f"{args.src} holds no rulkit package")
     with tempfile.TemporaryDirectory(prefix="rulkit-digest-") as work:
-        for name, digest in digests(args.src.resolve(), Path(work)):
-            print(f"{digest}  {name}")
-    return 0
+        trees = {"ours": args.src.resolve()}
+        if args.against is not None:
+            trees = {"theirs": _archive_src(args.against, Path(work) / "archive"), **trees}
+        lines = {}
+        for label, src in trees.items():
+            print(f"digesting {src}", file=sys.stderr)
+            lines[label] = [f"{digest}  {name}"
+                            for name, digest in digests(src, Path(work) / label)]
+    if args.against is None:
+        print("\n".join(lines["ours"]))
+        return 0
+    changed = [(a, b) for a, b in zip(lines["theirs"], lines["ours"]) if a != b]
+    for a, b in changed:
+        print(f"-{a}\n+{b}")
+    print(f"{len(changed)} of {len(lines['ours'])} artifacts differ from {args.against}",
+          file=sys.stderr)
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":

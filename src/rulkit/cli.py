@@ -83,19 +83,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_preprocess(args: argparse.Namespace) -> int:
-    merged = _merge_config(args, ("alpha", "trim", "window", "n_val", "seed", "rul_cap"))
-    pipeline = {
-        "alpha": merged.get("alpha", preprocess.DEFAULT_ALPHA),
-        "trim": merged.get("trim", preprocess.DEFAULT_TRIM),
-        "window": merged.get("window", preprocess.DEFAULT_WINDOW),
-        "n_val": merged.get("n_val", preprocess.DEFAULT_N_VAL),
-        "seed": merged.get("seed", 0),
-        "rul_cap": merged.get("rul_cap"),
-    }
+    keys = _PIPELINE_KEYS + ("seed",)
+    merged = _merge_config(args, keys)
+    pipeline = {key: merged[key] for key in keys if key in merged}  # unset: run_pipeline default
     train_eval.check_field_types(pipeline)
     trajectories = dataset_io.read_trajectories(args.train_file)
     result = preprocess.run_pipeline(trajectories, **pipeline)
-    preprocess.write_bundle(args.out, result, pipeline)
+    preprocess.write_bundle(args.out, result)
     print(f"engines: {len(result.train_ids) + len(result.val_ids)}")
     print(f"features: {result.selection.n_features}")
     print(f"training samples: {result.total_windows}")
@@ -112,7 +106,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     meta_path = Path(args.bundle) / "meta.json"
     try:
-        pipeline = {key: bundle.meta["pipeline"][key] for key in _PIPELINE_KEYS}
+        pipeline = {key: bundle.pipeline[key] for key in _PIPELINE_KEYS}
         train_eval.TrainConfig(**pipeline)  # TrainConfig's own rules, on the bundle's values
     except KeyError as exc:
         raise ValidationError(f"{meta_path}: pipeline has no entry {exc}") from None
@@ -134,8 +128,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         kind=config.model,
         params=params,
         window=config.window,
-        feature_names=tuple(bundle.meta["feature_names"]),
-        scaler_hash=bundle.meta["scaler_hash"],
+        feature_names=bundle.scaler.feature_names,
+        scaler_hash=preprocess.scaler_hash(bundle.scaler),
         config_hash=config.config_hash(),
         seed=config.seed,
     )

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -375,19 +376,30 @@ def split_by_engine(
     return train, val
 
 
-@dataclass
+@dataclass(frozen=True)
 class PreprocessResult:
-    """Everything the trainer needs; a split's windows and rows share arrays."""
+    """One preprocessed training set, from run_pipeline or load_bundle: run_pipeline's
+    arguments, the scaler, the split and each split's rows. The rest is derived;
+    a split's windows are cut from its rows once, on first access, sharing their arrays."""
 
-    selection: FeatureSelection
+    pipeline: dict
     scaler: ScalerParams
     train_ids: tuple[int, ...]
     val_ids: tuple[int, ...]
-    seed: int
-    train_windows: SampleSet
-    val_windows: SampleSet
     train_rows: SampleSet
     val_rows: SampleSet
+
+    @cached_property
+    def selection(self) -> FeatureSelection:
+        return FeatureSelection(self.scaler.feature_names)
+
+    @cached_property
+    def train_windows(self) -> SampleSet:
+        return replace(self.train_rows, window=self.pipeline["window"])
+
+    @cached_property
+    def val_windows(self) -> SampleSet:
+        return replace(self.val_rows, window=self.pipeline["window"])
 
     @property
     def total_windows(self) -> int:
@@ -396,6 +408,28 @@ class PreprocessResult:
     @property
     def total_rows(self) -> int:
         return len(self.train_rows) + len(self.val_rows)
+
+    @property
+    def meta(self) -> dict:
+        """meta.json's content: write_bundle writes it, load_bundle checks a stored one."""
+        return {
+            "format": BUNDLE_FORMAT,
+            "pipeline": self.pipeline,
+            "feature_names": list(self.scaler.feature_names),
+            "train_ids": list(self.train_ids),
+            "val_ids": list(self.val_ids),
+            "split_seed": self.pipeline["seed"],
+            "scaler_hash": scaler_hash(self.scaler),
+            "counts": {
+                "engines": len(set(self.train_ids) | set(self.val_ids)),
+                "train_windows": len(self.train_windows),
+                "val_windows": len(self.val_windows),
+                "train_rows": len(self.train_rows),
+                "val_rows": len(self.val_rows),
+                "total_windows": self.total_windows,
+                "total_rows": self.total_rows,
+            },
+        }
 
 
 def run_pipeline(
@@ -414,25 +448,18 @@ def run_pipeline(
     selection = select_features(train_trajectories)
     prepared = [trim_head(t, trim) for t in smooth_trajectories(train_trajectories, alpha)]
     scaler = fit_minmax(prepared, selection)
-    train_ids, val_ids = split_by_engine(
-        [t.engine_id for t in train_trajectories], n_val, seed
-    )
-    train_windows, val_windows = (
-        make_windows([t for t in prepared if t.engine_id in ids], scaler, selection,
-                     rul_cap, window)
+    train_ids, val_ids = split_by_engine([t.engine_id for t in train_trajectories], n_val, seed)
+    train_rows, val_rows = (
+        make_rows([t for t in prepared if t.engine_id in ids], scaler, selection, rul_cap)
         for ids in (set(train_ids), set(val_ids))
     )
-    return PreprocessResult(
-        selection=selection,
-        scaler=scaler,
-        train_ids=train_ids,
-        val_ids=val_ids,
-        seed=seed,
-        train_windows=train_windows,
-        val_windows=val_windows,
-        train_rows=replace(train_windows, window=None),
-        val_rows=replace(val_windows, window=None),
+    result = PreprocessResult(
+        dict(alpha=alpha, trim=trim, window=window, n_val=n_val, seed=seed, rul_cap=rul_cap),
+        scaler, train_ids, val_ids, train_rows, val_rows,
     )
+    # Cutting the windows rejects an engine shorter than one.
+    logger.info("%d training windows", result.total_windows)
+    return result
 
 
 INVARIANTS = (
@@ -446,18 +473,15 @@ def invariant_failures(
     trajectories: Sequence[EngineTrajectory],
     result: PreprocessResult,
 ) -> list[str]:
-    """Names (from INVARIANTS) of the invariants that `result` breaks.
-
-    `result` must come from run_pipeline on `trajectories` at the default
-    alpha and trim; an empty list means every invariant holds.
-    """
+    """Names (from INVARIANTS) of the invariants that `result`, run_pipeline's
+    result on `trajectories`, breaks; an empty list means every invariant holds."""
     failures = []
     splits = [s.rows for s in (result.train_rows, result.val_rows) if s.rows.size]
     if not splits or any(rows.min() < 0.0 or rows.max() > 1.0 for rows in splits):
         failures.append(INVARIANTS[0])
     features = np.vstack([
-        feature_matrix(trim_head(t), result.selection)
-        for t in smooth_trajectories(trajectories, DEFAULT_ALPHA)
+        feature_matrix(trim_head(t, result.pipeline["trim"]), result.selection)
+        for t in smooth_trajectories(trajectories, result.pipeline["alpha"])
     ])
     round_trip = result.scaler.inverse(result.scaler.transform(features))
     if not np.allclose(round_trip, features, rtol=1e-12, atol=1e-12):
@@ -470,59 +494,26 @@ def invariant_failures(
 
 BUNDLE_FORMAT = "rulkit-bundle-v2"
 _SPLITS = ("train", "val")
-_COUNT_KEYS = ("engines", "train_windows", "val_windows", "train_rows", "val_rows",
-               "total_windows", "total_rows")
 
 
-def write_bundle(out_dir: Path | str, result: PreprocessResult, pipeline: dict) -> None:
-    """Persist a PreprocessResult as meta.json, scaler.json and .npy arrays.
+def write_bundle(out_dir: Path | str, result: PreprocessResult,
+                 pipeline: dict | None = None) -> None:
+    """Persist a PreprocessResult as meta.json (its `meta`), scaler.json and .npy arrays.
 
-    A split is stored as its rows, RUL and engine ids: `<split>_rows.npy`,
-    `<split>_rul.npy` and `<split>_engines.npy`.
-
-    `pipeline` records the arguments the chain ran with, so downstream
-    stages can reuse them and refuse mismatched combinations.
+    A split is stored as its rows, RUL and engine ids: `<split>_rows.npy`, `<split>_rul.npy`
+    and `<split>_engines.npy`. A `pipeline` other than result.pipeline writes nothing.
     """
+    if pipeline is not None and pipeline != result.pipeline:
+        raise ConfigError(f"pipeline {pipeline} is not the result's {result.pipeline}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    scaler_json = canonical_json(result.scaler.to_dict())
-    meta = {
-        "format": BUNDLE_FORMAT,
-        "pipeline": pipeline,
-        "feature_names": list(result.selection.feature_names),
-        "train_ids": list(result.train_ids),
-        "val_ids": list(result.val_ids),
-        "split_seed": result.seed,
-        "scaler_hash": sha256_text(scaler_json),
-        "counts": {
-            "engines": len(result.train_ids) + len(result.val_ids),
-            "train_windows": len(result.train_windows),
-            "val_windows": len(result.val_windows),
-            "train_rows": len(result.train_rows),
-            "val_rows": len(result.val_rows),
-            "total_windows": result.total_windows,
-            "total_rows": result.total_rows,
-        },
-    }
-    atomic_write_text(out / "meta.json", canonical_json(meta) + "\n")
-    atomic_write_text(out / "scaler.json", scaler_json + "\n")
+    atomic_write_text(out / "meta.json", canonical_json(result.meta) + "\n")
+    atomic_write_text(out / "scaler.json", canonical_json(result.scaler.to_dict()) + "\n")
     for split in _SPLITS:
         samples = getattr(result, f"{split}_rows")
         np.save(out / f"{split}_rows.npy", samples.rows)
         np.save(out / f"{split}_rul.npy", samples.rul)
         np.save(out / f"{split}_engines.npy", samples.engine_ids)
-
-
-@dataclass
-class Bundle:
-    """A bundle loaded back from disk; a split's windows and rows share arrays."""
-
-    meta: dict
-    scaler: ScalerParams
-    train_windows: SampleSet
-    val_windows: SampleSet
-    train_rows: SampleSet
-    val_rows: SampleSet
 
 
 def load_scaler(path: Path | str) -> ScalerParams:
@@ -552,15 +543,22 @@ def _load_array(path: Path, dtype: type, shape: tuple) -> np.ndarray:
     return arr
 
 
-def load_bundle(bundle_dir: Path | str) -> Bundle:
-    """Read a bundle back, checking every array against meta.json.
+def _stored_count(meta_path: Path, counts: dict, key: str) -> int:
+    value = counts.get(key)
+    if type(value) is not int or value < 0:
+        raise ValidationError(f"{meta_path}: counts.{key} must be a non-negative integer, "
+                              f"got {value!r}")
+    return value
 
-    meta.json's counts must be write_bundle's seven non-negative integers
-    and its scaler_hash the hash of scaler.json's scaler;
-    arrays need write_bundle's dtypes, meta.json's row counts and finite
-    values; a split's engine ids must be its meta.json ids, one run of at
-    least a window per engine, so no window spans two engines. Any mismatch
-    raises ValidationError naming the file.
+
+def load_bundle(bundle_dir: Path | str) -> PreprocessResult:
+    """Read a bundle back as the PreprocessResult it was written from.
+
+    scaler.json's hash must be meta.json's scaler_hash; arrays need write_bundle's
+    dtypes, meta.json's row counts and finite values; a split's engine ids must be
+    its meta.json ids, one run of at least a window per engine. Every other entry
+    of meta.json must equal the result's `meta`. A mismatch raises ValidationError
+    naming the file.
     """
     out = Path(bundle_dir)
     meta_path = out / "meta.json"
@@ -574,10 +572,10 @@ def load_bundle(bundle_dir: Path | str) -> Bundle:
             "re-run `rulkit preprocess` to rebuild the bundle"
         )
     try:
-        counts = meta["counts"]
-        window = meta["pipeline"]["window"]
+        counts, pipeline = meta["counts"], meta["pipeline"]
+        window, _ = pipeline["window"], pipeline["seed"]  # the seed is meta's split_seed
         n_features = len(meta["feature_names"])
-        split_ids = {split: sorted(meta[f"{split}_ids"]) for split in _SPLITS}
+        split_ids = {split: tuple(meta[f"{split}_ids"]) for split in _SPLITS}
         meta_scaler_hash = meta["scaler_hash"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"{meta_path}: missing or malformed entry {exc}") from None
@@ -585,12 +583,6 @@ def load_bundle(bundle_dir: Path | str) -> Bundle:
         raise ValidationError(f"{meta_path}: pipeline window must be a positive integer")
     if not isinstance(counts, dict):
         raise ValidationError(f"{meta_path}: counts is not a JSON object")
-    for key in _COUNT_KEYS:
-        if type(counts.get(key)) is not int or counts[key] < 0:
-            raise ValidationError(
-                f"{meta_path}: counts.{key} must be a non-negative integer, "
-                f"got {counts.get(key)!r}"
-            )
     scaler_path = out / "scaler.json"
     scaler = load_scaler(scaler_path)
     if scaler_hash(scaler) != meta_scaler_hash:
@@ -598,33 +590,36 @@ def load_bundle(bundle_dir: Path | str) -> Bundle:
             f"{scaler_path}: scaler does not match the scaler_hash in {meta_path}; "
             "re-run `rulkit preprocess` to rebuild the bundle"
         )
-    parts = {}
+    rows = {}
     for split in _SPLITS:
-        n = counts[f"{split}_rows"]
-        rows = _load_array(out / f"{split}_rows.npy", np.float64, (n, n_features))
+        n = _stored_count(meta_path, counts, f"{split}_rows")
+        split_rows = _load_array(out / f"{split}_rows.npy", np.float64, (n, n_features))
         rul = _load_array(out / f"{split}_rul.npy", np.float64, (n,))
         engines_path = out / f"{split}_engines.npy"
         engines = _load_array(engines_path, np.int64, (n,))
-        if np.unique(engines).tolist() != split_ids[split]:
+        if np.unique(engines).tolist() != sorted(split_ids[split]):
             raise ValidationError(f"{engines_path}: engine ids are not meta.json's {split}_ids")
         try:
-            parts[f"{split}_rows"] = SampleSet(rows, rul, engines)
-            parts[f"{split}_windows"] = replace(parts[f"{split}_rows"], window=window)
+            rows[split] = SampleSet(split_rows, rul, engines)
         except ValidationError as exc:
             raise ValidationError(f"{engines_path}: {exc}") from None
-    engine_ids = np.union1d(parts["train_rows"].engine_ids, parts["val_rows"].engine_ids)
-    for name, actual in (
-        ("train_windows", len(parts["train_windows"])),
-        ("val_windows", len(parts["val_windows"])),
-        ("total_windows", counts["train_windows"] + counts["val_windows"]),
-        ("total_rows", counts["train_rows"] + counts["val_rows"]),
-        ("engines", engine_ids.size),
-    ):
-        if counts[name] != actual:
-            raise ValidationError(
-                f"{meta_path}: counts.{name} is {counts[name]}, but the arrays hold {actual}"
-            )
-    return Bundle(meta=meta, scaler=scaler, **parts)
+    result = PreprocessResult(pipeline, scaler, split_ids["train"], split_ids["val"],
+                              rows["train"], rows["val"])
+    for split in _SPLITS:
+        try:
+            getattr(result, f"{split}_windows")
+        except ValidationError as exc:
+            raise ValidationError(f"{out / f'{split}_engines.npy'}: {exc}") from None
+    expected = result.meta
+    for key, actual in expected["counts"].items():
+        if _stored_count(meta_path, counts, key) != actual:
+            raise ValidationError(f"{meta_path}: counts.{key} is {counts[key]}, "
+                                  f"but the arrays hold {actual}")
+    for key, value in expected.items():
+        if meta.get(key) != value:
+            raise ValidationError(f"{meta_path}: {key} is {meta.get(key)!r}, "
+                                  f"but the rest of the bundle gives {value!r}")
+    return result
 
 
 def prepare_test_engine(

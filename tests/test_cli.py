@@ -1,5 +1,6 @@
 """End-to-end command-line workflow on a small synthetic corpus."""
 
+import hashlib
 import json
 import shutil
 import subprocess
@@ -26,6 +27,30 @@ def test_preprocess_reports_counts(workspace, tmp_path, capsys):
     assert "features: 16" in out
     assert "training samples:" in out
     assert "wrote bundle to" in out
+
+
+# sha256 of each bundle file that `rulkit preprocess --seed 1` writes from the
+# default simulated corpus (the bundle/* lines of benchmarks/artifact_digest.py):
+# a change to the preprocessing code that should keep its numbers keeps these.
+DEFAULT_BUNDLE_SHA256 = {
+    "meta.json": "f49c80fa089183f2a37747651cf82c5d381ab1cd7f924e7b4030f8d7024182ca",
+    "scaler.json": "73eed6bfa3d94af5e804ac3e494f21241013576577976254a245f8fe7b961aca",
+    "train_rows.npy": "0476eb1c24efe7de836772208136c70970527022c474ee4e22f9d017ba4e1a59",
+    "train_rul.npy": "c64ab371765f1c49b52c0865e71658cdf2ab145b1f43a9853e88014f8f93a10e",
+    "train_engines.npy": "4eb11dac0081756e36b2954aa5cd55b4e8d20b67dd283495ed25e87ec4f6d427",
+    "val_rows.npy": "b125114a5f42c09fd133fc2adb260b00eaa3e580bbe68e35afb66cd281a49efd",
+    "val_rul.npy": "4caebdda1bc9977a4e994220e91d0c975236b4d325349719a98f6017ed36ff71",
+    "val_engines.npy": "a91a0c0b00748020fb90417bd5b15cb099558b080be156c169e13dcbdc641d1c",
+}
+
+
+def test_preprocess_default_corpus_bundle_bytes_are_pinned(tmp_path):
+    corpus, bundle = tmp_path / "corpus", tmp_path / "bundle"
+    assert main(["simulate", "--out", str(corpus)]) == 0
+    assert main(["preprocess", "--train-file", str(corpus / "train_FD001.txt"),
+                 "--out", str(bundle), "--seed", "1"]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in bundle.iterdir()}
+    assert digests == DEFAULT_BUNDLE_SHA256
 
 
 def test_preprocess_unit_id_too_large_names_the_line(workspace, tmp_path, capsys):

@@ -61,6 +61,11 @@ def _extra_column(lines):
     return lines[:5] + [lines[5].rstrip("\n") + " 1.0\n"] + lines[6:]
 
 
+def _swap_two_feature_names(meta):
+    names = meta["feature_names"]
+    names[0], names[1] = names[1], names[0]
+
+
 SCALER_FAULTS = [
     ("truncated", _truncate, "not valid JSON"),
     ("wrong JSON type", _text(lambda t: "[]"), "list indices"),
@@ -98,6 +103,8 @@ BUNDLE_JSON_FAULTS = {
          "pipeline n_val must be an integer, got None"),
         ("pipeline missing alpha", _json(lambda d: d["pipeline"].pop("alpha")),
          "pipeline has no entry 'alpha'"),
+        # Checkpoints take the feature order from scaler.json, so meta.json must agree.
+        ("feature_names swapped", _json(_swap_two_feature_names), "feature_names is ["),
     ],
     # A valid scaler that is not the one meta.json's scaler_hash records.
     "scaler.json": SCALER_FAULTS + [

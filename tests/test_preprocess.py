@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from rulkit import dataset_io, simdata
 from rulkit.dataset_io import EngineTrajectory, N_SENSORS, N_SETTINGS
 from rulkit.errors import ConfigError, ValidationError
 from rulkit.numerics import SeededRng
@@ -666,6 +667,17 @@ def test_invariant_failures_names_each_broken_invariant(tiny_corpus):
         assert invariant_failures(tiny_corpus, broken) == [INVARIANTS[2]]
 
 
+def test_invariant_failures_uses_the_results_alpha_and_trim():
+    # `rulkit verify`'s corpus. Rows smoothed at the default alpha 0.1, or kept by
+    # the default trim 10, fall outside these scalers' fitted ranges, so checking
+    # them instead of the result's own would fail the round trip.
+    train_text, _, _ = simdata.generate_corpus(simdata.SimConfig(5, 3, 900, seed=0))
+    trajectories = dataset_io.parse_trajectory_file(train_text)
+    for alpha, trim in ((0.1, 30), (0.05, 10)):
+        result = run_pipeline(trajectories, alpha=alpha, trim=trim, n_val=1, seed=0)
+        assert invariant_failures(trajectories, result) == []
+
+
 def test_prepare_test_engine_matches_training_chain(tiny_corpus):
     result = run_pipeline(tiny_corpus, trim=5, window=10, n_val=1, seed=2)
     traj = tiny_corpus[0]
@@ -713,6 +725,8 @@ def test_bundle_write_load_round_trip(tiny_corpus, tmp_path):
     assert bundle.meta["pipeline"] == pipeline
     assert tuple(bundle.meta["feature_names"]) == result.selection.feature_names
     assert bundle.meta["counts"]["total_windows"] == result.total_windows
+    assert bundle.meta == result.meta
+    assert type(bundle) is type(result) and bundle.pipeline == result.pipeline
     for name in ("train_windows", "val_windows", "train_rows", "val_rows"):
         loaded, built = getattr(bundle, name), getattr(result, name)
         assert loaded.window == built.window
@@ -725,6 +739,14 @@ def test_bundle_write_load_round_trip(tiny_corpus, tmp_path):
         "val_engines.npy", "val_rows.npy", "val_rul.npy",
     ]
     assert _scalers_equal(bundle.scaler, result.scaler)
+
+
+def test_write_bundle_rejects_a_pipeline_the_result_was_not_built_with(tiny_corpus, tmp_path):
+    result = run_pipeline(tiny_corpus, alpha=0.1, trim=5, window=10, n_val=1, seed=2)
+    pipeline = {"alpha": 0.2, "trim": 5, "window": 10, "n_val": 1, "seed": 2, "rul_cap": None}
+    with pytest.raises(ConfigError, match="'alpha': 0.2.* is not the result's .*'alpha': 0.1"):
+        write_bundle(tmp_path / "bundle", result, pipeline)
+    assert not (tmp_path / "bundle" / "meta.json").exists()
 
 
 def test_load_bundle_rejects_non_bundle_dir(tmp_path):
