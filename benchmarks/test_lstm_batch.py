@@ -10,6 +10,10 @@ uniform on [0, 1], the range of min-max scaled features. The validation
 case runs the per-epoch validation pass of `train_eval.train` over 3,569
 windows gathered from 20 engines' rows, the size of the default corpus's
 validation split at split seed 0.
+
+The forward, backward and validation cases run in float64, the dtype of
+checkpoints and prediction, and in float32, the dtype `train` runs the
+LSTM's batches and validation pass in.
 """
 
 import numpy as np
@@ -24,10 +28,16 @@ BATCH, WINDOW, FEATURES, HIDDEN = 64, 20, 16, 64
 VAL_ENGINES, VAL_WINDOWS = 20, 3569
 
 
-@pytest.fixture(scope="module")
-def lstm_batch():
+DTYPES = pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+
+
+def _in_dtype(params, dtype):
+    return type(params).from_dict({k: t.astype(dtype) for k, t in params.to_dict().items()})
+
+
+def _lstm_batch(dtype):
     rng = SeededRng(0)
-    params = models.init_lstm(FEATURES, HIDDEN, rng)
+    params = _in_dtype(models.init_lstm(FEATURES, HIDDEN, rng), dtype)
     x = rng.uniform(0.0, 1.0, (BATCH, WINDOW, FEATURES))
     y = rng.uniform(0.0, 125.0, (BATCH,))
     pred, cache = models.lstm_forward(params, x)
@@ -35,22 +45,25 @@ def lstm_batch():
     return params, x, cache, dpred
 
 
-def test_lstm_forward_batch(benchmark, lstm_batch):
-    params, x, _, _ = lstm_batch
+@DTYPES
+def test_lstm_forward_batch(benchmark, dtype):
+    params, x, _, _ = _lstm_batch(dtype)
     pred, _ = benchmark(models.lstm_forward, params, x)
     assert pred.shape == (BATCH,)
 
 
-def test_lstm_backward_batch(benchmark, lstm_batch):
+@DTYPES
+def test_lstm_backward_batch(benchmark, dtype):
     # As in `train`: the gradients go into views of one flat vector.
-    params, _, cache, dpred = lstm_batch
-    grad_views = flatten_params(params.to_dict())[1]  # every call overwrites them
+    params, _, cache, dpred = _lstm_batch(dtype)
+    flat, views = flatten_params(params.to_dict())
+    grad_views = unflatten(flat.astype(params.w_x.dtype), views)  # every call overwrites them
     grads = benchmark(models.lstm_backward, params, cache, dpred, grad_views)
     assert grads["w_h"].shape == (4 * HIDDEN, HIDDEN)
 
 
-def test_adam_step_batch(benchmark, lstm_batch):
-    params, _, cache, dpred = lstm_batch
+def test_adam_step_batch(benchmark):
+    params, _, cache, dpred = _lstm_batch(np.float64)  # Adam updates float64 master weights
     flat, views = flatten_params(params.to_dict())
     grad = np.empty_like(flat)
     models.lstm_backward(params, cache, dpred, unflatten(grad, views))
@@ -59,9 +72,10 @@ def test_adam_step_batch(benchmark, lstm_batch):
     assert state.step > 0
 
 
-def test_lstm_validation_pass(benchmark):
+@DTYPES
+def test_lstm_validation_pass(benchmark, dtype):
     rng = SeededRng(1)
-    params = models.init_lstm(FEATURES, HIDDEN, rng)
+    params = _in_dtype(models.init_lstm(FEATURES, HIDDEN, rng), dtype)
     n_rows = VAL_WINDOWS + VAL_ENGINES * (WINDOW - 1)
     engine_ids = np.arange(n_rows) * VAL_ENGINES // n_rows
     val_set = SampleSet(rng.uniform(0.0, 1.0, (n_rows, FEATURES)),

@@ -179,6 +179,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
+    """Print one prediction per test engine, in float64 as `evaluate` predicts."""
     model, config, scaler, test_trajectories = _load_eval_inputs(args)
     if args.engine is not None:
         test_trajectories = [

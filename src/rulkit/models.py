@@ -2,10 +2,12 @@
 
 No autodiff: every backward pass is hand-derived and verified against
 central finite differences in the test suite. Each model's parameters are
-named float64 tensors (to_dict / from_dict), so the optimizer and checkpoint
+named float tensors (to_dict / from_dict), so the optimizer and checkpoint
 code treat both models alike. While training, those tensors are reshaped
-views of one contiguous vector (optim.flatten_params) that Adam updates in
-a single pass; from_dict keeps float64 views as they are, without a copy.
+views of one contiguous float64 vector (optim.flatten_params) that Adam
+updates in a single pass; from_dict keeps float64 views (and an LSTM's
+float32 ones) without a copy. A model computes in its tensors' dtype: `train`
+runs it in its class's `compute_dtype`, prediction in float64.
 
 The parameter object is the model: `params.forward(x)` gives (predictions,
 cache) and `params.backward(cache, dpred, out)` the gradients, through this
@@ -50,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError, ValidationError
-from .numerics import SeededRng, sigmoid
+from .numerics import SeededRng, as_float, sigmoid
 
 GATE_ORDER = ("i", "f", "g", "o")
 # Distance from relu's kink at zero within which a gradient-check MLP is redrawn.
@@ -82,7 +84,8 @@ def _check_tensors(
 class MlpParams:
     """Fully-connected stack: relu hidden layers, linear scalar output."""
 
-    takes_windows = False  # class attribute, not a field
+    takes_windows = False  # class attributes, not fields
+    compute_dtype = np.float64
     weights: list[np.ndarray]  # layer l: (out_l, in_l)
     biases: list[np.ndarray]  # layer l: (out_l,)
 
@@ -173,6 +176,7 @@ class LstmParams:
     """
 
     takes_windows = True
+    compute_dtype = np.float32
     w_x: np.ndarray
     w_h: np.ndarray
     b: np.ndarray
@@ -239,8 +243,7 @@ class LstmParams:
 
     @classmethod
     def from_dict(cls, tensors: dict[str, np.ndarray]) -> "LstmParams":
-        return cls(*(np.asarray(tensors[k], dtype=np.float64) for k in
-                     ("w_x", "w_h", "b", "w_head", "b_head")))
+        return cls(*(as_float(tensors[k]) for k in ("w_x", "w_h", "b", "w_head", "b_head")))
 
 
 MODELS = {"mlp": MlpParams, "lstm": LstmParams}
@@ -371,9 +374,9 @@ def lstm_forward(params: LstmParams, x: np.ndarray) -> tuple[np.ndarray, LstmCac
     is computed in one product; the loop carries only the recurrence and
     writes every result in place, into buffers allocated once per call.
     The cache's state tensors put the time axis first, then the stack axes:
-    (T, *stack, B, ...).
+    (T, *stack, B, ...). Everything runs in the parameters' dtype.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=params.w_x.dtype)
     if x.ndim != 3:
         raise ShapeError(f"lstm_forward expects (batch, time, features), got {x.shape}")
     bsz, steps, feats = x.shape
@@ -391,14 +394,14 @@ def lstm_forward(params: LstmParams, x: np.ndarray) -> tuple[np.ndarray, LstmCac
     )
     k = len(stack)
     gates = gates.transpose(k, *range(k), k + 1, k + 2)  # (T, *stack, B, 4H)
-    cells = np.zeros((steps + 1, *stack, bsz, hsz))
-    hiddens = np.zeros((steps + 1, *stack, bsz, hsz))
-    tanh_cells = np.empty((steps, *stack, bsz, hsz))
+    cells = np.zeros((steps + 1, *stack, bsz, hsz), x.dtype)
+    hiddens = np.zeros((steps + 1, *stack, bsz, hsz), x.dtype)
+    tanh_cells = np.empty((steps, *stack, bsz, hsz), x.dtype)
 
     w_h_t = params.w_h.swapaxes(-1, -2)
     b = params.b[..., None, :]
-    rec = np.empty((*stack, bsz, 4 * hsz))
-    tmp = np.empty((*stack, bsz, hsz))
+    rec = np.empty((*stack, bsz, 4 * hsz), x.dtype)
+    tmp = np.empty((*stack, bsz, hsz), x.dtype)
     gi, gf, gg, go = _gate_blocks(gates, hsz)
     for t in range(steps):
         z = gates[t]  # holds x_t W^T; becomes the step's activations
@@ -429,7 +432,7 @@ def lstm_backward(
     steps, bsz, hsz = cache.tanh_c.shape
     if hsz != params.hidden_size or cache.x.shape[2] != params.input_size:
         raise ShapeError("cache shapes do not match parameters")
-    dpred = np.asarray(dpred, dtype=np.float64)
+    dpred = np.asarray(dpred, dtype=params.w_x.dtype)
     if dpred.shape != (bsz,):
         raise ShapeError(f"dpred shape {dpred.shape} does not match batch {bsz}")
 
@@ -437,12 +440,12 @@ def lstm_backward(
     np.matmul(cache.hiddens[steps].T, dpred, out=out["w_head"])
     dpred.sum(keepdims=True, out=out["b_head"])
 
-    dz_all = np.empty((steps, bsz, 4 * hsz))
+    dz_all = np.empty((steps, bsz, 4 * hsz), dpred.dtype)
     dh = dpred[:, None] * params.w_head[None, :]
-    dc = np.zeros((bsz, hsz))
-    tmp = np.empty((bsz, hsz))
-    dz_g = np.empty((bsz, hsz))
-    one_minus = np.empty((bsz, 4 * hsz))
+    dc = np.zeros((bsz, hsz), dpred.dtype)
+    tmp = np.empty((bsz, hsz), dpred.dtype)
+    dz_g = np.empty((bsz, hsz), dpred.dtype)
+    one_minus = np.empty((bsz, 4 * hsz), dpred.dtype)
     gi, gf, gg, go = _gate_blocks(cache.gates, hsz)
     di, df, dg, do = _gate_blocks(dz_all, hsz)
     for t in range(steps - 1, -1, -1):

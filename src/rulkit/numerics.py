@@ -1,9 +1,10 @@
 """The stable logistic function and the seeded RNG.
 
-Matrices are plain float64 numpy arrays. All randomness in the toolkit
-(weight init, epoch shuffles, the engine split) flows through SeededRng,
-which wraps numpy's PCG64 generator: a documented, seedable algorithm with
-fixed constants, so identical seeds give identical streams on any platform.
+Matrices are float64 numpy arrays, or float32 where a model computes in
+float32. All randomness in the toolkit (weight init, epoch shuffles, the
+engine split) flows through SeededRng, which wraps numpy's PCG64 generator:
+a documented, seedable algorithm with fixed constants, so identical seeds
+give identical streams on any platform.
 """
 
 from __future__ import annotations
@@ -15,6 +16,12 @@ from .errors import ConfigError
 Matrix = np.ndarray
 
 
+def as_float(a) -> Matrix:
+    """`a` as an array of its own dtype if that is float32, else as float64."""
+    a = np.asarray(a)
+    return a if a.dtype == np.float32 else a.astype(np.float64, copy=False)
+
+
 def sigmoid(m: Matrix, out: Matrix | None = None) -> Matrix:
     """Numerically stable logistic: never exponentiates a positive argument.
 
@@ -22,7 +29,7 @@ def sigmoid(m: Matrix, out: Matrix | None = None) -> Matrix:
     e / (1 + e) elsewhere; the numerator max(e, m >= 0) picks 1 or e
     without a branch. `out` may be `m` itself, for an in-place update.
     """
-    m = np.asarray(m, dtype=np.float64)
+    m = as_float(m)
     e = np.exp(np.minimum(m, -m))  # -|m| that keeps the sign of a NaN
     return np.divide(np.maximum(e, m >= 0), 1.0 + e, out=out)
 

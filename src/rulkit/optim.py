@@ -1,9 +1,9 @@
 """Adam optimizer with bias correction, over one flat parameter vector.
 
-While a model trains, all of its parameters live in one contiguous float64
-vector and its tensors are reshaped views of that vector (flatten_params).
-The gradients live the same way, in one vector with the same layout whose
-views the backward pass writes into. The optimizer state mirrors it: `m`
+While a model trains, its float64 master weights live in one contiguous
+vector and its tensors are reshaped views of it (flatten_params); the model
+may compute on a float32 copy. The gradients live the same way, in one
+float64 vector with the same layout. The optimizer state mirrors it: `m`
 and `v` are flat vectors of the same length, and `layout` names each tensor
 and its shape, in vector order. A step updates the whole parameter vector
 from the whole gradient vector with one sequence of ufuncs, so its cost

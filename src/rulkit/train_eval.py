@@ -39,7 +39,7 @@ FD_EPS = 1e-5
 # (even: each coordinate takes two). It bounds that pass's memory to
 # FD_CHUNK parameter vectors plus FD_CHUNK models' activations.
 FD_CHUNK = 512
-# Widest-row floats per validation forward pass: an LSTM step's gates fit in L2.
+# Widest-row floats (not bytes) per validation forward pass: an LSTM step's gates fit in L2.
 BLOCK_FLOATS = 2**15
 
 
@@ -171,7 +171,8 @@ class TrainedModel:
     seed: int
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Predictions for a batch: (N, W, F) windows or (N, F) rows."""
+        """Predictions for a batch: (N, W, F) windows or (N, F) rows, in float64 as
+        checkpointed, so that a single-engine request and `evaluate` agree bit for bit."""
         if self.params.takes_windows and (x.ndim != 3 or x.shape[1] != self.window):
             raise ValidationError(
                 f"{self.kind} model expects (batch, {self.window}, features), got {x.shape}"
@@ -203,9 +204,9 @@ def train(
     weight init and one shuffle per epoch, in that order, so a given seed
     fixes the whole trajectory.
 
-    The parameters live in one flat vector that Adam updates in place; the
-    returned model's tensors are views of it. Each batch's backward pass
-    writes into views of one flat gradient vector, allocated once per call.
+    The parameters live in one flat float64 vector; the returned tensors are
+    views of it. Each batch and validation pass runs on a fresh copy of it in
+    the class's compute_dtype, and Adam updates it from the upcast gradients.
 
     A non-finite training or validation loss raises TrainingError. An empty
     validation split has no loss: its history entry is nan.
@@ -219,8 +220,11 @@ def train(
     flat, views = flatten_params(init.to_dict())
     params_obj = type(init).from_dict(views)
     state = init_adam(views, lr=config.lr)
-    grad = np.empty_like(flat)
+    grad = np.zeros_like(flat)
     grad_views = unflatten(grad, views)
+    work, work_grad = (a.astype(init.compute_dtype, copy=False) for a in (flat, grad))
+    work_obj = type(init).from_dict(unflatten(work, views))
+    work_grad_views = unflatten(work_grad, views)
     history = TrainHistory()
 
     for epoch in range(1, config.epochs + 1):
@@ -231,13 +235,15 @@ def train(
             idx = order[start : start + config.batch_size]
             xb = train_set.inputs(idx)
             yb = train_set.targets[idx]
-            pred, cache = params_obj.forward(xb)
+            np.copyto(work, flat, casting="same_kind")
+            pred, cache = work_obj.forward(xb)
             loss, dpred = models.mse_loss(pred, yb)
             if not np.isfinite(loss):
                 raise TrainingError(
                     f"epoch {epoch} batch {b}: non-finite training loss {loss}"
                 )
-            params_obj.backward(cache, dpred, grad_views)
+            work_obj.backward(cache, dpred, work_grad_views)
+            np.copyto(grad, work_grad)
             if config.grad_clip is not None:
                 clip_gradients(grad_views, config.grad_clip)
             adam_step(state, flat, grad)
@@ -246,7 +252,8 @@ def train(
         history.train_mse.append(sq_sum / n)
         val_started = time.perf_counter()
         if len(val_set):
-            val_pred = predict_in_blocks(params_obj, val_set)
+            np.copyto(work, flat, casting="same_kind")
+            val_pred = predict_in_blocks(work_obj, val_set)
             history.val_mse.append(float(np.mean((val_pred - val_set.targets) ** 2)))
             if not np.isfinite(history.val_mse[-1]):
                 raise TrainingError(
@@ -273,7 +280,8 @@ def evaluate(
     config: TrainConfig,
     checkpoint_hash: str = "",
 ) -> EvalReport:
-    """One prediction per test engine from its final_inputs.
+    """One prediction per test engine from its final_inputs, in float64 through
+    TrainedModel.predict as a single-engine request is, so both give the same bits.
 
     The i-th label pairs with the i-th engine in id order. Negative
     predictions are reported raw (they drive the MSE) with a clamped

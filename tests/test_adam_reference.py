@@ -96,8 +96,20 @@ def _backward(kind, params, cache, dpred):
     return models.mlp_backward(params, cache, dpred)
 
 
+def _compute_copy(params_obj):
+    """A parameter object on a per-tensor copy of `params_obj` in its class's
+    compute dtype (no copy for float64), as train forwards and backprops."""
+    dtype = params_obj.compute_dtype
+    return type(params_obj).from_dict(
+        {k: t.astype(dtype, copy=False) for k, t in params_obj.to_dict().items()})
+
+
 def reference_train(config, train_set, val_set, rng):
-    """The training loop over a dict of separate tensors; returns params, state, mse curves."""
+    """The training loop over a dict of separate tensors; returns params, state, mse curves.
+
+    Each batch and each validation pass runs on a fresh compute-dtype copy of
+    the float64 tensors, and the gradients are upcast to float64 per tensor
+    before clipping and Adam."""
     n = len(train_set)
     params_obj = models.MODELS[config.model].init(train_set.rows.shape[1], config, rng)
     params = params_obj.to_dict()
@@ -108,18 +120,21 @@ def reference_train(config, train_set, val_set, rng):
         sq_sum = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            pred, cache = _forward(config.model, params_obj, train_set.inputs(idx))
+            work = _compute_copy(params_obj)
+            pred, cache = _forward(config.model, work, train_set.inputs(idx))
             loss, dpred = models.mse_loss(pred, train_set.targets[idx])
-            grads = _backward(config.model, params_obj, cache, dpred)
+            grads = {k: g.astype(np.float64, copy=False)
+                     for k, g in _backward(config.model, work, cache, dpred).items()}
             if config.grad_clip is not None:
                 reference_clip_gradients(grads, config.grad_clip)
             reference_adam_step(state, params, grads)
             sq_sum += loss * len(idx)
         train_mse.append(sq_sum / n)
         preds = np.empty(len(val_set))
+        work = _compute_copy(params_obj)
         for start in range(0, len(val_set), 512):
             x = val_set.inputs(slice(start, start + 512))
-            preds[start : start + 512] = _forward(config.model, params_obj, x)[0]
+            preds[start : start + 512] = _forward(config.model, work, x)[0]
         val_mse.append(float(np.mean((preds - val_set.targets) ** 2)))
     return params_obj, state, train_mse, val_mse
 
@@ -257,7 +272,8 @@ def test_train_matches_per_tensor_loop_bit_for_bit(small_pipeline, kind, grad_cl
     assert history.val_mse == ref_val_mse
     flat = flatten_params(params.to_dict())[0]
     _assert_states_equal(flat, state, ref_obj.to_dict(), ref_state)
-    # The returned tensors are views of the one vector Adam updated.
+    # The returned tensors are float64 views of the one vector Adam updated.
+    assert all(t.dtype == np.float64 for t in params.to_dict().values())
     bases = {id(t.base) for t in params.to_dict().values()}
     assert len(bases) == 1 and next(iter(params.to_dict().values())).base.size == flat.size
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from rulkit import models
 from rulkit.errors import ConfigError, ShapeError, ValidationError
 from rulkit.numerics import SeededRng
-from rulkit.optim import flatten_params
+from rulkit.optim import flatten_params, unflatten
 from rulkit.train_eval import numeric_gradients
 
 # ---------------------------------------------------------------------------
@@ -350,6 +350,31 @@ def test_backward_takes_one_model():
         _, cache = stacked.forward(x)
         with pytest.raises(ShapeError, match="one model, not a stack"):
             stacked.backward(cache, np.ones(2))
+
+
+@pytest.mark.parametrize("steps", [1, 20])
+@pytest.mark.parametrize("batch", [1, 64, 128])
+def test_float32_lstm_computes_in_float32_close_to_float64(batch, steps):
+    # train runs the LSTM's batches on a float32 copy of float64 weights.
+    rng = SeededRng(batch + steps)
+    params = models.init_lstm(14, 64, rng)
+    flat32, views32 = flatten_params(params.to_dict())
+    flat32 = flat32.astype(np.float32)
+    single = models.LstmParams.from_dict(unflatten(flat32, views32))
+    assert all(t.dtype == np.float32 and t.base is flat32 for t in single.to_dict().values())
+    x = rng.uniform(0.0, 1.0, (batch, steps, 14))
+    y = rng.uniform(0.0, 125.0, (batch,))
+    runs = []
+    for p in (params, single):
+        pred, cache = p.forward(x)
+        _, dpred = models.mse_loss(pred, y)
+        runs.append((pred, p.backward(cache, dpred)))
+    (pred64, grads64), (pred32, grads32) = runs
+    assert pred64.dtype == np.float64 and pred32.dtype == np.float32
+    assert np.abs(pred32 - pred64).max() <= 1e-4 * np.abs(pred64).max()
+    for name, g in grads64.items():
+        assert g.dtype == np.float64 and grads32[name].dtype == np.float32, name
+        assert np.abs(grads32[name] - g).max() <= 1e-4 * np.abs(g).max(), name
 
 
 @pytest.mark.parametrize("batch", [1, 64])

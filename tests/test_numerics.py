@@ -22,6 +22,20 @@ def test_sigmoid_extreme_arguments_do_not_overflow():
     assert out[1] == 1.0
 
 
+def test_sigmoid_keeps_float32():
+    x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 88.0, -88.0, 104.0, -104.0,
+                  1000.0, -1000.0], dtype=np.float32)
+    with np.errstate(over="raise"):
+        out = sigmoid(x)
+    assert out.dtype == np.float32
+    assert np.isnan(out[4])
+    finite = ~np.isnan(x)
+    assert np.all((out[finite] >= 0.0) & (out[finite] <= 1.0))
+    assert list(out[[0, 1, 2, 3, 9, 10]]) == [0.5, 0.5, 1.0, 0.0, 1.0, 0.0]
+    np.testing.assert_allclose(out, sigmoid(x.astype(np.float64)), rtol=1e-6, atol=1e-38)
+    assert sigmoid(np.array([0.5, 2.0], dtype=np.float16)).dtype == np.float64
+
+
 def test_sigmoid_symmetry():
     x = np.linspace(-30, 30, 101)
     np.testing.assert_allclose(sigmoid(x) + sigmoid(-x), 1.0, rtol=0, atol=1e-15)

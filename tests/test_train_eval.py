@@ -152,9 +152,22 @@ def test_train_is_deterministic_per_seed(small_data):
     a, _, hist_a = _fit(_quick_config(), result)
     b, _, hist_b = _fit(_quick_config(), result)
     for k, v in a.to_dict().items():
-        assert np.array_equal(v, b.to_dict()[k]), k
-    assert hist_a.train_mse == hist_b.train_mse
-    assert hist_a.val_mse == hist_b.val_mse
+        assert np.array_equal(v.view(np.uint64), b.to_dict()[k].view(np.uint64)), k
+    assert list(map(float.hex, hist_a.train_mse)) == list(map(float.hex, hist_b.train_mse))
+    assert list(map(float.hex, hist_a.val_mse)) == list(map(float.hex, hist_b.val_mse))
+
+
+def test_validation_reads_the_final_weights_in_float32(small_data):
+    # The LSTM validates on a float32 copy of the master weights taken after
+    # the epoch's last Adam step.
+    result, _, _ = small_data
+    config = _quick_config()
+    params, _, history = _fit(config, result)
+    work = models.LstmParams.from_dict(
+        {k: t.astype(np.float32) for k, t in params.to_dict().items()})
+    val_set = replace(result.val_rows, window=config.window)
+    pred = train_eval.predict_in_blocks(work, val_set)
+    assert history.val_mse[-1] == float(np.mean((pred - val_set.targets) ** 2))
 
 
 def test_train_seed_changes_outcome(small_data):
