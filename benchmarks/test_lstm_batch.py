@@ -13,7 +13,8 @@ validation split at split seed 0.
 
 The forward, backward and validation cases run in float64, the dtype of
 checkpoints and prediction, and in float32, the dtype `train` runs the
-LSTM's batches and validation pass in.
+LSTM's batches and validation pass in. The single-engine case runs one
+float64 window, as `rulkit predict` and each scoring request do.
 """
 
 import numpy as np
@@ -50,6 +51,13 @@ def test_lstm_forward_batch(benchmark, dtype):
     params, x, _, _ = _lstm_batch(dtype)
     pred, _ = benchmark(models.lstm_forward, params, x)
     assert pred.shape == (BATCH,)
+
+
+def test_lstm_forward_single_engine(benchmark):
+    # One float64 window: the shape of every single-engine prediction request.
+    params, x, _, _ = _lstm_batch(np.float64)
+    pred, _ = benchmark(models.lstm_forward, params, x[:1])
+    assert pred.shape == (1,)
 
 
 @DTYPES

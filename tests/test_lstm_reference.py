@@ -1,10 +1,18 @@
-"""The fused LSTM step against a frozen copy of the unfused implementation.
+"""The fused LSTM step against frozen plain-numpy references.
 
-The reference below is the straightforward form of the same equations:
-a masked sigmoid applied per gate block, seven separate per-step arrays,
-and backward products written out per block. The fused code must keep
+`ref_lstm_forward` / `ref_lstm_backward` are the straightforward form of
+the fused code's operations: separate per-step arrays, and each gate block
+activated and differentiated on its own. The bias is the weight of a ones
+column appended to the input. Each sigmoid gate is 0.5 * tanh(z / 2) + 0.5,
+with z / 2 taken from i, f and o weight and bias columns halved in advance;
+each gate's slope is (k - a) * a + s, that is a(1 - a) for a sigmoid gate
+and 1 - g^2 for g. The fused code must keep
 every floating-point operation and its order, so results are compared
 with exact equality (including the sign of zeros), never a tolerance.
+
+`exp_lstm_forward` / `exp_lstm_backward` are the textbook form with the
+exp-based sigmoid. The fused code must match them in float64 to 1e-12 of
+each array's largest absolute value, which pins the tanh identity's algebra.
 """
 
 import numpy as np
@@ -14,7 +22,7 @@ from rulkit import models
 from rulkit.numerics import SeededRng, sigmoid
 
 # ---------------------------------------------------------------------------
-# Frozen reference
+# Frozen references
 # ---------------------------------------------------------------------------
 
 
@@ -30,6 +38,71 @@ def ref_sigmoid(m):
 
 def ref_lstm_forward(params, x):
     """Returns (pred, (xt, i, f, g, o, c, tanh_c, h)), arrays time-major."""
+    bsz, steps, feats = x.shape
+    hsz = params.hidden_size
+    # Halves the i, f and o columns; 0.5 * tanh(z / 2) + 0.5 is sigmoid(z).
+    scale = np.concatenate([np.full(hsz, v) for v in (0.5, 0.5, 1.0, 0.5)])
+    xt = np.ascontiguousarray(x.transpose(1, 0, 2))
+    # The bias is the weight of a ones column appended to the input.
+    x_ones = np.concatenate([xt, np.ones((steps, bsz, 1))], axis=2)
+    w_xb = np.concatenate([params.w_x.T * scale, (params.b * scale)[None, :]])
+    zx = (x_ones.reshape(steps * bsz, feats + 1) @ w_xb).reshape(steps, bsz, 4 * hsz)
+    w_h_t = (params.w_h * scale[:, None]).T
+    saved = [np.empty((steps, bsz, hsz)) for _ in range(7)]
+    h = np.zeros((bsz, hsz))
+    c = np.zeros((bsz, hsz))
+    for t in range(steps):
+        z = zx[t] + h @ w_h_t
+        i = np.tanh(z[:, :hsz]) * 0.5 + 0.5
+        f = np.tanh(z[:, hsz : 2 * hsz]) * 0.5 + 0.5
+        g = np.tanh(z[:, 2 * hsz : 3 * hsz]) * 1.0 + 0.0  # + 0.0 turns a -0 into +0
+        o = np.tanh(z[:, 3 * hsz :]) * 0.5 + 0.5
+        c = f * c + i * g
+        tanh_c = np.tanh(c)
+        h = o * tanh_c
+        for arr, val in zip(saved, (i, f, g, o, c, tanh_c, h)):
+            arr[t] = val
+    pred = h @ params.w_head + params.b_head[0]
+    return pred, (xt, *saved)
+
+
+def ref_lstm_backward(params, cache, dpred):
+    xt, gi, gf, gg, go, cells, tanh_cells, hiddens = cache
+    steps, bsz, hsz = hiddens.shape
+    grad_w_head = hiddens[-1].T @ dpred
+    grad_b_head = np.array([dpred.sum()])
+    dz_all = np.empty((steps, bsz, 4 * hsz))
+    dh = dpred[:, None] * params.w_head[None, :]
+    dc = np.zeros((bsz, hsz))
+    for t in range(steps - 1, -1, -1):
+        i, f, g, o = gi[t], gf[t], gg[t], go[t]
+        tanh_c = tanh_cells[t]
+        c_prev = cells[t - 1] if t > 0 else np.zeros((bsz, hsz))
+        do = dh * tanh_c
+        dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
+        di = dc * g
+        df = dc * c_prev
+        dg = dc * i
+        dz = dz_all[t]
+        dz[:, :hsz] = di * ((1.0 - i) * i)
+        dz[:, hsz : 2 * hsz] = df * ((1.0 - f) * f)
+        dz[:, 2 * hsz : 3 * hsz] = dg * (1.0 - g * g)
+        dz[:, 3 * hsz :] = do * ((1.0 - o) * o)
+        dh = dz @ params.w_h
+        dc = dc * f
+    h_prev = np.concatenate([np.zeros((1, bsz, hsz)), hiddens[:-1]], axis=0)
+    dz_flat = dz_all.reshape(steps * bsz, 4 * hsz)
+    return {
+        "w_x": dz_flat.T @ xt.reshape(steps * bsz, -1),
+        "w_h": dz_flat.T @ h_prev.reshape(steps * bsz, hsz),
+        "b": np.ones(steps * bsz) @ dz_flat,
+        "w_head": grad_w_head,
+        "b_head": grad_b_head,
+    }
+
+
+def exp_lstm_forward(params, x):
+    """ref_lstm_forward's results from the exp-based sigmoid, unscaled weights."""
     bsz, steps, feats = x.shape
     hsz = params.hidden_size
     xt = np.ascontiguousarray(x.transpose(1, 0, 2))
@@ -52,7 +125,7 @@ def ref_lstm_forward(params, x):
     return pred, (xt, *saved)
 
 
-def ref_lstm_backward(params, cache, dpred):
+def exp_lstm_backward(params, cache, dpred):
     xt, gi, gf, gg, go, cells, tanh_cells, hiddens = cache
     steps, bsz, hsz = hiddens.shape
     grad_w_head = hiddens[-1].T @ dpred
@@ -134,10 +207,8 @@ def test_sigmoid_in_place_and_zero_dim():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("hidden", [1, 4, 64])
-@pytest.mark.parametrize("steps", [1, 2, 20])
-@pytest.mark.parametrize("batch", [1, 3, 64, 512])
-def test_lstm_matches_frozen_reference(batch, steps, hidden):
+def _reference_case(batch, steps, hidden):
+    """(params, x, dpred) of a float64 model with gates pushed toward saturation."""
     rng = SeededRng(1000 * batch + 10 * steps + hidden)
     params = models.init_lstm(5, hidden, rng)
     # Wider weights push gates toward saturation, where rounding differs most.
@@ -147,6 +218,14 @@ def test_lstm_matches_frozen_reference(batch, steps, hidden):
     x = rng.uniform(-1.0, 1.0, (batch, steps, 5))
     x[0, 0] = 0.0
     dpred = rng.uniform(-1.0, 1.0, (batch,))
+    return params, x, dpred
+
+
+@pytest.mark.parametrize("hidden", [1, 4, 64])
+@pytest.mark.parametrize("steps", [1, 2, 20])
+@pytest.mark.parametrize("batch", [1, 3, 64, 512])
+def test_lstm_matches_frozen_reference(batch, steps, hidden):
+    params, x, dpred = _reference_case(batch, steps, hidden)
 
     pred, cache = models.lstm_forward(params, x)
     ref_pred, ref_cache = ref_lstm_forward(params, x)
@@ -162,6 +241,57 @@ def test_lstm_matches_frozen_reference(batch, steps, hidden):
     assert sorted(grads) == sorted(ref_grads)
     for name, expected in ref_grads.items():
         assert_bits_equal(grads[name], expected)
+
+
+@pytest.mark.parametrize("hidden", [1, 4, 64])
+@pytest.mark.parametrize("steps", [1, 2, 20])
+@pytest.mark.parametrize("batch", [1, 3, 64, 512])
+def test_lstm_matches_exp_sigmoid_reference_in_float64(batch, steps, hidden):
+    params, x, dpred = _reference_case(batch, steps, hidden)
+
+    def assert_close(actual, expected, what):
+        bound = 1e-12 * np.abs(expected).max()
+        assert np.abs(actual - expected).max() <= bound, what
+
+    pred, cache = models.lstm_forward(params, x)
+    exp_pred, exp_cache = exp_lstm_forward(params, x)
+    assert_close(pred, exp_pred, "pred")
+    _, exp_i, exp_f, exp_g, exp_o, exp_c, _, exp_h = exp_cache
+    for name, block, expected in zip(
+        models.GATE_ORDER, np.split(cache.gates, 4, axis=2), (exp_i, exp_f, exp_g, exp_o)
+    ):
+        assert_close(block, expected, name)
+    assert_close(cache.cells[1:], exp_c, "cells")
+    assert_close(cache.hiddens[1:], exp_h, "hiddens")
+
+    grads = models.lstm_backward(params, cache, dpred)
+    for name, expected in exp_lstm_backward(params, exp_cache, dpred).items():
+        assert_close(grads[name], expected, name)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_saturated_gates_stay_finite_and_in_range(dtype):
+    # Pre-activations of +-1e4 drive every gate to its limit. No step may
+    # overflow, divide by zero or produce NaN, forward or backward.
+    rng = SeededRng(11)
+    params = models.init_lstm(5, 8, rng)
+    signs = np.where(rng.uniform(-1.0, 1.0, params.b.shape) < 0.0, -1.0, 1.0)
+    params.b[:] = 1e4 * signs
+    params = models.LstmParams.from_dict(
+        {k: t.astype(dtype) for k, t in params.to_dict().items()}
+    )
+    x = rng.uniform(-1.0, 1.0, (16, 20, 5))
+    dpred = rng.uniform(-1.0, 1.0, (16,))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        pred, cache = models.lstm_forward(params, x)
+        grads = models.lstm_backward(params, cache, dpred)
+    assert pred.dtype == dtype and np.all(np.isfinite(pred))
+    i, f, g, o = np.split(cache.gates, 4, axis=-1)
+    for gate in (i, f, o):
+        assert np.all((gate >= 0.0) & (gate <= 1.0))
+    assert np.all((g >= -1.0) & (g <= 1.0))
+    for name, g in grads.items():
+        assert g.dtype == dtype and np.all(np.isfinite(g)), name
 
 
 def test_lstm_backward_leaves_cache_reusable():
