@@ -14,7 +14,13 @@ validation split at split seed 0.
 The forward, backward and validation cases run in float64, the dtype of
 checkpoints and prediction, and in float32, the dtype `train` runs the
 LSTM's batches and validation pass in. The single-engine case runs one
-float64 window, as `rulkit predict` and each scoring request do.
+float64 window, as `rulkit predict` and each scoring request do. The
+gradient-check case runs the stacked float64 forward of
+`train_eval.numeric_gradients` on the largest LSTM that
+`gradient_check_suite` draws (5 features, hidden size 4): both
+perturbations of each of its 165 parameters, 330 models, on 2 windows of
+3 cycles. The gradient suite behind `verify_s` runs such a forward in each
+LSTM trial; its time is per-call and per-model set-up more than arithmetic.
 """
 
 import numpy as np
@@ -58,6 +64,17 @@ def test_lstm_forward_single_engine(benchmark):
     params, x, _, _ = _lstm_batch(np.float64)
     pred, _ = benchmark(models.lstm_forward, params, x[:1])
     assert pred.shape == (1,)
+
+
+def test_lstm_forward_gradient_check_stack(benchmark):
+    rng = SeededRng(2)
+    tensors = models.init_lstm(5, 4, rng).to_dict()
+    flat, _ = flatten_params(tensors)
+    stack = np.repeat(flat[None, :], 2 * flat.size, axis=0)
+    params = models.LstmParams.from_dict(unflatten(stack, tensors))
+    x = rng.uniform(-1.0, 1.0, (2, 3, 5))
+    pred, _ = benchmark(models.lstm_forward, params, x)
+    assert pred.shape == (330, 2)
 
 
 @DTYPES

@@ -172,7 +172,9 @@ class TrainedModel:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Predictions for a batch: (N, W, F) windows or (N, F) rows, in float64 as
-        checkpointed, so that a single-engine request and `evaluate` agree bit for bit."""
+        checkpointed. Each prediction depends only on its own sample, but BLAS may
+        sum a batch of one in another order than a larger batch, so a single-engine
+        request and its `evaluate` row agree to rounding, not bit for bit."""
         if self.params.takes_windows and (x.ndim != 3 or x.shape[1] != self.window):
             raise ValidationError(
                 f"{self.kind} model expects (batch, {self.window}, features), got {x.shape}"
@@ -281,7 +283,7 @@ def evaluate(
     checkpoint_hash: str = "",
 ) -> EvalReport:
     """One prediction per test engine from its final_inputs, in float64 through
-    TrainedModel.predict as a single-engine request is, so both give the same bits.
+    TrainedModel.predict as a single-engine request is (the two agree to rounding).
 
     The i-th label pairs with the i-th engine in id order. Negative
     predictions are reported raw (they drive the MSE) with a clamped

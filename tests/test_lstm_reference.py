@@ -1,12 +1,13 @@
 """The fused LSTM step against frozen plain-numpy references.
 
 `ref_lstm_forward` / `ref_lstm_backward` are the straightforward form of
-the fused code's operations: separate per-step arrays, and each gate block
-activated and differentiated on its own. The bias is the weight of a ones
-column appended to the input. Each sigmoid gate is 0.5 * tanh(z / 2) + 0.5,
-with z / 2 taken from i, f and o weight and bias columns halved in advance;
-each gate's slope is (k - a) * a + s, that is a(1 - a) for a sigmoid gate
-and 1 - g^2 for g. The fused code must keep
+the fused code's operations: separate per-step arrays with the batch on
+the last axis, one product per step of [W_x | b | W_h] with the column
+stack [x_t; 1; h_{t-1}] (the bias is the weight of the row of ones), and
+each gate block activated and differentiated on its own. Each sigmoid gate
+is 0.5 * tanh(z / 2) + 0.5, with z / 2 taken from i, f and o weight and
+bias rows halved in advance; each gate's slope is (k - a) * a + s, that is
+a(1 - a) for a sigmoid gate and 1 - g^2 for g. The fused code must keep
 every floating-point operation and its order, so results are compared
 with exact equality (including the sign of zeros), never a tolerance.
 
@@ -37,65 +38,70 @@ def ref_sigmoid(m):
 
 
 def ref_lstm_forward(params, x):
-    """Returns (pred, (xt, i, f, g, o, c, tanh_c, h)), arrays time-major."""
-    bsz, steps, feats = x.shape
+    """Returns (pred, (u, i, f, g, o, c, tanh_c, h)), arrays time-major and batch-last;
+    u[t] is step t's input column stack [x_t; 1; h_{t-1}]."""
+    bsz, steps, _ = x.shape
     hsz = params.hidden_size
-    # Halves the i, f and o columns; 0.5 * tanh(z / 2) + 0.5 is sigmoid(z).
+    # Halves the i, f and o rows; 0.5 * tanh(z / 2) + 0.5 is sigmoid(z).
     scale = np.concatenate([np.full(hsz, v) for v in (0.5, 0.5, 1.0, 0.5)])
-    xt = np.ascontiguousarray(x.transpose(1, 0, 2))
-    # The bias is the weight of a ones column appended to the input.
-    x_ones = np.concatenate([xt, np.ones((steps, bsz, 1))], axis=2)
-    w_xb = np.concatenate([params.w_x.T * scale, (params.b * scale)[None, :]])
-    zx = (x_ones.reshape(steps * bsz, feats + 1) @ w_xb).reshape(steps, bsz, 4 * hsz)
-    w_h_t = (params.w_h * scale[:, None]).T
-    saved = [np.empty((steps, bsz, hsz)) for _ in range(7)]
-    h = np.zeros((bsz, hsz))
-    c = np.zeros((bsz, hsz))
+    # The bias is the weight of a row of ones between x_t and h_{t-1}.
+    w_all = np.concatenate([params.w_x, params.b[:, None], params.w_h], axis=1) * scale[:, None]
+    saved = [np.empty((steps, hsz, bsz)) for _ in range(7)]
+    inputs = []
+    h = np.zeros((hsz, bsz))
+    c = np.zeros((hsz, bsz))
     for t in range(steps):
-        z = zx[t] + h @ w_h_t
-        i = np.tanh(z[:, :hsz]) * 0.5 + 0.5
-        f = np.tanh(z[:, hsz : 2 * hsz]) * 0.5 + 0.5
-        g = np.tanh(z[:, 2 * hsz : 3 * hsz]) * 1.0 + 0.0  # + 0.0 turns a -0 into +0
-        o = np.tanh(z[:, 3 * hsz :]) * 0.5 + 0.5
+        # C order, as the model's buffer: BLAS may sum a Fortran-ordered operand differently.
+        u = np.ascontiguousarray(np.concatenate([x[:, t, :].T, np.ones((1, bsz)), h]))
+        inputs.append(u)
+        z = w_all @ u
+        i = np.tanh(z[:hsz]) * 0.5 + 0.5
+        f = np.tanh(z[hsz : 2 * hsz]) * 0.5 + 0.5
+        g = np.tanh(z[2 * hsz : 3 * hsz]) * 1.0 + 0.0  # + 0.0 turns a -0 into +0
+        o = np.tanh(z[3 * hsz :]) * 0.5 + 0.5
         c = f * c + i * g
         tanh_c = np.tanh(c)
         h = o * tanh_c
         for arr, val in zip(saved, (i, f, g, o, c, tanh_c, h)):
             arr[t] = val
-    pred = h @ params.w_head + params.b_head[0]
-    return pred, (xt, *saved)
+    pred = (params.w_head[None, :] @ h)[0] + params.b_head[0]
+    return pred, (np.stack(inputs), *saved)
 
 
 def ref_lstm_backward(params, cache, dpred):
-    xt, gi, gf, gg, go, cells, tanh_cells, hiddens = cache
-    steps, bsz, hsz = hiddens.shape
-    grad_w_head = hiddens[-1].T @ dpred
+    inputs, gi, gf, gg, go, cells, tanh_cells, hiddens = cache
+    steps, hsz, bsz = hiddens.shape
+    feats = inputs.shape[1] - 1 - hsz
+    grad_w_head = hiddens[-1] @ dpred
     grad_b_head = np.array([dpred.sum()])
-    dz_all = np.empty((steps, bsz, 4 * hsz))
-    dh = dpred[:, None] * params.w_head[None, :]
-    dc = np.zeros((bsz, hsz))
+    dz_all = np.empty((steps, 4 * hsz, bsz))
+    dh = params.w_head[:, None] * dpred[None, :]
+    dc = np.zeros((hsz, bsz))
     for t in range(steps - 1, -1, -1):
         i, f, g, o = gi[t], gf[t], gg[t], go[t]
         tanh_c = tanh_cells[t]
-        c_prev = cells[t - 1] if t > 0 else np.zeros((bsz, hsz))
+        c_prev = cells[t - 1] if t > 0 else np.zeros((hsz, bsz))
         do = dh * tanh_c
         dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
         di = dc * g
         df = dc * c_prev
         dg = dc * i
         dz = dz_all[t]
-        dz[:, :hsz] = di * ((1.0 - i) * i)
-        dz[:, hsz : 2 * hsz] = df * ((1.0 - f) * f)
-        dz[:, 2 * hsz : 3 * hsz] = dg * (1.0 - g * g)
-        dz[:, 3 * hsz :] = do * ((1.0 - o) * o)
-        dh = dz @ params.w_h
+        dz[:hsz] = di * ((1.0 - i) * i)
+        dz[hsz : 2 * hsz] = df * ((1.0 - f) * f)
+        dz[2 * hsz : 3 * hsz] = dg * (1.0 - g * g)
+        dz[3 * hsz :] = do * ((1.0 - o) * o)
+        dh = params.w_h.T @ dz
         dc = dc * f
-    h_prev = np.concatenate([np.zeros((1, bsz, hsz)), hiddens[:-1]], axis=0)
-    dz_flat = dz_all.reshape(steps * bsz, 4 * hsz)
+    # [W_x | b | W_h]'s gradient: one product over every step and window,
+    # on operands laid out as np.tensordot lays them out.
+    dz_flat = dz_all.transpose(1, 0, 2).reshape(4 * hsz, steps * bsz)
+    u_flat = inputs.transpose(0, 2, 1).reshape(steps * bsz, -1)
+    grad = np.dot(dz_flat, u_flat)
     return {
-        "w_x": dz_flat.T @ xt.reshape(steps * bsz, -1),
-        "w_h": dz_flat.T @ h_prev.reshape(steps * bsz, hsz),
-        "b": np.ones(steps * bsz) @ dz_flat,
+        "w_x": grad[:, :feats],
+        "w_h": grad[:, feats + 1 :],
+        "b": grad[:, feats],
         "w_head": grad_w_head,
         "b_head": grad_b_head,
     }
@@ -230,8 +236,9 @@ def test_lstm_matches_frozen_reference(batch, steps, hidden):
     pred, cache = models.lstm_forward(params, x)
     ref_pred, ref_cache = ref_lstm_forward(params, x)
     assert_bits_equal(pred, ref_pred)
-    _, ref_i, ref_f, ref_g, ref_o, ref_c, _, ref_h = ref_cache
-    for block, expected in zip(np.split(cache.gates, 4, axis=2), (ref_i, ref_f, ref_g, ref_o)):
+    ref_u, ref_i, ref_f, ref_g, ref_o, ref_c, _, ref_h = ref_cache
+    assert_bits_equal(cache.inputs[:-1], ref_u)
+    for block, expected in zip(np.split(cache.gates, 4, axis=1), (ref_i, ref_f, ref_g, ref_o)):
         assert_bits_equal(block, expected)
     assert_bits_equal(cache.cells[1:], ref_c)
     assert_bits_equal(cache.hiddens[1:], ref_h)
@@ -258,11 +265,11 @@ def test_lstm_matches_exp_sigmoid_reference_in_float64(batch, steps, hidden):
     assert_close(pred, exp_pred, "pred")
     _, exp_i, exp_f, exp_g, exp_o, exp_c, _, exp_h = exp_cache
     for name, block, expected in zip(
-        models.GATE_ORDER, np.split(cache.gates, 4, axis=2), (exp_i, exp_f, exp_g, exp_o)
+        models.GATE_ORDER, np.split(cache.gates, 4, axis=1), (exp_i, exp_f, exp_g, exp_o)
     ):
-        assert_close(block, expected, name)
-    assert_close(cache.cells[1:], exp_c, "cells")
-    assert_close(cache.hiddens[1:], exp_h, "hiddens")
+        assert_close(block.swapaxes(1, 2), expected, name)
+    assert_close(cache.cells[1:].swapaxes(1, 2), exp_c, "cells")
+    assert_close(cache.hiddens[1:].swapaxes(1, 2), exp_h, "hiddens")
 
     grads = models.lstm_backward(params, cache, dpred)
     for name, expected in exp_lstm_backward(params, exp_cache, dpred).items():
@@ -286,7 +293,7 @@ def test_saturated_gates_stay_finite_and_in_range(dtype):
         pred, cache = models.lstm_forward(params, x)
         grads = models.lstm_backward(params, cache, dpred)
     assert pred.dtype == dtype and np.all(np.isfinite(pred))
-    i, f, g, o = np.split(cache.gates, 4, axis=-1)
+    i, f, g, o = np.split(cache.gates, 4, axis=1)
     for gate in (i, f, o):
         assert np.all((gate >= 0.0) & (gate <= 1.0))
     assert np.all((g >= -1.0) & (g <= 1.0))

@@ -153,7 +153,7 @@ def test_lstm_cell_single_step_hand_oracle():
     # One step (T=1) from the zero state, read from the fused gate tensor.
     # x=2: z_i=1, z_f=0.5, z_g=2, z_o=1.5 (recurrent weights are zero).
     _, cache = models.lstm_forward(_tiny_lstm(), np.array([[[2.0]]]))
-    i, f, g, o = cache.gates[0, 0]
+    i, f, g, o = cache.gates[0, :, 0]
     assert i == pytest.approx(0.7310585786300049, rel=1e-15)
     assert f == pytest.approx(0.62245933120185459, rel=1e-15)
     assert g == pytest.approx(0.9640275800758169, rel=1e-15)
@@ -212,7 +212,7 @@ def test_lstm_batch_matches_per_sample_runs_property(feats, hidden, steps, batch
     batched, _ = models.lstm_forward(params, x)
     for i in range(batch):
         single, cache = models.lstm_forward(params, x[i : i + 1])
-        size = np.abs(cache.hiddens[-1][0]) @ np.abs(params.w_head) + abs(params.b_head[0])
+        size = np.abs(cache.hiddens[-1][:, 0]) @ np.abs(params.w_head) + abs(params.b_head[0])
         assert abs(batched[i] - single[0]) <= 1e-12 * size
 
 

@@ -368,6 +368,25 @@ def test_single_engine_request_is_one_forward(small_data, forward_rows, kind):
     assert forward_rows == [1] and pred.shape == (1,)
 
 
+@pytest.mark.parametrize("kind", train_eval.MODEL_KINDS)
+def test_single_engine_request_matches_its_evaluate_row(
+    pipeline_seed1, test_trajectories, rul_labels, kind
+):
+    """A request for one engine is a float64 forward pass of batch 1; evaluate
+    forwards all 100 engines at once. Each row depends only on its own sample,
+    but BLAS may sum a batch of one in another order, so the two agree to
+    rounding (1e-12 relative), not bit for bit."""
+    result = pipeline_seed1
+    config = TrainConfig(model=kind)
+    params = models.MODELS[kind].init(result.selection.n_features, config, SeededRng(5))
+    model = _wrap(config, result, params)
+    report = evaluate(model, test_trajectories, rul_labels, result.scaler, config)
+    for traj, row in zip(test_trajectories, report.rows):
+        x = train_eval.final_inputs(model, [traj], result.scaler, config)
+        single = model.predict(x)[0]
+        assert abs(single - row.predicted_rul) <= 1e-12 * abs(row.predicted_rul), traj.engine_id
+
+
 # ---------------------------------------------------------------------------
 # Artifacts
 # ---------------------------------------------------------------------------

@@ -147,35 +147,38 @@ def test_validation_predictions_on_gathered_chunks_equal_stored_slices(
 ):
     """The validation pass forwards gathered windows (rows) a block at a time,
     128 windows for the recipe's LSTM and 512 rows for its MLP. A random LSTM
-    and MLP must predict exactly what one forward pass over the same stored
-    windows (rows) predicts, at block - 1 and block samples and on the whole
-    default validation set.
+    and MLP must predict exactly what forward passes over the same stored
+    windows (rows), block by block, predict, at block - 1, block and
+    block + 1 samples and on the whole default validation set.
 
-    Bit equality with one pass holds only while BLAS multiplies the last block
-    with the kernels it uses for a full one. With OpenBLAS 0.3.31 a last block
-    of 1-4 LSTM windows or 2-37 MLP rows is summed in another order, so each
-    kind's whole set must leave a longer tail than that. At block + 1 the last
-    block is one sample: there the blocks must equal their own forward passes
-    bit for bit and the single pass to 1e-12 relative, the bound test_models
-    holds a batch to against its windows run alone."""
+    Against one forward pass over all n samples, blocks change only which
+    kernels BLAS sums the last block with. With OpenBLAS 0.3.31 a last block
+    of 2-37 MLP rows is summed in another order, so the MLP's whole set must
+    leave a longer tail than that and then equal one pass bit for bit. The
+    LSTM has the batch as the rows of each step's product, and BLAS sums most
+    short batches' last windows in another order: its blocks must equal one
+    pass to 1e-12 relative, the bound test_models holds a batch to against its
+    windows run alone, as must every case with a one-sample last block."""
     result = pipeline_seed1
     windows, _, _ = reference_split(
         train_trajectories, result, result.val_ids, DEFAULT_TRIM, DEFAULT_WINDOW
     )
     n_features = result.selection.n_features
     cases = (  # params, samples, stored inputs, block, longest tail BLAS sums differently
-        (models.init_lstm(n_features, 64, SeededRng(3)), result.val_windows, windows, 128, 4),
+        (models.init_lstm(n_features, 64, SeededRng(3)), result.val_windows, windows, 128, None),
         (models.init_mlp((n_features, 64, 32, 1), SeededRng(3)), result.val_rows,
          result.val_rows.rows.copy(), 512, 37),
     )
     for params, samples, stored, block, short_tail in cases:
         assert train_eval.BLOCK_FLOATS // params.row_width == block
-        assert len(samples) > 2 * block and len(samples) % block > short_tail
+        assert len(samples) > 2 * block
+        if short_tail is not None:
+            assert len(samples) % block > short_tail
         for n in (block - 1, block, block + 1, len(samples)):
             got = train_eval.predict_in_blocks(params, _first(samples, n))
             expected = params.forward(stored[:n])[0]
-            if n == block + 1:
-                assert got.tobytes() == _forward_in_blocks(params, stored[:n]).tobytes()
-                np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
-            else:
+            assert got.tobytes() == _forward_in_blocks(params, stored[:n]).tobytes(), n
+            if n <= block or (short_tail is not None and n % block > short_tail):
                 assert got.tobytes() == expected.tobytes(), n
+            else:
+                np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
