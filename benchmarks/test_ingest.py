@@ -70,9 +70,9 @@ def test_prepare_test_engine(benchmark, prepared):
     _, test, result = prepared
     engine = max(test, key=len)
     window, row = benchmark(
-        preprocess.prepare_test_engine, engine, result.scaler, result.selection
+        preprocess.prepare_test_engine, engine, result.scaler, result.scaler.feature_names
     )
-    assert window.shape == (preprocess.DEFAULT_WINDOW, result.selection.n_features)
+    assert window.shape == (preprocess.DEFAULT_WINDOW, len(result.scaler.feature_names))
 
 
 def test_ewma_smooth_single_engine(benchmark, prepared):
@@ -95,10 +95,10 @@ def test_ewma_smooth_stack(benchmark, prepared):
 def test_final_inputs(benchmark, prepared, kind):
     _, test, result = prepared
     config = train_eval.TrainConfig(model=kind)
-    params = models.MODELS[kind].init(result.selection.n_features, config, SeededRng(0))
+    params = models.MODELS[kind].init(len(result.scaler.feature_names), config, SeededRng(0))
     model = train_eval.TrainedModel(
         kind=kind, params=params, window=config.window,
-        feature_names=result.selection.feature_names,
+        feature_names=result.scaler.feature_names,
         scaler_hash=train_eval.scaler_hash(result.scaler),
         config_hash=config.config_hash(), seed=config.seed,
     )

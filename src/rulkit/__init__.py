@@ -24,7 +24,6 @@ from .errors import (
     ValidationError,
 )
 from .preprocess import (
-    FeatureSelection,
     PreprocessResult,
     SampleSet,
     ScalerParams,
@@ -51,7 +50,6 @@ __all__ = [
     "ConfigError",
     "EngineTrajectory",
     "EvalReport",
-    "FeatureSelection",
     "ParseError",
     "PreprocessResult",
     "RulLabelFile",

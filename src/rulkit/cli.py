@@ -91,7 +91,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     result = preprocess.run_pipeline(trajectories, **pipeline)
     preprocess.write_bundle(args.out, result)
     print(f"engines: {len(result.train_ids) + len(result.val_ids)}")
-    print(f"features: {result.selection.n_features}")
+    print(f"features: {len(result.scaler.feature_names)}")
     print(f"training samples: {result.total_windows}")
     print(f"wrote bundle to {args.out}")
     return 0

@@ -504,8 +504,9 @@ def lstm_backward(
         slope += s
         dz = dz_all[t]
         dz *= slope
-        np.matmul(w_h_t, dz, out=dh)
-        dc *= gf[t]
+        if t:  # dh and dc flow on to step t - 1; at t = 0 nothing reads them
+            np.matmul(w_h_t, dz, out=dh)
+            dc *= gf[t]
 
     # Every weight's gradient in one product: the sum over t and the batch of
     # dz_t [x_t; 1; h_{t-1}]^T.

@@ -11,12 +11,12 @@ batch by batch and never stored. At test time there is no trim: smoothing
 precedes it and scaling is row by row, so it could only drop rows ahead of
 the final window, and only the rows that window needs are scaled.
 
-The feature set is a tuple of names (FeatureSelection), the form every
-artifact stores. It is detected, not hardcoded: of the 3 operating settings
-and 21 sensors, each whose raw value range across all training engines
-exceeds CONSTANT_TOLERANCE is kept. A zero-range channel carries no signal
-and cannot be min-max scaled; the single-condition files ship constant
-sensors and one constant setting.
+The feature set is a tuple of names, the form every artifact stores, and
+the ScalerParams fitted on it is its one holder. It is detected, not
+hardcoded: of the 3 operating settings and 21 sensors, each whose raw value
+range across all training engines exceeds CONSTANT_TOLERANCE is kept. A
+zero-range channel carries no signal and cannot be min-max scaled; the
+single-condition files ship constant sensors and one constant setting.
 """
 
 from __future__ import annotations
@@ -51,48 +51,39 @@ FEATURE_NAMES = tuple(
 )
 
 
-@dataclass(frozen=True)
-class FeatureSelection:
-    """The settings and sensors that feed the models, by name, in FEATURE_NAMES order."""
-
-    feature_names: tuple[str, ...]
-    # Index of each kept feature in a settings-then-sensors (L, 24) matrix.
-    columns: np.ndarray = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        names = tuple(self.feature_names)
-        for name in names:
-            if name not in FEATURE_NAMES:
-                raise ValidationError(f"unrecognized feature name {name!r}")
-        columns = np.array([FEATURE_NAMES.index(name) for name in names], dtype=np.intp)
-        if np.any(np.diff(columns) <= 0):
-            raise ValidationError(
-                f"feature names {names} are not in canonical order (settings, then sensors)"
-            )
-        object.__setattr__(self, "feature_names", names)
-        object.__setattr__(self, "columns", columns)
-
-    @property
-    def n_features(self) -> int:
-        return len(self.feature_names)
+def feature_columns(names: Sequence[str]) -> np.ndarray:
+    """Each name's index in FEATURE_NAMES, its column in feature_matrix's (L, 24)
+    matrix. The names must be known and in FEATURE_NAMES order."""
+    for name in names:
+        if name not in FEATURE_NAMES:
+            raise ValidationError(f"unrecognized feature name {name!r}")
+    columns = np.array([FEATURE_NAMES.index(name) for name in names], dtype=np.intp)
+    if np.any(np.diff(columns) <= 0):
+        raise ValidationError(
+            f"feature names {tuple(names)} are not in canonical order (settings, then sensors)"
+        )
+    return columns
 
 
-def selection_from_feature_names(names: Sequence[str]) -> FeatureSelection:
-    """The FeatureSelection of a stored feature-name list."""
-    return FeatureSelection(tuple(names))
+def selection_from_feature_names(names: Sequence[str]) -> tuple[str, ...]:
+    """A stored feature-name list as a tuple, checked by feature_columns."""
+    names = tuple(names)
+    feature_columns(names)
+    return names
 
 
-def _raw_columns(traj: EngineTrajectory) -> np.ndarray:
-    """(L, 24) matrix of the settings, then the sensors: FeatureSelection.columns' layout."""
-    return np.hstack([traj.settings_matrix, traj.sensors_matrix])
+def feature_matrix(traj: EngineTrajectory, columns: np.ndarray | slice = slice(None)
+                   ) -> np.ndarray:
+    """(L, F) matrix of the settings, then the sensors, at `columns` (default: all 24)."""
+    return np.hstack([traj.settings_matrix, traj.sensors_matrix])[:, columns]
 
 
-def select_features(trajectories: Sequence[EngineTrajectory]) -> FeatureSelection:
-    """Keep each setting and sensor whose raw range over all engines exceeds
-    CONSTANT_TOLERANCE."""
+def select_features(trajectories: Sequence[EngineTrajectory]) -> tuple[str, ...]:
+    """The names of each setting and sensor whose raw range over all engines
+    exceeds CONSTANT_TOLERANCE, in FEATURE_NAMES order."""
     if not trajectories:
         raise ValidationError("cannot select features on empty input")
-    stacked = np.vstack([_raw_columns(t) for t in trajectories])
+    stacked = np.vstack([feature_matrix(t) for t in trajectories])
     varies = stacked.max(axis=0) - stacked.min(axis=0) > CONSTANT_TOLERANCE
     if not varies.any():
         raise ValidationError("no setting or sensor varies across the training engines")
@@ -101,7 +92,7 @@ def select_features(trajectories: Sequence[EngineTrajectory]) -> FeatureSelectio
             "excluding zero-range operating settings %s from features",
             (np.flatnonzero(~varies[:N_SETTINGS]) + 1).tolist(),
         )
-    return FeatureSelection(tuple(n for n, keep in zip(FEATURE_NAMES, varies) if keep))
+    return tuple(n for n, keep in zip(FEATURE_NAMES, varies) if keep)
 
 
 def ewma_smooth(series: np.ndarray, alpha: float) -> np.ndarray:
@@ -174,14 +165,10 @@ def trim_head(traj: EngineTrajectory, n: int = DEFAULT_TRIM) -> EngineTrajectory
     )
 
 
-def feature_matrix(traj: EngineTrajectory, selection: FeatureSelection) -> np.ndarray:
-    """(L, F) matrix of the kept settings and sensors, in feature_names order."""
-    return _raw_columns(traj)[:, selection.columns]
-
-
 @dataclass(frozen=True)
 class ScalerParams:
-    """Per-feature min/max fitted on training engines only.
+    """The feature set, by name, and its per-feature min/max fitted on training
+    engines only.
 
     transform maps fitted training data into [0, 1] exactly; out-of-range
     values (test time) are clamped to [0, 1].
@@ -190,10 +177,15 @@ class ScalerParams:
     feature_names: tuple[str, ...]
     mins: np.ndarray
     maxs: np.ndarray
+    # feature_columns(feature_names): each feature's column in feature_matrix.
+    columns: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if len(self.feature_names) != self.mins.shape[0] or self.mins.shape != self.maxs.shape:
-            raise ValidationError("scaler feature names and bounds disagree in length")
+        object.__setattr__(self, "columns", feature_columns(self.feature_names))
+        n = len(self.feature_names)
+        if np.shape(self.mins) != (n,) or np.shape(self.maxs) != (n,):
+            raise ValidationError(f"scaler feature names and bounds disagree in length: {n} "
+                                  f"names, mins {np.shape(self.mins)}, maxs {np.shape(self.maxs)}")
         for name, lo, hi in zip(self.feature_names, self.mins, self.maxs):
             if not (np.isfinite(lo) and np.isfinite(hi)):
                 problem = "a non-finite bound"
@@ -236,34 +228,28 @@ def scaler_hash(scaler: ScalerParams) -> str:
 
 
 def fit_minmax(
-    trajectories: Sequence[EngineTrajectory], selection: FeatureSelection
+    trajectories: Sequence[EngineTrajectory], feature_names: tuple[str, ...]
 ) -> ScalerParams:
-    """Fit per-feature min/max over all rows of (smoothed, trimmed) train data."""
+    """Fit the named features' min/max over all rows of (smoothed, trimmed) train data."""
     if not trajectories:
         raise ValidationError("cannot fit a scaler on empty input")
-    stacked = np.vstack([feature_matrix(t, selection) for t in trajectories])
+    columns = feature_columns(feature_names)
+    stacked = np.vstack([feature_matrix(t, columns) for t in trajectories])
     mins = stacked.min(axis=0)
     maxs = stacked.max(axis=0)
     flat = np.flatnonzero(maxs - mins <= 0.0)
     if flat.size:
-        names = [selection.feature_names[i] for i in flat]
+        names = [feature_names[i] for i in flat]
         raise ConfigError(
             f"features {names} are constant on the smoothed, trimmed training data "
             "and cannot be min-max scaled"
         )
-    return ScalerParams(selection.feature_names, mins, maxs)
+    return ScalerParams(tuple(feature_names), mins, maxs)
 
 
-def apply_minmax(
-    scaler: ScalerParams, traj: EngineTrajectory, selection: FeatureSelection
-) -> np.ndarray:
-    """One trajectory's kept features scaled into [0, 1] (clamped): an (L, F) array."""
-    if selection.feature_names != scaler.feature_names:
-        raise ValidationError(
-            f"feature order mismatch: selection {selection.feature_names} "
-            f"vs scaler {scaler.feature_names}"
-        )
-    return scaler.transform(feature_matrix(traj, selection))
+def apply_minmax(scaler: ScalerParams, traj: EngineTrajectory) -> np.ndarray:
+    """One trajectory's scaler features scaled into [0, 1] (clamped): an (L, F) array."""
+    return scaler.transform(feature_matrix(traj, scaler.columns))
 
 
 def label_rul(traj: EngineTrajectory, cap: int | None = None) -> np.ndarray:
@@ -334,26 +320,25 @@ class SampleSet:
 
 
 def make_rows(engines: Sequence[EngineTrajectory], scaler: ScalerParams,
-              selection: FeatureSelection, rul_cap: int | None = None) -> SampleSet:
+              rul_cap: int | None = None) -> SampleSet:
     """One split's (smoothed, trimmed) engines as samples of one cycle each:
     scaled rows and labels, engine by engine in input order."""
     ids = np.array([t.engine_id for t in engines], dtype=np.int64)
     return SampleSet(
-        np.concatenate([apply_minmax(scaler, t, selection) for t in engines]
-                       + [np.zeros((0, selection.n_features))]),
+        np.concatenate([apply_minmax(scaler, t) for t in engines]
+                       + [np.zeros((0, len(scaler.feature_names)))]),
         np.concatenate([label_rul(t, rul_cap) for t in engines] + [np.zeros(0)]),
         np.repeat(ids, [len(t) for t in engines]),
     )
 
 
 def make_windows(engines: Sequence[EngineTrajectory], scaler: ScalerParams,
-                 selection: FeatureSelection, rul_cap: int | None = None,
-                 window: int = DEFAULT_WINDOW) -> SampleSet:
+                 rul_cap: int | None = None, window: int = DEFAULT_WINDOW) -> SampleSet:
     """make_rows' split as sliding windows: L - window + 1 samples per engine.
 
     The target of a window is the RUL at its last (most recent) cycle.
     """
-    return replace(make_rows(engines, scaler, selection, rul_cap), window=window)
+    return replace(make_rows(engines, scaler, rul_cap), window=window)
 
 
 def split_by_engine(
@@ -388,10 +373,6 @@ class PreprocessResult:
     val_ids: tuple[int, ...]
     train_rows: SampleSet
     val_rows: SampleSet
-
-    @cached_property
-    def selection(self) -> FeatureSelection:
-        return FeatureSelection(self.scaler.feature_names)
 
     @cached_property
     def train_windows(self) -> SampleSet:
@@ -445,12 +426,11 @@ def run_pipeline(
     """Run the full training-side chain on parsed training trajectories."""
     if not train_trajectories:
         raise ValidationError("no training trajectories")
-    selection = select_features(train_trajectories)
     prepared = [trim_head(t, trim) for t in smooth_trajectories(train_trajectories, alpha)]
-    scaler = fit_minmax(prepared, selection)
+    scaler = fit_minmax(prepared, select_features(train_trajectories))
     train_ids, val_ids = split_by_engine([t.engine_id for t in train_trajectories], n_val, seed)
     train_rows, val_rows = (
-        make_rows([t for t in prepared if t.engine_id in ids], scaler, selection, rul_cap)
+        make_rows([t for t in prepared if t.engine_id in ids], scaler, rul_cap)
         for ids in (set(train_ids), set(val_ids))
     )
     result = PreprocessResult(
@@ -480,7 +460,7 @@ def invariant_failures(
     if not splits or any(rows.min() < 0.0 or rows.max() > 1.0 for rows in splits):
         failures.append(INVARIANTS[0])
     features = np.vstack([
-        feature_matrix(trim_head(t, result.pipeline["trim"]), result.selection)
+        feature_matrix(trim_head(t, result.pipeline["trim"]), result.scaler.columns)
         for t in smooth_trajectories(trajectories, result.pipeline["alpha"])
     ])
     round_trip = result.scaler.inverse(result.scaler.transform(features))
@@ -574,7 +554,6 @@ def load_bundle(bundle_dir: Path | str) -> PreprocessResult:
     try:
         counts, pipeline = meta["counts"], meta["pipeline"]
         window, _ = pipeline["window"], pipeline["seed"]  # the seed is meta's split_seed
-        n_features = len(meta["feature_names"])
         split_ids = {split: tuple(meta[f"{split}_ids"]) for split in _SPLITS}
         meta_scaler_hash = meta["scaler_hash"]
     except (KeyError, TypeError) as exc:
@@ -593,7 +572,8 @@ def load_bundle(bundle_dir: Path | str) -> PreprocessResult:
     rows = {}
     for split in _SPLITS:
         n = _stored_count(meta_path, counts, f"{split}_rows")
-        split_rows = _load_array(out / f"{split}_rows.npy", np.float64, (n, n_features))
+        split_rows = _load_array(out / f"{split}_rows.npy", np.float64,
+                                 (n, len(scaler.feature_names)))
         rul = _load_array(out / f"{split}_rul.npy", np.float64, (n,))
         engines_path = out / f"{split}_engines.npy"
         engines = _load_array(engines_path, np.int64, (n,))
@@ -625,7 +605,7 @@ def load_bundle(bundle_dir: Path | str) -> PreprocessResult:
 def prepare_test_engine(
     traj: EngineTrajectory,
     scaler: ScalerParams,
-    selection: FeatureSelection,
+    selection: Sequence[str],
     *,
     alpha: float = DEFAULT_ALPHA,
     trim: int = DEFAULT_TRIM,
@@ -633,29 +613,31 @@ def prepare_test_engine(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Test-time features for one engine: (final window (W, F), final row (F,)).
 
-    Smooths, then runs final_features for the window, whose last row is the row.
-    `trim` cannot change the result (see the module docstring); a negative
-    one is still rejected.
+    `selection`, the caller's feature names, must be the scaler's. Smooths, then
+    runs final_features for the window, whose last row is the row. `trim`
+    cannot change the result (see the module docstring); a negative one is
+    still rejected.
     """
+    if tuple(selection) != scaler.feature_names:
+        raise ValidationError(f"feature order mismatch: selection {tuple(selection)} "
+                              f"vs scaler {scaler.feature_names}")
     smoothed = smooth_trajectory(traj, alpha)
     if trim < 0:
         raise ConfigError(f"trim length must be >= 0, got {trim}")
-    w = final_features(smoothed, scaler, selection, window=window)
+    w = final_features(smoothed, scaler, window=window)
     return w, w[-1].copy()
 
 
 def final_features(
     smoothed: EngineTrajectory,
     scaler: ScalerParams,
-    selection: FeatureSelection,
     *,
     window: int | None,
 ) -> np.ndarray:
     """One smoothed engine's model input, scaling only the rows it needs:
     with `window` None the final row (F,); with window W the final W rows
     (W, F), front-padded with the earliest scaled row if the engine is shorter."""
-    scaled = apply_minmax(scaler, trim_head(smoothed, max(len(smoothed) - (window or 1), 0)),
-                          selection)
+    scaled = apply_minmax(scaler, trim_head(smoothed, max(len(smoothed) - (window or 1), 0)))
     if window is None:
         return scaled[0]
     return np.vstack([np.repeat(scaled[:1], window - len(scaled), axis=0), scaled])

@@ -25,7 +25,7 @@ from .numerics import SeededRng
 from .optim import AdamState, adam_step, clip_gradients, flatten_params, init_adam, unflatten
 from .preprocess import (
     DEFAULT_ALPHA, DEFAULT_N_VAL, DEFAULT_TRIM, DEFAULT_WINDOW, SampleSet, ScalerParams,
-    final_features, scaler_hash, selection_from_feature_names, smooth_trajectories,
+    final_features, scaler_hash, smooth_trajectories,
 )
 from .preprocess import prepare_test_engine  # noqa: F401  perfbench's tracer wraps it here too
 
@@ -331,8 +331,7 @@ def final_inputs(model: TrainedModel, trajectories: Sequence[EngineTrajectory],
     """Each engine's model input, final_features at config.input_window, stacked:
     (N, W, F) windows or (N, F) rows. The scaler must be the model's."""
     check_scaler(model, scaler)
-    selection = selection_from_feature_names(scaler.feature_names)
-    return np.stack([final_features(smoothed, scaler, selection, window=config.input_window)
+    return np.stack([final_features(smoothed, scaler, window=config.input_window)
                      for smoothed in smooth_trajectories(trajectories, config.alpha)])
 
 

@@ -136,7 +136,7 @@ def reference_runs(train_trajectories, test_trajectories, rul_labels):
                 kind=kind,
                 params=params,
                 window=config.window,
-                feature_names=result.selection.feature_names,
+                feature_names=result.scaler.feature_names,
                 scaler_hash=scaler_hash,
                 config_hash=config.config_hash(),
                 seed=seed,

@@ -285,6 +285,10 @@ def _evaluate(workspace, out, checkpoint=None, scaler=None):
         ("scaler.json", "{", "not valid JSON"),
         ("meta.json", "[]", "bundle format None"),
         ("scaler.json", "[]", "list indices"),
+        ("scaler.json", '{"feature_names": ["sensor_2"], "mins": 0.5, "maxs": 0.7}',
+         "scaler feature names and bounds disagree in length"),
+        ("scaler.json", '{"feature_names": ["sensor_2"], "mins": [[0.5]], "maxs": [[0.7]]}',
+         "scaler feature names and bounds disagree in length"),
     ],
 )
 def test_train_on_corrupt_bundle_json_names_the_file(
@@ -296,7 +300,8 @@ def test_train_on_corrupt_bundle_json_names_the_file(
     assert main([
         "train", "--bundle", str(bundle), "--out", str(tmp_path / "run"), "--epochs", "1",
     ]) == 1
-    assert f"error: {bundle / name}: {detail}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: {bundle / name}: {detail}" in err and err.count("error:") == 1
 
 
 def test_corrupt_config_file_names_the_file(workspace, tmp_path, capsys):

@@ -72,6 +72,10 @@ SCALER_FAULTS = [
     ("missing key", _json(lambda d: d.pop("maxs")), "missing entry 'maxs'"),
     ("NaN", _json(lambda d: d["mins"].__setitem__(0, float("nan"))), "non-finite bound"),
     ("wrong shape", _json(lambda d: d.update(mins=d["mins"][:-1])), "disagree in length"),
+    ("scalar bounds", _json(lambda d: d.update(mins=0.5, maxs=0.7)), "disagree in length"),
+    ("nested bounds", _json(lambda d: d.update(mins=[[m] for m in d["mins"]],
+                                               maxs=[[m] for m in d["maxs"]])),
+     "disagree in length"),
 ]
 
 BUNDLE_JSON_FAULTS = {

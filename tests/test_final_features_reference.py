@@ -45,7 +45,8 @@ def reference_final_features(smoothed, scaler, selection, trim, window):
     """(final window (W, F), final row (F,)) of one smoothed engine."""
     n = reference_effective_trim(len(smoothed), trim, window)
     trimmed = reference_trim_head(smoothed, n)
-    raw = np.hstack([trimmed.settings_matrix, trimmed.sensors_matrix])[:, selection.columns]
+    columns = preprocess.feature_columns(selection)
+    raw = np.hstack([trimmed.settings_matrix, trimmed.sensors_matrix])[:, columns]
     features = np.clip((raw - scaler.mins) / (scaler.maxs - scaler.mins), 0.0, 1.0)
     return reference_final_window(features, window), features[-1].copy()
 
@@ -60,11 +61,11 @@ def _engine(engine_id, length, gen):
 
 @pytest.fixture(scope="module")
 def fitted():
-    """A scaler and feature selection fitted on a small random corpus."""
+    """A scaler and its feature names, fitted on a small random corpus."""
     gen = np.random.Generator(np.random.PCG64(5))
     train = [_engine(i, 60, gen) for i in range(1, 5)]
     result = preprocess.run_pipeline(train, trim=3, window=5, n_val=1, seed=0)
-    return result.scaler, result.selection
+    return result.scaler, result.scaler.feature_names
 
 
 @settings(max_examples=80, deadline=None)
@@ -97,9 +98,9 @@ def test_test_time_chain_equals_the_trimming_reference(fitted, lengths, trim, wi
     for kind in train_eval.MODEL_KINDS:
         config = train_eval.TrainConfig(model=kind, window=window, trim=trim, alpha=alpha,
                                         lstm_hidden=2, mlp_hidden=(2,))
-        params = models.MODELS[kind].init(selection.n_features, config, SeededRng(0))
+        params = models.MODELS[kind].init(len(selection), config, SeededRng(0))
         model = train_eval.TrainedModel(
-            kind=kind, params=params, window=window, feature_names=selection.feature_names,
+            kind=kind, params=params, window=window, feature_names=selection,
             scaler_hash=train_eval.scaler_hash(scaler), config_hash="", seed=0,
         )
         got = train_eval.final_inputs(model, engines, scaler, config)

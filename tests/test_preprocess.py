@@ -12,13 +12,14 @@ from hypothesis.extra import numpy as hnp
 from rulkit import dataset_io, simdata
 from rulkit.dataset_io import EngineTrajectory, N_SENSORS, N_SETTINGS
 from rulkit.errors import ConfigError, ValidationError
+from rulkit.ioutil import canonical_json, sha256_text
 from rulkit.numerics import SeededRng
 from rulkit.preprocess import (
     FEATURE_NAMES,
-    FeatureSelection,
     ScalerParams,
     apply_minmax,
     ewma_smooth,
+    feature_columns,
     feature_matrix,
     final_features,
     fit_minmax,
@@ -26,6 +27,7 @@ from rulkit.preprocess import (
     invariant_failures,
     label_rul,
     load_bundle,
+    load_scaler,
     make_rows,
     make_windows,
     prepare_test_engine,
@@ -245,31 +247,32 @@ def test_trim_head_rejects_negative():
 
 
 def without(*dropped):
-    """The feature set of every setting and sensor except `dropped`."""
-    return FeatureSelection(tuple(n for n in FEATURE_NAMES if n not in dropped))
+    """The feature names of every setting and sensor except `dropped`."""
+    return tuple(n for n in FEATURE_NAMES if n not in dropped)
 
 
 def test_feature_selection_orders_settings_before_sensors():
-    sel = without("sensor_1", "sensor_5", "setting_3")
-    assert sel.feature_names[:2] == ("setting_1", "setting_2")
-    assert "sensor_1" not in sel.feature_names
-    assert "sensor_5" not in sel.feature_names
-    assert sel.n_features == 2 + (N_SENSORS - 2)
+    names = without("sensor_1", "sensor_5", "setting_3")
+    assert names[:2] == ("setting_1", "setting_2")
+    assert "sensor_1" not in names
+    assert "sensor_5" not in names
+    assert len(names) == 2 + (N_SENSORS - 2)
     # Columns index the settings-then-sensors matrix: sensor k is column 2 + k.
-    assert sel.columns.tolist()[:4] == [0, 1, 4, 5]
-    assert feature_matrix(random_traj(1, 4, seed=15), sel).shape == (4, sel.n_features)
+    columns = feature_columns(names)
+    assert columns.tolist()[:4] == [0, 1, 4, 5]
+    assert feature_matrix(random_traj(1, 4, seed=15), columns).shape == (4, len(names))
 
 
 def test_feature_selection_rejects_out_of_range():
     with pytest.raises(ValidationError, match="unrecognized feature name 'sensor_0'"):
-        FeatureSelection(("sensor_0",))
+        feature_columns(("sensor_0",))
     with pytest.raises(ValidationError, match="unrecognized feature name 'setting_4'"):
-        FeatureSelection(("setting_4",))
+        feature_columns(("setting_4",))
 
 
 def test_selection_round_trips_through_feature_names():
-    sel = without(*(f"sensor_{i}" for i in (1, 5, 6, 10, 16, 18, 19)), "setting_3")
-    assert selection_from_feature_names(list(sel.feature_names)) == sel
+    names = without(*(f"sensor_{i}" for i in (1, 5, 6, 10, 16, 18, 19)), "setting_3")
+    assert selection_from_feature_names(list(names)) == names
 
 
 def test_selection_from_names_rejects_unknown_and_misordered():
@@ -289,7 +292,7 @@ def test_detect_constant_channels():
     settings = np.zeros((30, N_SETTINGS))
     settings[:, 0] = np.linspace(-1, 1, 30)  # setting 1 varies
     traj = make_traj(1, sensors, settings)
-    assert select_features([traj]).feature_names == ("setting_1", "sensor_5")
+    assert select_features([traj]) == ("setting_1", "sensor_5")
     with pytest.raises(ValidationError, match="no setting or sensor varies"):
         select_features([make_traj(1, sensors[:, [0] * N_SENSORS])])
 
@@ -298,7 +301,7 @@ def test_detect_constant_spans_multiple_engines():
     # Constant within each engine but different across engines -> not constant.
     a = make_traj(1, np.full((10, N_SENSORS), 1.0))
     b = make_traj(2, np.full((10, N_SENSORS), 2.0))
-    names = select_features([a, b]).feature_names
+    names = select_features([a, b])
     assert names == tuple(f"sensor_{i}" for i in range(1, N_SENSORS + 1))
 
 
@@ -307,10 +310,10 @@ def test_select_features_drops_detected_channels():
     sensors[:, 0] = 518.67  # sensor 1 constant
     settings = SeededRng(6).uniform(-1.0, 1.0, (40, N_SETTINGS))
     settings[:, 2] = 100.0  # setting 3 constant
-    sel = select_features([make_traj(1, sensors, settings)])
-    assert sel == without("sensor_1", "setting_3")
-    assert "sensor_1" not in sel.feature_names
-    assert "setting_3" not in sel.feature_names
+    names = select_features([make_traj(1, sensors, settings)])
+    assert names == without("sensor_1", "setting_3")
+    assert "sensor_1" not in names
+    assert "setting_3" not in names
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +322,7 @@ def test_select_features_drops_detected_channels():
 
 
 def test_fit_minmax_oracle():
-    sel = FeatureSelection(("setting_1", "setting_2", "setting_3", "sensor_1"))
+    names = ("setting_1", "setting_2", "setting_3", "sensor_1")
     sensors = np.zeros((4, N_SENSORS))
     sensors[:, 0] = [2.0, 8.0, 4.0, 6.0]
     settings = np.column_stack([
@@ -327,7 +330,7 @@ def test_fit_minmax_oracle():
         np.array([-1.0, 1.0, 0.0, 0.0]),
         np.array([5.0, 6.0, 7.0, 8.0]),
     ])
-    scaler = fit_minmax([make_traj(1, sensors, settings)], sel)
+    scaler = fit_minmax([make_traj(1, sensors, settings)], names)
     assert scaler.feature_names == ("setting_1", "setting_2", "setting_3", "sensor_1")
     assert scaler.mins.tolist() == [0.0, -1.0, 5.0, 2.0]
     assert scaler.maxs.tolist() == [1.0, 1.0, 8.0, 8.0]
@@ -336,12 +339,11 @@ def test_fit_minmax_oracle():
 
 
 def test_fit_minmax_names_constant_features():
-    sel = FeatureSelection(("sensor_1", "sensor_2"))
     sensors = np.zeros((5, N_SENSORS))
     sensors[:, 0] = 7.0  # sensor 1 constant -> cannot scale
     sensors[:, 1] = np.arange(5.0)
     with pytest.raises(ConfigError, match=r"sensor_1.*constant"):
-        fit_minmax([make_traj(1, sensors)], sel)
+        fit_minmax([make_traj(1, sensors)], ("sensor_1", "sensor_2"))
 
 
 def test_transform_clamps_out_of_range_values():
@@ -396,6 +398,33 @@ def test_scaler_from_dict_rejects_degenerate_bounds_naming_feature(mins, maxs, p
         ScalerParams.from_dict(d)
 
 
+@pytest.mark.parametrize("mins, maxs", [(0.5, 0.7), ([[0.1], [0.2]], [[0.2], [0.3]])])
+def test_load_scaler_rejects_bounds_that_are_not_one_entry_per_name(tmp_path, mins, maxs):
+    path = tmp_path / "scaler.json"
+    path.write_text(json.dumps(
+        {"feature_names": ["setting_1", "sensor_2"], "mins": mins, "maxs": maxs}
+    ), encoding="utf-8")
+    with pytest.raises(ValidationError, match="scaler.json: .*disagree in length"):
+        load_scaler(path)
+
+
+def test_load_bundle_rejects_unknown_feature_with_consistent_hash(tiny_corpus, tmp_path):
+    # scaler.json and meta.json agree, down to the hash, on a name no raw column has.
+    result = run_pipeline(tiny_corpus, trim=5, window=10, n_val=1, seed=2)
+    write_bundle(tmp_path / "bundle", result)
+    scaler_path, meta_path = tmp_path / "bundle" / "scaler.json", tmp_path / "bundle" / "meta.json"
+    d = json.loads(scaler_path.read_text(encoding="utf-8"))
+    d["feature_names"][-1] = "sensor_99"
+    text = canonical_json(d)
+    scaler_path.write_text(text + "\n", encoding="utf-8")
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    meta.update(feature_names=d["feature_names"], scaler_hash=sha256_text(text))
+    meta_path.write_text(canonical_json(meta) + "\n", encoding="utf-8")
+    with pytest.raises(ValidationError,
+                       match="scaler.json: unrecognized feature name 'sensor_99'"):
+        load_bundle(tmp_path / "bundle")
+
+
 def test_load_bundle_rejects_zero_range_scaler(tiny_corpus, tmp_path):
     # A hand-edited scaler.json with max == min would divide by zero at
     # transform time; loading the bundle must fail instead.
@@ -411,13 +440,11 @@ def test_load_bundle_rejects_zero_range_scaler(tiny_corpus, tmp_path):
         load_bundle(tmp_path / "bundle")
 
 
-def test_apply_minmax_rejects_feature_mismatch():
+def test_prepare_test_engine_rejects_a_selection_not_the_scalers():
     traj = random_traj(1, 10, seed=9)
-    sel_a = without("sensor_1")
-    sel_b = without("sensor_2")
-    scaler = fit_minmax([traj], sel_a)
+    scaler = fit_minmax([traj], without("sensor_1"))
     with pytest.raises(ValidationError, match="feature order mismatch"):
-        apply_minmax(scaler, traj, sel_b)
+        prepare_test_engine(traj, scaler, without("sensor_2"), trim=0, window=5)
 
 
 @settings(max_examples=40, deadline=None)
@@ -451,11 +478,11 @@ def test_scaled_output_stays_in_unit_interval(
         settings = gen.uniform(-1.0, 1.0, (length, N_SETTINGS)) * (1.0 + spread)
         test = make_traj(engine_id, sensors, settings)
         last_window, last_row = prepare_test_engine(
-            test, result.scaler, result.selection, trim=trim, window=window
+            test, result.scaler, result.scaler.feature_names, trim=trim, window=window
         )
         for scaled in (last_window, last_row):
             assert np.all((scaled >= 0.0) & (scaled <= 1.0))
-        raw = feature_matrix(smooth_trajectory(test, 0.1), result.selection)
+        raw = feature_matrix(smooth_trajectory(test, 0.1), result.scaler.columns)
         unclamped = (raw - result.scaler.mins) / (result.scaler.maxs - result.scaler.mins)
         assert np.any((unclamped < 0.0) | (unclamped > 1.0))
 
@@ -496,11 +523,10 @@ def test_label_rul_validation():
 
 
 def _split(*engines):
-    """make_rows' first three arguments for engines given as (engine id,
+    """make_rows' first two arguments for engines given as (engine id,
     (L, F) features in [0, 1]): an engine's first F raw columns hold its
     features, and a unit scaler passes them through unchanged."""
     n = engines[0][1].shape[1]
-    selection = FeatureSelection(FEATURE_NAMES[:n])
     trajectories = []
     for engine_id, features in engines:
         raw = np.zeros((len(features), N_SETTINGS + N_SENSORS))
@@ -508,7 +534,7 @@ def _split(*engines):
         trajectories.append(EngineTrajectory(
             engine_id, np.arange(1, len(features) + 1), raw[:, :N_SETTINGS], raw[:, N_SETTINGS:]
         ))
-    return trajectories, ScalerParams(selection.feature_names, np.zeros(n), np.ones(n)), selection
+    return trajectories, ScalerParams(FEATURE_NAMES[:n], np.zeros(n), np.ones(n))
 
 
 def test_make_windows_oracle():
@@ -539,8 +565,8 @@ def test_make_windows_rejects_short_engine_and_bad_window():
 
 def test_make_rows_copies_data():
     feats = np.arange(6.0).reshape(3, 2) / 8
-    trajectories, scaler, selection = _split((2, feats))
-    rs = make_rows(trajectories, scaler, selection)
+    trajectories, scaler = _split((2, feats))
+    rs = make_rows(trajectories, scaler)
     assert rs.rows.tolist() == feats.tolist()
     assert rs.rul.tolist() == [2.0, 1.0, 0.0]
     rs.rows[0, 0] = 99.0
@@ -553,8 +579,8 @@ def test_make_rows_concatenates_a_split_in_input_order():
     assert rs.rows.tolist() == np.concatenate([a, b]).tolist()
     assert rs.engine_ids.tolist() == [7, 7, 7, 3, 3]
     assert rs.rul.tolist() == [1.0, 1.0, 0.0, 1.0, 0.0]
-    _, scaler, selection = _split((1, a))
-    empty = make_windows([], scaler, selection, window=4)
+    _, scaler = _split((1, a))
+    empty = make_windows([], scaler, window=4)
     assert empty.rows.shape == (0, 2) and empty.engine_ids.dtype == np.int64
     assert len(empty) == 0
 
@@ -594,16 +620,15 @@ def test_split_by_engine_validation():
 
 def test_final_features_slices_or_pads():
     # sensor_1 takes the values k/16, which the [0, 1] scaler leaves exact.
-    selection = FeatureSelection(("sensor_1",))
     scaler = ScalerParams(("sensor_1",), np.array([0.0]), np.array([1.0]))
     sensors = np.zeros((10, N_SENSORS))
     sensors[:, 0] = np.arange(10.0) / 16
     traj = make_traj(1, sensors)
-    window = final_features(traj, scaler, selection, window=4)
+    window = final_features(traj, scaler, window=4)
     assert (window[:, 0] * 16).tolist() == [6.0, 7.0, 8.0, 9.0]
-    padded = final_features(make_traj(1, sensors[5:7]), scaler, selection, window=5)
+    padded = final_features(make_traj(1, sensors[5:7]), scaler, window=5)
     assert (padded[:, 0] * 16).tolist() == [5.0, 5.0, 5.0, 5.0, 6.0]
-    row = final_features(traj, scaler, selection, window=None)
+    row = final_features(traj, scaler, window=None)
     assert row.shape == (1,) and row[0] * 16 == 9.0
 
 
@@ -682,10 +707,10 @@ def test_prepare_test_engine_matches_training_chain(tiny_corpus):
     result = run_pipeline(tiny_corpus, trim=5, window=10, n_val=1, seed=2)
     traj = tiny_corpus[0]
     window, row = prepare_test_engine(
-        traj, result.scaler, result.selection, alpha=0.1, trim=5, window=10
+        traj, result.scaler, result.scaler.feature_names, alpha=0.1, trim=5, window=10
     )
     chained = apply_minmax(
-        result.scaler, trim_head(smooth_trajectory(traj, 0.1), 5), result.selection
+        result.scaler, trim_head(smooth_trajectory(traj, 0.1), 5)
     )
     assert np.array_equal(window, chained[-10:])
     assert np.array_equal(row, chained[-1])
@@ -695,7 +720,7 @@ def test_prepare_test_engine_pads_short_trajectory(tiny_corpus):
     result = run_pipeline(tiny_corpus, trim=5, window=10, n_val=1, seed=2)
     short = random_traj(9, 6, seed=104)  # shorter than the window
     window, row = prepare_test_engine(
-        short, result.scaler, result.selection, alpha=0.1, trim=5, window=10
+        short, result.scaler, result.scaler.feature_names, alpha=0.1, trim=5, window=10
     )
     assert window.shape[0] == 10
     # Front rows repeat the earliest available scaled row.
@@ -710,10 +735,9 @@ def test_final_features_row_is_prepare_test_engines_row(tiny_corpus, length):
     result = run_pipeline(tiny_corpus, trim=5, window=10, n_val=1, seed=2)
     traj = random_traj(9, length, seed=104)
     _, want = prepare_test_engine(
-        traj, result.scaler, result.selection, alpha=0.1, trim=5, window=10
+        traj, result.scaler, result.scaler.feature_names, alpha=0.1, trim=5, window=10
     )
-    got = final_features(smooth_trajectory(traj, 0.1), result.scaler, result.selection,
-                         window=None)
+    got = final_features(smooth_trajectory(traj, 0.1), result.scaler, window=None)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
@@ -723,7 +747,7 @@ def test_bundle_write_load_round_trip(tiny_corpus, tmp_path):
     write_bundle(tmp_path / "bundle", result, pipeline)
     bundle = load_bundle(tmp_path / "bundle")
     assert bundle.meta["pipeline"] == pipeline
-    assert tuple(bundle.meta["feature_names"]) == result.selection.feature_names
+    assert tuple(bundle.meta["feature_names"]) == result.scaler.feature_names
     assert bundle.meta["counts"]["total_windows"] == result.total_windows
     assert bundle.meta == result.meta
     assert type(bundle) is type(result) and bundle.pipeline == result.pipeline

@@ -50,7 +50,7 @@ def _wrap(config, result, params):
         kind=config.model,
         params=params,
         window=config.window,
-        feature_names=result.selection.feature_names,
+        feature_names=result.scaler.feature_names,
         scaler_hash=scaler_hash(result.scaler),
         config_hash=config.config_hash(),
         seed=config.seed,
@@ -181,7 +181,7 @@ def test_train_mlp_on_rows(small_data):
     result, _, _ = small_data
     config = _quick_config(model="mlp", mlp_hidden=(16, 8))
     params, _, history = _fit(config, result)
-    assert params.layer_sizes == (result.selection.n_features, 16, 8, 1)
+    assert params.layer_sizes == (len(result.scaler.feature_names), 16, 8, 1)
     assert history.train_mse[-1] < history.train_mse[0]
 
 
@@ -280,7 +280,7 @@ def test_evaluate_rejects_stale_scaler(small_data):
 def test_final_inputs_stack_per_engine_prepare_test_engine(small_data, kind):
     result, test_trajectories, _ = small_data
     config = _quick_config(model=kind)
-    params = models.MODELS[kind].init(result.selection.n_features, config, SeededRng(0))
+    params = models.MODELS[kind].init(len(result.scaler.feature_names), config, SeededRng(0))
     longest = max(test_trajectories, key=len)
     assert len(longest) > config.window + config.trim
     # Shorter than the window (front-padded), as long as it, and up to a trim longer.
@@ -294,7 +294,7 @@ def test_final_inputs_stack_per_engine_prepare_test_engine(small_data, kind):
     got = train_eval.final_inputs(_wrap(config, result, params), engines, result.scaler, config)
     per_engine = [
         preprocess.prepare_test_engine(
-            t, result.scaler, result.selection,
+            t, result.scaler, result.scaler.feature_names,
             alpha=config.alpha, trim=config.trim, window=config.window,
         )
         for t in engines
@@ -309,7 +309,7 @@ def test_trained_model_predict_validates_window_length(small_data):
     params, _, _ = _fit(config, result)
     model = _wrap(config, result, params)
     with pytest.raises(ValidationError, match="expects"):
-        model.predict(np.zeros((2, 5, result.selection.n_features)))
+        model.predict(np.zeros((2, 5, len(result.scaler.feature_names))))
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +347,7 @@ def test_evaluate_scores_all_engines_in_one_forward(
     block, are scored by one forward pass over all their final windows."""
     result = pipeline_seed1
     config = TrainConfig()
-    params = models.init_lstm(result.selection.n_features, config.lstm_hidden, SeededRng(5))
+    params = models.init_lstm(len(result.scaler.feature_names), config.lstm_hidden, SeededRng(5))
     model = _wrap(config, result, params)
     engines = list(test_trajectories) * 2
     report = evaluate(model, engines, dataset_io.RulLabelFile(rul_labels.ruls * 2),
@@ -361,7 +361,7 @@ def test_evaluate_scores_all_engines_in_one_forward(
 def test_single_engine_request_is_one_forward(small_data, forward_rows, kind):
     result, test_trajectories, _ = small_data
     config = _quick_config(model=kind)
-    params = models.MODELS[kind].init(result.selection.n_features, config, SeededRng(0))
+    params = models.MODELS[kind].init(len(result.scaler.feature_names), config, SeededRng(0))
     model = _wrap(config, result, params)
     x = train_eval.final_inputs(model, test_trajectories[:1], result.scaler, config)
     pred = model.predict(x)
@@ -378,7 +378,7 @@ def test_single_engine_request_matches_its_evaluate_row(
     rounding (1e-12 relative), not bit for bit."""
     result = pipeline_seed1
     config = TrainConfig(model=kind)
-    params = models.MODELS[kind].init(result.selection.n_features, config, SeededRng(5))
+    params = models.MODELS[kind].init(len(result.scaler.feature_names), config, SeededRng(5))
     model = _wrap(config, result, params)
     report = evaluate(model, test_trajectories, rul_labels, result.scaler, config)
     for traj, row in zip(test_trajectories, report.rows):

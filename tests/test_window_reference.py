@@ -44,11 +44,11 @@ def reference_split(trajectories, result, ids, trim, window):
     for traj in trajectories:
         if traj.engine_id in ids:
             prepared = trim_head(smooth_trajectory(traj, DEFAULT_ALPHA), trim)
-            scaled = apply_minmax(result.scaler, prepared, result.selection)
+            scaled = apply_minmax(result.scaler, prepared)
             parts.append(
                 reference_make_windows(scaled, traj.engine_id, label_rul(prepared), window)
             )
-    features = result.selection.n_features
+    features = len(result.scaler.feature_names)
     return tuple(
         np.concatenate([p[k] for p in parts] + [empty])
         for k, empty in enumerate(
@@ -163,7 +163,7 @@ def test_validation_predictions_on_gathered_chunks_equal_stored_slices(
     windows, _, _ = reference_split(
         train_trajectories, result, result.val_ids, DEFAULT_TRIM, DEFAULT_WINDOW
     )
-    n_features = result.selection.n_features
+    n_features = len(result.scaler.feature_names)
     cases = (  # params, samples, stored inputs, block, longest tail BLAS sums differently
         (models.init_lstm(n_features, 64, SeededRng(3)), result.val_windows, windows, 128, None),
         (models.init_mlp((n_features, 64, 32, 1), SeededRng(3)), result.val_rows,
