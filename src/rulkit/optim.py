@@ -19,10 +19,10 @@ Every element goes through the same operations in the same order whatever
 the grouping of the tensors, so a flat update is bit-identical to one run
 tensor by tensor.
 
-State round-trips losslessly through JSON, one list per tensor name, and
-every checkpoint stores it, but no command resumes training from it. The
-epoch-shuffle RNG state is not saved either, so continuing from a
-checkpoint would not reproduce an uninterrupted run.
+A checkpoint stores only the scalar settings and the step count, not `m`
+and `v`: no command resumes training. The epoch-shuffle RNG state is not
+saved either, so continuing from a checkpoint could not reproduce an
+uninterrupted run.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, TrainingError, ValidationError
+from .errors import ConfigError, TrainingError
 
 Layout = dict[str, tuple[int, ...]]
 
@@ -84,42 +84,6 @@ class AdamState:
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "lr": self.lr,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps": self.eps,
-            "step": self.step,
-            "m": {k: a.tolist() for k, a in _views(self.m, self.layout).items()},
-            "v": {k: a.tolist() for k, a in _views(self.v, self.layout).items()},
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict, params: dict[str, np.ndarray]) -> "AdamState":
-        """Inverse of to_dict; `m` and `v` must hold exactly the tensors of `params`."""
-        layout = _layout(params)
-        moments = []
-        for key in ("m", "v"):
-            if not isinstance(d[key], dict):
-                raise ValidationError(f"optimizer {key} is not a JSON object")
-            tensors = {k: np.array(a, dtype=np.float64) for k, a in d[key].items()}
-            shapes = {k: t.shape for k, t in tensors.items()}
-            if shapes != layout:
-                raise ValidationError(
-                    f"optimizer {key} shapes {shapes} do not match parameters {layout}"
-                )
-            moments.append(flatten_params({name: tensors[name] for name in layout})[0])
-        return cls(
-            layout,
-            *moments,
-            lr=d["lr"],
-            beta1=d["beta1"],
-            beta2=d["beta2"],
-            eps=d["eps"],
-            step=d["step"],
-        )
 
 
 def init_adam(

@@ -165,7 +165,7 @@ def trim_head(traj: EngineTrajectory, n: int = DEFAULT_TRIM) -> EngineTrajectory
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScalerParams:
     """The feature set, by name, and its per-feature min/max fitted on training
     engines only.
@@ -198,6 +198,13 @@ class ScalerParams:
             raise ValidationError(
                 f"scaler has {problem} for feature {name!r}: min={lo}, max={hi}"
             )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ScalerParams):
+            return NotImplemented
+        return (self.feature_names == other.feature_names
+                and np.array_equal(self.mins, other.mins)
+                and np.array_equal(self.maxs, other.maxs))
 
     def transform(self, features: np.ndarray) -> np.ndarray:
         scaled = (features - self.mins) / (self.maxs - self.mins)

@@ -408,7 +408,7 @@ def gradient_check_suite(model_kind: str, trials: int, rng: SeededRng) -> float:
 # Artifacts
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_FORMAT = "rulkit-checkpoint-v1"
+CHECKPOINT_FORMAT = "rulkit-checkpoint-v2"
 
 
 def write_history_csv(path: Path | str, history: TrainHistory) -> None:
@@ -431,19 +431,25 @@ def checkpoint_dict(model: TrainedModel, adam_state: AdamState, config: TrainCon
         "config_hash": model.config_hash,
         "seed": model.seed,
         "params": {k: v.tolist() for k, v in model.params.to_dict().items()},
-        "adam_state": adam_state.to_dict(),
+        "optimizer": {"lr": adam_state.lr, "beta1": adam_state.beta1, "beta2": adam_state.beta2,
+                      "eps": adam_state.eps, "step": adam_state.step},
     }
 
 
 def write_checkpoint(
     path: Path | str, model: TrainedModel, adam_state: AdamState, config: TrainConfig
 ) -> None:
+    """Write a checkpoint; of `adam_state`, only its five scalars, not its moments."""
     atomic_write_text(path, canonical_json(checkpoint_dict(model, adam_state, config)) + "\n")
 
 
-def load_checkpoint(path: Path | str) -> tuple[TrainedModel, AdamState, TrainConfig]:
-    """Read a checkpoint; a missing or malformed entry, or a top-level model,
-    window, seed or config_hash unequal to its config's, fails naming the file."""
+def load_checkpoint(path: Path | str) -> tuple[TrainedModel, dict, TrainConfig]:
+    """Read a checkpoint: the model, the `optimizer` entry (Adam's lr, beta1,
+    beta2, eps and step; the moments are not saved) and the config.
+
+    A file of another format, a missing or malformed entry, or a top-level
+    model, window, seed or config_hash unequal to its config's, fails naming
+    the file."""
     d = read_json(path)
     try:
         return _checkpoint_from_dict(d)
@@ -453,9 +459,13 @@ def load_checkpoint(path: Path | str) -> tuple[TrainedModel, AdamState, TrainCon
         raise ValidationError(f"{path}: {exc}") from None
 
 
-def _checkpoint_from_dict(d: dict) -> tuple[TrainedModel, AdamState, TrainConfig]:
-    if not isinstance(d, dict) or d.get("format") != CHECKPOINT_FORMAT:
-        raise ValidationError("unrecognized checkpoint format")
+def _checkpoint_from_dict(d: dict) -> tuple[TrainedModel, dict, TrainConfig]:
+    found = d.get("format") if isinstance(d, dict) else None
+    if found != CHECKPOINT_FORMAT:
+        raise ValidationError(
+            f"unrecognized checkpoint format {found!r}, expected {CHECKPOINT_FORMAT!r}; "
+            "re-run `rulkit train` to write one"
+        )
     if d.get("gate_order") != list(models.GATE_ORDER):
         raise ValidationError(
             f"checkpoint gate order {d.get('gate_order')} does not match "
@@ -463,7 +473,7 @@ def _checkpoint_from_dict(d: dict) -> tuple[TrainedModel, AdamState, TrainConfig
         )
     if d["model"] not in models.MODELS:
         raise ValidationError(f"unknown model kind {d['model']!r} in checkpoint")
-    for key in ("params", "config", "adam_state"):
+    for key in ("params", "config", "optimizer"):
         if not isinstance(d[key], dict):
             raise ValidationError(f"checkpoint entry {key!r} is not a JSON object")
     tensors = {k: np.array(v, dtype=np.float64) for k, v in d["params"].items()}
@@ -491,7 +501,7 @@ def _checkpoint_from_dict(d: dict) -> tuple[TrainedModel, AdamState, TrainConfig
         config_hash=d["config_hash"],
         seed=d["seed"],
     )
-    return model, AdamState.from_dict(d["adam_state"], params.to_dict()), config
+    return model, d["optimizer"], config
 
 
 def write_eval_report(path: Path | str, report: EvalReport) -> None:

@@ -326,13 +326,11 @@ def test_evaluate_with_truncated_json_names_the_file(workspace, tmp_path, capsys
     assert f"error: {broken}: not valid JSON" in capsys.readouterr().err
 
 
-def _on_all_tensors(change, run="run"):
-    """An edit of the checkpoint in workspace.<run> that applies `change` to
-    the parameters and both Adam moments alike, so that only the parameters'
-    own checks can notice it."""
+def _on_params(change, run="run"):
+    """An edit that applies `change` to the parameters of the checkpoint in
+    workspace.<run>."""
     def edit(d):
-        for tensors in (d["params"], d["adam_state"]["m"], d["adam_state"]["v"]):
-            change(tensors)
+        change(d["params"])
     edit.run = run
     return edit
 
@@ -342,36 +340,30 @@ def _on_all_tensors(change, run="run"):
     [
         (lambda d: d.pop("params"), "checkpoint has no entry 'params'"),
         (lambda d: d.pop("config"), "checkpoint has no entry 'config'"),
-        (lambda d: d.pop("adam_state"), "checkpoint has no entry 'adam_state'"),
-        (lambda d: d["adam_state"].pop("v"), "checkpoint has no entry 'v'"),
-        (lambda d: d["adam_state"]["m"].pop("b"), "optimizer m shapes"),
-        (lambda d: d["adam_state"]["v"].update(b_head=[0.0, 0.0]), "'b_head': (2,)"),
+        (lambda d: d.pop("optimizer"), "checkpoint has no entry 'optimizer'"),
         (lambda d: d["config"].update(optimizer="sgd"), "optimizer"),
         (lambda d: d["params"]["w_head"].__setitem__(0, float("nan")),
          "parameter 'w_head' has non-finite values"),
         (lambda d: d["params"]["w_x"][1].__setitem__(2, float("-inf")),
          "parameter 'w_x' has non-finite values"),
-        # Bad parameter shapes, with Adam's moments edited to match.
-        (_on_all_tensors(lambda t: t.update(b0=t["b0"][:1]), run="mlp_run"),
+        # Bad parameter shapes.
+        (_on_params(lambda t: t.update(b0=t["b0"][:1]), run="mlp_run"),
          "parameter 'b0' has shape (1,), expected (8,)"),
-        (_on_all_tensors(dict.clear, run="mlp_run"), "an MLP needs at least one layer"),
-        (_on_all_tensors(lambda t: t.update(b_head=t["b_head"] * 2)),
+        (_on_params(dict.clear, run="mlp_run"), "an MLP needs at least one layer"),
+        (_on_params(lambda t: t.update(b_head=t["b_head"] * 2)),
          "parameter 'b_head' has shape (2,), expected (1,)"),
-        (_on_all_tensors(lambda t: t.update(b=t["b"][:-1])),
+        (_on_params(lambda t: t.update(b=t["b"][:-1])),
          "parameter 'b' has shape (47,), expected (48,)"),
         # A stack of one model: every tensor wrapped in one more leading axis.
-        (_on_all_tensors(lambda t: t.update({k: [v] for k, v in t.items()})),
+        (_on_params(lambda t: t.update({k: [v] for k, v in t.items()})),
          "parameters hold a stack of shape (1,), not one model"),
         # An entry that must be a JSON object holds a list.
         (lambda d: d.update(params=list(d["params"].values())),
          "checkpoint entry 'params' is not a JSON object"),
         (lambda d: d.update(config=list(d["config"].values())),
          "checkpoint entry 'config' is not a JSON object"),
-        (lambda d: d.update(adam_state=[d["adam_state"]]),
-         "checkpoint entry 'adam_state' is not a JSON object"),
-        (lambda d: d["adam_state"].update(m=list(d["adam_state"]["m"].values())),
-         "optimizer m is not a JSON object"),
-        (lambda d: d["adam_state"].update(v=[]), "optimizer v is not a JSON object"),
+        (lambda d: d.update(optimizer=list(d["optimizer"].values())),
+         "checkpoint entry 'optimizer' is not a JSON object"),
         # Top-level copies of config values that disagree with the config.
         (lambda d: d.update(seed="x"), "checkpoint seed 'x' does not match its config's 0"),
         (lambda d: d.update(window=19), "checkpoint window 19 does not match its config's 20"),
@@ -391,6 +383,23 @@ def test_evaluate_with_incomplete_checkpoint_names_the_file(
     err = capsys.readouterr().err
     assert f"error: {broken}: " in err and detail in err
     assert "Traceback" not in err
+    assert not (tmp_path / "report").exists()
+
+
+def test_evaluate_rejects_a_v1_checkpoint(workspace, tmp_path, capsys):
+    """A v1 checkpoint (Adam's moments under `adam_state`) is not read: the one
+    error line names the file, the format found and the one expected."""
+    blob = json.loads((workspace.run / "checkpoint.json").read_text())
+    params = blob["params"]
+    blob.update(format="rulkit-checkpoint-v1",
+                adam_state={**blob.pop("optimizer"), "m": params, "v": params})
+    old = tmp_path / "checkpoint.json"
+    old.write_text(json.dumps(blob))
+    assert _evaluate(workspace, tmp_path / "report", checkpoint=old) == 1
+    captured = capsys.readouterr()
+    assert captured.err.count("error:") == 1 and captured.out == ""
+    assert (f"error: {old}: unrecognized checkpoint format 'rulkit-checkpoint-v1', "
+            "expected 'rulkit-checkpoint-v2'; re-run `rulkit train`") in captured.err
     assert not (tmp_path / "report").exists()
 
 

@@ -1,14 +1,12 @@
 """Adam updates and gradient clipping against an independent reference."""
 
-import json
 import math
 
 import numpy as np
 import pytest
 
-from rulkit.errors import ConfigError, TrainingError, ValidationError
-from rulkit.numerics import SeededRng
-from rulkit.optim import AdamState, adam_step, clip_gradients, flatten_params, init_adam
+from rulkit.errors import ConfigError, TrainingError
+from rulkit.optim import adam_step, clip_gradients, flatten_params, init_adam
 
 
 def test_adam_first_step_hand_oracle():
@@ -103,46 +101,6 @@ def test_init_adam_validation():
         init_adam({"w": np.zeros(1)}, lr=0.0)
     with pytest.raises(ConfigError, match="betas"):
         init_adam({"w": np.zeros(1)}, beta1=1.0)
-
-
-def test_adam_state_dict_round_trip_is_lossless():
-    flat, params = flatten_params({"w": np.array([1.0, 2.0]), "b": np.array([[3.0, 4.0]])})
-    state = init_adam(params, lr=0.05)
-    rng = SeededRng(6)
-    for _ in range(3):
-        adam_step(state, flat, rng.uniform(-1, 1, 4))
-    saved = state.to_dict()
-    assert saved["m"]["b"] == state.m[2:].reshape(1, 2).tolist()
-    restored = AdamState.from_dict(json.loads(json.dumps(saved)), params)
-    assert restored.step == state.step
-    assert restored.lr == state.lr
-    assert restored.layout == state.layout
-    assert np.array_equal(restored.m, state.m)
-    assert np.array_equal(restored.v, state.v)
-
-    # Both copies must evolve identically afterwards.
-    flat_copy = flat.copy()
-    g = np.array([0.3, -0.7, 0.1, 0.9])
-    adam_step(state, flat, g)
-    adam_step(restored, flat_copy, g)
-    assert np.array_equal(flat, flat_copy)
-
-
-@pytest.mark.parametrize(
-    "edit, match",
-    [
-        (lambda d: d["m"].pop("b"), r"optimizer m shapes \{'w': \(2,\)\} do not match"),
-        (lambda d: d["v"].update(extra=[0.0]), r"optimizer v shapes .*'extra': \(1,\)"),
-        (lambda d: d["m"].update(w=[0.0, 0.0, 0.0]), r"optimizer m shapes \{'w': \(3,\)"),
-        (lambda d: d["v"].update(b=[0.0, 0.0]), r"'b': \(2,\)\} do not match .*'b': \(1, 2\)"),
-    ],
-)
-def test_adam_state_from_dict_rejects_moments_unlike_params(edit, match):
-    _, params = flatten_params({"w": np.zeros(2), "b": np.zeros((1, 2))})
-    saved = init_adam(params).to_dict()
-    edit(saved)
-    with pytest.raises(ValidationError, match=match):
-        AdamState.from_dict(saved, params)
 
 
 def test_flatten_params_views_share_one_contiguous_vector():

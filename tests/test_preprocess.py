@@ -363,17 +363,19 @@ def test_scaler_inverse_round_trip_tight():
     )
 
 
-def _scalers_equal(a: ScalerParams, b: ScalerParams) -> bool:
-    return (
-        a.feature_names == b.feature_names
-        and np.array_equal(a.mins, b.mins)
-        and np.array_equal(a.maxs, b.maxs)
-    )
-
-
 def test_scaler_dict_round_trip():
     scaler = ScalerParams(("setting_1", "sensor_2"), np.array([0.1, -3.0]), np.array([0.2, 9.5]))
-    assert _scalers_equal(ScalerParams.from_dict(scaler.to_dict()), scaler)
+    assert ScalerParams.from_dict(scaler.to_dict()) == scaler
+
+
+def test_scalers_compare_by_names_and_bounds():
+    names = ("setting_1", "sensor_2")
+    scaler = ScalerParams(names, np.array([0.1, -3.0]), np.array([0.2, 9.5]))
+    assert scaler == ScalerParams(names, np.array([0.1, -3.0]), np.array([0.2, 9.5]))
+    assert scaler != ScalerParams(names, np.array([0.1, -2.0]), np.array([0.2, 9.5]))
+    assert scaler != ScalerParams(names, np.array([0.1, -3.0]), np.array([0.2, 9.0]))
+    assert scaler != ScalerParams(("setting_1", "sensor_3"), scaler.mins, scaler.maxs)
+    assert scaler != names
 
 
 def test_scaler_rejects_inconsistent_bounds():
@@ -668,7 +670,7 @@ def test_run_pipeline_is_deterministic(tiny_corpus):
     assert np.array_equal(a.train_rows.rows, b.train_rows.rows)
     assert np.array_equal(a.train_rows.targets, b.train_rows.targets)
     assert a.train_ids == b.train_ids
-    assert _scalers_equal(a.scaler, b.scaler)
+    assert a.scaler == b.scaler
 
 
 def test_run_pipeline_rejects_empty_input():
@@ -762,7 +764,7 @@ def test_bundle_write_load_round_trip(tiny_corpus, tmp_path):
         "meta.json", "scaler.json", "train_engines.npy", "train_rows.npy", "train_rul.npy",
         "val_engines.npy", "val_rows.npy", "val_rul.npy",
     ]
-    assert _scalers_equal(bundle.scaler, result.scaler)
+    assert bundle.scaler == result.scaler
 
 
 def test_write_bundle_rejects_a_pipeline_the_result_was_not_built_with(tiny_corpus, tmp_path):
