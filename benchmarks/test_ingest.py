@@ -13,15 +13,14 @@ single-engine scoring path; `final_inputs` on all 100 test engines, the
 path of `evaluate` and `rulkit predict`. The bundle round trip times
 `write_bundle` followed by `load_bundle`.
 
-`ewma_smooth` is also timed on its own, as the two shapes it is called with:
-the longest test engine's (L, 21) sensors, the smoothing inside every
+Smoothing is also timed on its own, as the two calls the pipeline makes:
+`smooth_trajectory` on the longest test engine, the smoothing inside every
 single-engine request (perfbench's `predict_ms_p50` and `predict_ms_p99`),
-and the zero-padded (L_max, 100, 21) stack that `smooth_trajectories` builds
-from the training engines (perfbench's `ingest_rows_per_s`; the 100 test
-engines of `score_engines_per_s` are smoothed the same way).
+and `smooth_trajectories` on the 100 training engines (perfbench's
+`ingest_rows_per_s`; the 100 test engines of `score_engines_per_s` are
+smoothed the same way).
 """
 
-import numpy as np
 import pytest
 
 from rulkit import dataset_io, models, preprocess, simdata, train_eval
@@ -75,20 +74,17 @@ def test_prepare_test_engine(benchmark, prepared):
     assert window.shape == (preprocess.DEFAULT_WINDOW, len(result.scaler.feature_names))
 
 
-def test_ewma_smooth_single_engine(benchmark, prepared):
+def test_smooth_trajectory_single_engine(benchmark, prepared):
     _, test, _ = prepared
-    sensors = max(test, key=len).sensors_matrix
-    smoothed = benchmark(preprocess.ewma_smooth, sensors, preprocess.DEFAULT_ALPHA)
-    assert smoothed.shape == sensors.shape
+    engine = max(test, key=len)
+    smoothed = benchmark(preprocess.smooth_trajectory, engine, preprocess.DEFAULT_ALPHA)
+    assert smoothed.values.shape == engine.values.shape
 
 
-def test_ewma_smooth_stack(benchmark, prepared):
+def test_smooth_trajectories_train(benchmark, prepared):
     train, _, _ = prepared
-    stack = np.zeros((max(map(len, train)), len(train), dataset_io.N_SENSORS))
-    for k, traj in enumerate(train):
-        stack[: len(traj), k] = traj.sensors_matrix
-    smoothed = benchmark(preprocess.ewma_smooth, stack, preprocess.DEFAULT_ALPHA)
-    assert smoothed.shape == stack.shape and len(train) == 100
+    smoothed = benchmark(preprocess.smooth_trajectories, train, preprocess.DEFAULT_ALPHA)
+    assert len(smoothed) == len(train) == 100
 
 
 @pytest.mark.parametrize("kind", train_eval.MODEL_KINDS)

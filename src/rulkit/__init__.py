@@ -8,6 +8,14 @@ recurrent network on sliding windows — with hand-derived gradients and
 Adam, all on top of plain numpy.
 """
 
+import os
+
+# One BLAS thread unless the caller chose a count: the LSTM's products round
+# differently at other thread counts. This only takes effect if numpy is not
+# loaded yet, as when rulkit's command line starts.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 from .dataset_io import (
     EngineTrajectory,
     RulLabelFile,

@@ -9,9 +9,10 @@ File layout (train/test trajectory files):
 The companion RUL file holds one non-negative integer per line: the
 remaining life of the i-th test engine at its last recorded cycle.
 
-Each engine is held column-wise: a cycle-number vector and one matrix
-each for the settings and the sensors, all read-only, so a head-trimmed
-trajectory can share its parent's arrays without copying.
+Each engine is held as a cycle-number vector and one (L, 24) value matrix,
+the file's columns 3-26: the settings, then the sensors. Both are
+read-only, so a head-trimmed trajectory can share its parent's arrays
+without copying.
 
 Parsing is fail-fast: a malformed row raises ParseError with its line
 number, and structural violations (cycle gaps, duplicated engine blocks)
@@ -29,7 +30,7 @@ rules and raises the first fault (see parse_trajectory_file).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import isfinite
 from pathlib import Path
 
@@ -39,7 +40,8 @@ from .errors import ParseError, ValidationError
 
 N_SETTINGS = 3
 N_SENSORS = 21
-N_COLUMNS = 2 + N_SETTINGS + N_SENSORS
+N_VALUES = N_SETTINGS + N_SENSORS
+N_COLUMNS = 2 + N_VALUES
 # Unit ids and cycles must lie below this bound, so that they fit an int64.
 _ID_LIMIT = 2.0**63
 
@@ -71,8 +73,9 @@ def _check_contiguous(engine_id: int, cycles: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class EngineTrajectory:
-    """One engine's cycles as columns: cycle numbers (L,) int64, operating
-    settings (L, 3) and sensor readings (L, 21), both float64.
+    """One engine's cycles: cycle numbers (L,) int64 and values (L, 24)
+    float64, the 3 operating settings then the 21 sensor readings, in
+    preprocess.FEATURE_NAMES order.
 
     The arrays are read-only (writing raises ValueError): trimmed copies
     are views that share them. A writable array passed in is copied.
@@ -83,17 +86,14 @@ class EngineTrajectory:
 
     engine_id: int
     cycles: np.ndarray
-    settings_matrix: np.ndarray
-    sensors_matrix: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
         if self.engine_id < 1:
             raise ValidationError(f"engine id must be positive, got {self.engine_id}")
-        for name, dtype in (
-            ("cycles", np.int64), ("settings_matrix", np.float64), ("sensors_matrix", np.float64)
-        ):
-            object.__setattr__(self, name, _read_only(getattr(self, name), dtype))
-        cycles, settings, sensors = self.cycles, self.settings_matrix, self.sensors_matrix
+        object.__setattr__(self, "cycles", _read_only(self.cycles, np.int64))
+        object.__setattr__(self, "values", _read_only(self.values, np.float64))
+        cycles, values = self.cycles, self.values
         if cycles.ndim != 1:
             raise ValidationError(
                 f"engine {self.engine_id}: cycle numbers must be 1-D, got shape {cycles.shape}"
@@ -101,34 +101,20 @@ class EngineTrajectory:
         n = cycles.shape[0]
         if n == 0:
             raise ValidationError(f"engine {self.engine_id}: empty trajectory")
-        for arr, width, what in (
-            (settings, N_SETTINGS, "operating settings"), (sensors, N_SENSORS, "sensor values")
-        ):
-            if arr.shape != (n, width):
-                raise ValidationError(
-                    f"engine {self.engine_id}: expected {width} {what} for each of "
-                    f"{n} cycles, got shape {arr.shape}"
-                )
+        if values.shape != (n, N_VALUES):
+            raise ValidationError(
+                f"engine {self.engine_id}: expected {N_SETTINGS} operating settings and "
+                f"{N_SENSORS} sensor values for each of {n} cycles, got shape {values.shape}"
+            )
         _check_contiguous(self.engine_id, cycles)
         if cycles[0] < 1:
             raise ValidationError(f"cycle must be positive, got {int(cycles[0])}")
-        if not (np.isfinite(settings).all() and np.isfinite(sensors).all()):
-            finite = np.isfinite(settings).all(axis=1) & np.isfinite(sensors).all(axis=1)
-            row = int(np.argmin(finite))
-            values = np.concatenate([settings[row], sensors[row]])
-            raise ValidationError(_non_finite(values, cycles[row]))
+        if not np.isfinite(values).all():
+            row = int(np.argmin(np.isfinite(values).all(axis=1)))
+            raise ValidationError(_non_finite(values[row], cycles[row]))
 
     def __len__(self) -> int:
         return self.cycles.shape[0]
-
-    def with_sensors(self, sensors: np.ndarray) -> "EngineTrajectory":
-        """This trajectory with its sensor matrix replaced by `sensors` (L, 21)."""
-        if sensors.shape != (len(self), N_SENSORS):
-            raise ValidationError(
-                f"engine {self.engine_id}: replacement sensors shape {sensors.shape} "
-                f"does not match ({len(self)}, {N_SENSORS})"
-            )
-        return replace(self, sensors_matrix=sensors)
 
 
 @dataclass(frozen=True)
@@ -208,12 +194,8 @@ def _engine_blocks(rows: np.ndarray) -> list[EngineTrajectory]:
             raise ValidationError(
                 f"engine {engine_id}: first cycle must be 1, got {int(block[0, 1])}"
             )
-        trajectories.append(EngineTrajectory(
-            engine_id,
-            block[:, 1].astype(np.int64),
-            block[:, 2 : 2 + N_SETTINGS],
-            block[:, 2 + N_SETTINGS :],
-        ))
+        trajectories.append(EngineTrajectory(engine_id, block[:, 1].astype(np.int64),
+                                             block[:, 2:]))
     return trajectories
 
 

@@ -5,11 +5,13 @@ Fixed stage order: select the varying channels -> exponential smoothing
 engines -> remaining-life labeling, with an engine-level train/validation
 split. Re-running on identical inputs and seed reproduces identical arrays.
 
-Scaled data is one engine's (L, F) array or one SampleSet per split, built
-in one concatenation; the LSTM's windows are gathered from a split's rows
-batch by batch and never stored. At test time there is no trim: smoothing
-precedes it and scaling is row by row, so it could only drop rows ahead of
-the final window, and only the rows that window needs are scaled.
+An engine is one (L, 24) value matrix in FEATURE_NAMES order, raw or
+smoothed; a feature set's columns index it. Scaled data is one engine's
+(L, F) array or one SampleSet per split, built in one concatenation; the
+LSTM's windows are gathered from a split's rows batch by batch and never
+stored. At test time there is no trim: smoothing precedes it and scaling is
+row by row, so it could only drop rows ahead of the final window, and only
+the rows that window needs are scaled.
 
 The feature set is a tuple of names, the form every artifact stores, and
 the ScalerParams fitted on it is its one holder. It is detected, not
@@ -29,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset_io import EngineTrajectory, N_SENSORS, N_SETTINGS
+from .dataset_io import EngineTrajectory, N_SENSORS, N_SETTINGS, N_VALUES
 from .errors import ConfigError, ValidationError
 from .ioutil import atomic_write_text, canonical_json, read_json, sha256_text
 from .numerics import SeededRng
@@ -52,8 +54,8 @@ FEATURE_NAMES = tuple(
 
 
 def feature_columns(names: Sequence[str]) -> np.ndarray:
-    """Each name's index in FEATURE_NAMES, its column in feature_matrix's (L, 24)
-    matrix. The names must be known and in FEATURE_NAMES order."""
+    """Each name's index in FEATURE_NAMES, its column in an EngineTrajectory's
+    (L, 24) values. The names must be known and in FEATURE_NAMES order."""
     for name in names:
         if name not in FEATURE_NAMES:
             raise ValidationError(f"unrecognized feature name {name!r}")
@@ -72,18 +74,12 @@ def selection_from_feature_names(names: Sequence[str]) -> tuple[str, ...]:
     return names
 
 
-def feature_matrix(traj: EngineTrajectory, columns: np.ndarray | slice = slice(None)
-                   ) -> np.ndarray:
-    """(L, F) matrix of the settings, then the sensors, at `columns` (default: all 24)."""
-    return np.hstack([traj.settings_matrix, traj.sensors_matrix])[:, columns]
-
-
 def select_features(trajectories: Sequence[EngineTrajectory]) -> tuple[str, ...]:
     """The names of each setting and sensor whose raw range over all engines
     exceeds CONSTANT_TOLERANCE, in FEATURE_NAMES order."""
     if not trajectories:
         raise ValidationError("cannot select features on empty input")
-    stacked = np.vstack([feature_matrix(t) for t in trajectories])
+    stacked = np.vstack([t.values for t in trajectories])
     varies = stacked.max(axis=0) - stacked.min(axis=0) > CONSTANT_TOLERANCE
     if not varies.any():
         raise ValidationError("no setting or sensor varies across the training engines")
@@ -125,25 +121,27 @@ def ewma_smooth(series: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def smooth_trajectory(traj: EngineTrajectory, alpha: float) -> EngineTrajectory:
-    """Smooth sensor channels only; operating settings pass through untouched."""
-    return traj.with_sensors(ewma_smooth(traj.sensors_matrix, alpha))
+    """smooth_trajectories of this one engine."""
+    return smooth_trajectories([traj], alpha)[0]
 
 
 def smooth_trajectories(
     trajectories: Sequence[EngineTrajectory], alpha: float
 ) -> list[EngineTrajectory]:
-    """smooth_trajectory of every engine, in one ewma_smooth call.
+    """Every engine with its sensors smoothed and its settings kept bit for bit.
 
-    The sensors are stacked into a zero-padded (L_max, E, 21) array, so the
-    recurrence runs one time loop for all engines. Each element still gets
-    the same two roundings in the same order, and padding only follows an
-    engine's last row, so every result is bit-identical to its own call.
+    The values are stacked into a zero-padded (L_max, E, 24) array, so one
+    ewma_smooth call runs one time loop for all engines. Padding only follows
+    an engine's last row, so its sensors are bit-identical to ewma_smooth of
+    its own. Each engine's values are a view of the read-only result.
     """
-    stack = np.zeros((max(map(len, trajectories), default=0), len(trajectories), N_SENSORS))
+    stack = np.zeros((max(map(len, trajectories), default=0), len(trajectories), N_VALUES))
     for k, traj in enumerate(trajectories):
-        stack[: len(traj), k] = traj.sensors_matrix
+        stack[: len(traj), k] = traj.values
     smoothed = ewma_smooth(stack, alpha)
-    return [traj.with_sensors(smoothed[: len(traj), k]) for k, traj in enumerate(trajectories)]
+    smoothed[..., :N_SETTINGS] = stack[..., :N_SETTINGS]
+    smoothed.flags.writeable = False
+    return [replace(traj, values=smoothed[: len(traj), k]) for k, traj in enumerate(trajectories)]
 
 
 def trim_head(traj: EngineTrajectory, n: int = DEFAULT_TRIM) -> EngineTrajectory:
@@ -160,9 +158,7 @@ def trim_head(traj: EngineTrajectory, n: int = DEFAULT_TRIM) -> EngineTrajectory
             f"engine {traj.engine_id}: cannot trim {n} cycles from a "
             f"{len(traj)}-cycle trajectory"
         )
-    return EngineTrajectory(
-        traj.engine_id, traj.cycles[n:], traj.settings_matrix[n:], traj.sensors_matrix[n:]
-    )
+    return EngineTrajectory(traj.engine_id, traj.cycles[n:], traj.values[n:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,7 +173,7 @@ class ScalerParams:
     feature_names: tuple[str, ...]
     mins: np.ndarray
     maxs: np.ndarray
-    # feature_columns(feature_names): each feature's column in feature_matrix.
+    # feature_columns(feature_names): each feature's column in EngineTrajectory.values.
     columns: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -241,7 +237,7 @@ def fit_minmax(
     if not trajectories:
         raise ValidationError("cannot fit a scaler on empty input")
     columns = feature_columns(feature_names)
-    stacked = np.vstack([feature_matrix(t, columns) for t in trajectories])
+    stacked = np.vstack([t.values[:, columns] for t in trajectories])
     mins = stacked.min(axis=0)
     maxs = stacked.max(axis=0)
     flat = np.flatnonzero(maxs - mins <= 0.0)
@@ -256,7 +252,7 @@ def fit_minmax(
 
 def apply_minmax(scaler: ScalerParams, traj: EngineTrajectory) -> np.ndarray:
     """One trajectory's scaler features scaled into [0, 1] (clamped): an (L, F) array."""
-    return scaler.transform(feature_matrix(traj, scaler.columns))
+    return scaler.transform(traj.values[:, scaler.columns])
 
 
 def label_rul(traj: EngineTrajectory, cap: int | None = None) -> np.ndarray:
@@ -467,7 +463,7 @@ def invariant_failures(
     if not splits or any(rows.min() < 0.0 or rows.max() > 1.0 for rows in splits):
         failures.append(INVARIANTS[0])
     features = np.vstack([
-        feature_matrix(trim_head(t, result.pipeline["trim"]), result.scaler.columns)
+        trim_head(t, result.pipeline["trim"]).values[:, result.scaler.columns]
         for t in smooth_trajectories(trajectories, result.pipeline["alpha"])
     ])
     round_trip = result.scaler.inverse(result.scaler.transform(features))
@@ -644,6 +640,8 @@ def final_features(
     """One smoothed engine's model input, scaling only the rows it needs:
     with `window` None the final row (F,); with window W the final W rows
     (W, F), front-padded with the earliest scaled row if the engine is shorter."""
+    if window is not None and window < 1:
+        raise ConfigError(f"window must be >= 1, got {window}")
     scaled = apply_minmax(scaler, trim_head(smoothed, max(len(smoothed) - (window or 1), 0)))
     if window is None:
         return scaled[0]

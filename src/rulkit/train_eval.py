@@ -386,6 +386,8 @@ def gradient_check_suite(model_kind: str, trials: int, rng: SeededRng) -> float:
     """
     if model_kind not in MODEL_KINDS:
         raise ConfigError(f"model kind must be one of {MODEL_KINDS}, got {model_kind!r}")
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
     worst = 0.0
     gen = rng.generator
     for _ in range(trials):

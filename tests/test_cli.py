@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -408,6 +409,39 @@ def test_verify_self_checks_pass(capsys):
     out = capsys.readouterr().out
     assert out.count("ok:") == 6
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("trials", ["-3", "0"])
+def test_verify_rejects_fewer_than_one_trial(capsys, trials):
+    assert main(["verify", "--trials", trials, "--seed", "0"]) == 1
+    captured = capsys.readouterr()
+    assert f"error: trials must be >= 1, got {trials}\n" == captured.err
+    assert "ok:" not in captured.out
+
+
+def test_lstm_artifacts_are_the_same_with_no_blas_thread_count_and_with_one(tmp_path):
+    """rulkit defaults OPENBLAS_NUM_THREADS to 1. On a multi-core machine, an LSTM
+    trained on this two-engine corpus by a multi-threaded BLAS has other bits."""
+    corpus, bundle = tmp_path / "corpus", tmp_path / "bundle"
+    assert main(["simulate", "--out", str(corpus), "--seed", "7", "--train-engines", "2",
+                 "--test-engines", "1", "--total-train-rows", "300"]) == 0
+    assert main(["preprocess", "--train-file", str(corpus / "train_FD001.txt"),
+                 "--out", str(bundle), "--n-val", "1"]) == 0
+    artifacts = []
+    for threads in (None, "1"):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        if threads:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / f"run_{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "rulkit.cli", "train", "--bundle", str(bundle),
+             "--out", str(out), "--model", "lstm", "--epochs", "1", "--seed", "0"],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        artifacts.append([(out / name).read_bytes() for name in ("checkpoint.json", "history.csv")])
+    assert artifacts[0] == artifacts[1]
 
 
 def test_module_entry_point():

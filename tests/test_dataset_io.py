@@ -1,5 +1,6 @@
 """Parsing and validation of the 26-column text files."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from rulkit.dataset_io import (
     N_COLUMNS,
     N_SENSORS,
     N_SETTINGS,
+    N_VALUES,
     RulLabelFile,
     parse_rul_file,
     parse_trajectory_file,
@@ -42,21 +44,15 @@ def serialize_trajectories(trajectories) -> str:
     """
     lines = []
     for traj in trajectories:
-        for cycle, settings, sensors in zip(
-            traj.cycles, traj.settings_matrix, traj.sensors_matrix
-        ):
-            fields = [str(traj.engine_id), str(cycle)]
-            fields += [repr(float(v)) for v in settings]
-            fields += [repr(float(v)) for v in sensors]
+        for cycle, values in zip(traj.cycles, traj.values):
+            fields = [str(traj.engine_id), str(cycle)] + [repr(float(v)) for v in values]
             lines.append(" ".join(fields))
     return "\n".join(lines) + "\n"
 
 
-def _trajectory(cycles, settings=None, sensors=None, engine_id=1):
-    n = len(cycles)
-    settings = np.zeros((n, N_SETTINGS)) if settings is None else settings
-    sensors = np.zeros((n, N_SENSORS)) if sensors is None else sensors
-    return EngineTrajectory(engine_id, np.asarray(cycles), settings, sensors)
+def _trajectory(cycles, values=None, engine_id=1):
+    values = np.zeros((len(cycles), N_VALUES)) if values is None else values
+    return EngineTrajectory(engine_id, np.asarray(cycles), values)
 
 
 def test_parse_single_row_oracle():
@@ -72,12 +68,32 @@ def test_parse_single_row_oracle():
     assert traj.engine_id == 3
     assert len(traj) == 1
     assert traj.cycles.tolist() == [1]
-    assert traj.settings_matrix.tolist() == [[-0.0007, 0.0003, 100.0]]
-    assert traj.sensors_matrix[0, 0] == 518.67
-    assert traj.sensors_matrix[0, 1] == 641.82
-    assert traj.sensors_matrix[0, 20] == 23.419
-    assert traj.sensors_matrix.shape == (1, N_SENSORS)
+    assert traj.values[:, :N_SETTINGS].tolist() == [[-0.0007, 0.0003, 100.0]]
+    assert traj.values[0, N_SETTINGS] == 518.67
+    assert traj.values[0, N_SETTINGS + 1] == 641.82
+    assert traj.values[0, N_SETTINGS + 20] == 23.419
+    assert traj.values.shape == (1, N_VALUES)
     assert traj.cycles.dtype == np.int64
+
+
+@pytest.mark.parametrize("line_by_line", [False, True])
+def test_parsed_values_are_the_files_columns_3_to_26_bit_for_bit(line_by_line):
+    gen = np.random.Generator(np.random.PCG64(23))
+    rows = gen.uniform(-1e4, 1e4, (7, N_COLUMNS))
+    rows[:, 0], rows[:, 1] = [1, 1, 1, 2, 2, 2, 2], [1, 2, 3, 1, 2, 3, 4]
+    rows[0, 2:6] = [-0.0, 5e-324, 100.0, -1e-310]
+    text = _file(" ".join(repr(float(v)) for v in row) for row in rows)
+    if line_by_line:
+        # np.loadtxt rejects the underscore, so every line goes to float().
+        text = text.replace(" 100.0 ", " 1_00.0 ", 1)
+        assert " 1_00.0 " in text
+    trajectories = parse_trajectory_file(text)
+    values = np.vstack([t.values for t in trajectories])
+    assert np.array_equal(values.view(np.uint64), rows[:, 2:].view(np.uint64))
+    for traj in trajectories:
+        assert traj.values.dtype == np.float64 and traj.values.shape == (len(traj), N_VALUES)
+        with pytest.raises(ValueError, match="read-only"):
+            traj.values[0, 0] = 1.0
 
 
 def test_parse_groups_rows_by_engine_and_sorts_ids():
@@ -157,8 +173,7 @@ def test_serialize_parse_round_trip_is_exact():
     assert [t.engine_id for t in recovered] == [t.engine_id for t in original]
     for got, want in zip(recovered, original):
         assert np.array_equal(got.cycles, want.cycles)
-        assert np.array_equal(got.settings_matrix, want.settings_matrix)
-        assert np.array_equal(got.sensors_matrix, want.sensors_matrix)
+        assert np.array_equal(got.values, want.values)
 
 
 @settings(max_examples=100, deadline=None)
@@ -172,16 +187,12 @@ def test_serialize_parse_round_trip_property(data):
     for engine_id in sorted(ids):
         length = data.draw(st.integers(1, 6))
         matrix = data.draw(hnp.arrays(np.float64, (length, N_COLUMNS - 2), elements=values))
-        original.append(_trajectory(
-            np.arange(1, length + 1), matrix[:, :N_SETTINGS], matrix[:, N_SETTINGS:], engine_id
-        ))
+        original.append(_trajectory(np.arange(1, length + 1), matrix, engine_id))
     recovered = parse_trajectory_file(serialize_trajectories(data.draw(st.permutations(original))))
     assert [t.engine_id for t in recovered] == sorted(ids)
     for got, want in zip(recovered, original):
         assert np.array_equal(got.cycles, want.cycles)
-        for name in ("settings_matrix", "sensors_matrix"):
-            bits = [getattr(t, name).view(np.uint64) for t in (got, want)]
-            assert np.array_equal(*bits)
+        assert np.array_equal(got.values.view(np.uint64), want.values.view(np.uint64))
 
 
 def test_read_trajectories_and_labels_from_disk(tmp_path):
@@ -227,20 +238,22 @@ def test_rul_label_file_rejects_empty_and_negative():
 def test_cycle_record_validation():
     with pytest.raises(ValidationError, match="cycle must be positive, got 0"):
         _trajectory([0, 1])
-    with pytest.raises(ValidationError, match="operating settings"):
-        _trajectory([1], settings=np.zeros((1, 1)))
-    with pytest.raises(ValidationError, match="sensor values"):
-        _trajectory([1], sensors=np.zeros((1, 5)))
-    with pytest.raises(ValidationError, match="sensor values"):
-        _trajectory([1, 2], sensors=np.zeros((3, N_SENSORS)))
-    settings = np.zeros((2, N_SETTINGS))
-    settings[1, 1] = np.nan
+    width = "expected 3 operating settings and 21 sensor values for each of"
+    with pytest.raises(ValidationError, match=rf"{width} 1 cycles, got shape \(1, 22\)"):
+        _trajectory([1], np.zeros((1, N_VALUES - 2)))
+    with pytest.raises(ValidationError, match=rf"{width} 1 cycles, got shape \(24,\)"):
+        _trajectory([1], np.zeros(N_VALUES))
+    with pytest.raises(ValidationError, match=rf"{width} 2 cycles, got shape \(3, 24\)"):
+        _trajectory([1, 2], np.zeros((3, N_VALUES)))
+    values = np.zeros((2, N_VALUES))
+    values[1, 1] = np.nan
     with pytest.raises(ValidationError, match="non-finite value nan at cycle 2"):
-        _trajectory([1, 2], settings=settings)
-    sensors = np.zeros((2, N_SENSORS))
-    sensors[0, 4] = -np.inf
+        _trajectory([1, 2], values)
+    values = np.zeros((2, N_VALUES))
+    values[0, N_SETTINGS + 4] = -np.inf
+    values[1, 0] = np.nan
     with pytest.raises(ValidationError, match="non-finite value -inf at cycle 1"):
-        _trajectory([1, 2], sensors=sensors)
+        _trajectory([1, 2], values)
     with pytest.raises(ValidationError, match="non-contiguous cycles 2 -> 4"):
         _trajectory([1, 2, 4])
     with pytest.raises(ValidationError, match="engine id must be positive"):
@@ -251,19 +264,10 @@ def test_cycle_record_validation():
 
 def test_trajectory_matrices_have_expected_shape_and_values():
     traj = parse_trajectory_file(_file([_row(1, 1), _row(1, 2), _row(1, 3)]))[0]
-    assert traj.settings_matrix.shape == (3, N_SETTINGS)
-    assert traj.sensors_matrix.shape == (3, N_SENSORS)
-    assert traj.sensors_matrix[0, 0] == 1.0
+    assert traj.values.shape == (3, N_VALUES)
+    assert traj.values[0, :N_SETTINGS].tolist() == [0.1, 0.2, 0.30000000000000004]
+    assert traj.values[0, N_SETTINGS] == 1.0
     assert traj.cycles.tolist() == [1, 2, 3]
-
-
-def test_with_sensors_replaces_values_and_validates_shape():
-    traj = parse_trajectory_file(_file([_row(1, 1), _row(1, 2)]))[0]
-    replaced = traj.with_sensors(np.full((2, N_SENSORS), 7.0))
-    assert np.all(replaced.sensors_matrix == 7.0)
-    assert replaced.settings_matrix.tolist() == traj.settings_matrix.tolist()
-    with pytest.raises(ValidationError, match="replacement sensors shape"):
-        traj.with_sensors(np.zeros((3, N_SENSORS)))
 
 
 def test_empty_trajectory_rejected():
@@ -275,21 +279,21 @@ def test_trajectory_arrays_are_read_only():
     traj = parse_trajectory_file(_file([_row(1, c) for c in range(1, 6)]))[0]
     trimmed = trim_head(traj, 2)
     for t in (traj, trimmed):
-        for arr in (t.cycles, t.settings_matrix, t.sensors_matrix):
+        for arr in (t.cycles, t.values):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0
-    assert np.shares_memory(trimmed.sensors_matrix, traj.sensors_matrix)
-    replaced = traj.with_sensors(np.ones((5, N_SENSORS)))
+    assert np.shares_memory(trimmed.values, traj.values)
+    replaced = dataclasses.replace(traj, values=np.ones((5, N_VALUES)))
     with pytest.raises(ValueError, match="read-only"):
-        replaced.sensors_matrix[0, 0] = 0.0
+        replaced.values[0, 0] = 0.0
 
 
 def test_trajectory_copies_writable_input():
-    sensors = np.ones((2, N_SENSORS))
-    traj = _trajectory([1, 2], sensors=sensors)
-    sensors[0, 0] = 5.0
-    assert traj.sensors_matrix[0, 0] == 1.0
-    assert sensors.flags.writeable
+    values = np.ones((2, N_VALUES))
+    traj = _trajectory([1, 2], values)
+    values[0, 0] = 5.0
+    assert traj.values[0, 0] == 1.0
+    assert values.flags.writeable
 
 
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e19", "9223372036854775808"])

@@ -29,9 +29,7 @@ def reference_trim_head(traj: EngineTrajectory, n: int) -> EngineTrajectory:
         raise ConfigError(f"trim length must be >= 0, got {n}")
     if n == 0:
         return traj
-    return EngineTrajectory(
-        traj.engine_id, traj.cycles[n:], traj.settings_matrix[n:], traj.sensors_matrix[n:]
-    )
+    return EngineTrajectory(traj.engine_id, traj.cycles[n:], traj.values[n:])
 
 
 def reference_final_window(features: np.ndarray, window: int) -> np.ndarray:
@@ -46,17 +44,16 @@ def reference_final_features(smoothed, scaler, selection, trim, window):
     n = reference_effective_trim(len(smoothed), trim, window)
     trimmed = reference_trim_head(smoothed, n)
     columns = preprocess.feature_columns(selection)
-    raw = np.hstack([trimmed.settings_matrix, trimmed.sensors_matrix])[:, columns]
+    raw = trimmed.values[:, columns]
     features = np.clip((raw - scaler.mins) / (scaler.maxs - scaler.mins), 0.0, 1.0)
     return reference_final_window(features, window), features[-1].copy()
 
 
 def _engine(engine_id, length, gen):
-    return EngineTrajectory(
-        engine_id, np.arange(1, length + 1),
+    return EngineTrajectory(engine_id, np.arange(1, length + 1), np.hstack([
         gen.uniform(-1.5, 1.5, (length, N_SETTINGS)),
         gen.uniform(-0.5, 1.5, (length, N_SENSORS)),
-    )
+    ]))
 
 
 @pytest.fixture(scope="module")

@@ -271,8 +271,7 @@ def assert_same_trajectories(text):
         assert g.cycles.tolist() == [r.cycle for r in w.cycles]
         settings = np.array([r.op_settings for r in w.cycles], dtype=np.float64)
         sensors = np.array([r.sensors for r in w.cycles], dtype=np.float64)
-        assert np.array_equal(bits(g.settings_matrix), bits(settings))
-        assert np.array_equal(bits(g.sensors_matrix), bits(sensors))
+        assert np.array_equal(bits(g.values), bits(np.hstack([settings, sensors])))
 
 
 def outcome(parse, text):

@@ -20,7 +20,6 @@ from rulkit.preprocess import (
     apply_minmax,
     ewma_smooth,
     feature_columns,
-    feature_matrix,
     final_features,
     fit_minmax,
     INVARIANTS,
@@ -49,7 +48,7 @@ def make_traj(engine_id, sensors, settings=None, start_cycle=1):
     if settings is None:
         settings = np.zeros((length, N_SETTINGS))
     cycles = np.arange(start_cycle, start_cycle + length)
-    return EngineTrajectory(engine_id, cycles, settings, sensors)
+    return EngineTrajectory(engine_id, cycles, np.hstack([settings, sensors]))
 
 
 def random_traj(engine_id, length, seed, sensor_scale=1.0):
@@ -191,9 +190,9 @@ def test_ewma_rejects_empty_series():
 def test_smooth_trajectory_touches_sensors_only():
     traj = random_traj(1, 20, seed=0)
     smoothed = smooth_trajectory(traj, 0.1)
-    assert np.array_equal(smoothed.settings_matrix, traj.settings_matrix)
+    assert np.array_equal(smoothed.values[:, :N_SETTINGS], traj.values[:, :N_SETTINGS])
     assert np.array_equal(
-        smoothed.sensors_matrix, ewma_smooth(traj.sensors_matrix, 0.1)
+        smoothed.values[:, N_SETTINGS:], ewma_smooth(traj.values[:, N_SETTINGS:], 0.1)
     )
 
 
@@ -206,10 +205,29 @@ def test_smooth_trajectory_touches_sensors_only():
 def test_smooth_trajectories_matches_per_engine_bit_for_bit(lengths, alpha, seed):
     engines = [random_traj(k + 1, n, seed + k, sensor_scale=1e3) for k, n in enumerate(lengths)]
     for traj, smoothed in zip(engines, smooth_trajectories(engines, alpha)):
-        want = ewma_smooth(traj.sensors_matrix, alpha)
-        assert np.array_equal(smoothed.sensors_matrix.view(np.int64), want.view(np.int64))
-        assert smoothed.settings_matrix is traj.settings_matrix
+        want = ewma_smooth(traj.values[:, N_SETTINGS:], alpha)
+        got = np.ascontiguousarray(smoothed.values[:, N_SETTINGS:])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        settings = [np.ascontiguousarray(t.values[:, :N_SETTINGS]) for t in (smoothed, traj)]
+        assert np.array_equal(*(s.view(np.int64) for s in settings))
         assert smoothed.cycles is traj.cycles
+
+
+def test_smooth_trajectories_keeps_settings_bits_and_leaves_no_writable_alias():
+    # Smoothing would turn a setting of -0.0 after 0.0 into 0.0, and 1.0, -0.0
+    # into 1.0, 0.9; the settings must come back as they went in.
+    settings = np.array([[0.0, 1.0, 5.0], [-0.0, -0.0, 5.0], [-0.0, -0.0, 7.0]])
+    engines = [make_traj(1, np.ones((3, N_SENSORS)), settings), random_traj(2, 6, seed=8)]
+    for traj, smoothed in zip(engines, smooth_trajectories(engines, 0.1)):
+        want = np.ascontiguousarray(traj.values[:, :N_SETTINGS]).view(np.int64)
+        got = np.ascontiguousarray(smoothed.values[:, :N_SETTINGS]).view(np.int64)
+        assert np.array_equal(got, want)
+        with pytest.raises(ValueError, match="read-only"):
+            smoothed.values[0, 0] = 1.0
+        base = smoothed.values
+        while base is not None:
+            assert not base.flags.writeable
+            base = base.base
 
 
 def test_smooth_trajectories_rejects_empty_input():
@@ -227,7 +245,7 @@ def test_trim_head_drops_rows_and_keeps_cycle_numbers():
     trimmed = trim_head(traj, 10)
     assert len(trimmed) == 5
     assert trimmed.cycles.tolist() == list(range(11, 16))
-    assert np.array_equal(trimmed.sensors_matrix, traj.sensors_matrix[10:])
+    assert np.array_equal(trimmed.values, traj.values[10:])
 
 
 def test_trim_head_zero_is_identity():
@@ -260,7 +278,7 @@ def test_feature_selection_orders_settings_before_sensors():
     # Columns index the settings-then-sensors matrix: sensor k is column 2 + k.
     columns = feature_columns(names)
     assert columns.tolist()[:4] == [0, 1, 4, 5]
-    assert feature_matrix(random_traj(1, 4, seed=15), columns).shape == (4, len(names))
+    assert random_traj(1, 4, seed=15).values[:, columns].shape == (4, len(names))
 
 
 def test_feature_selection_rejects_out_of_range():
@@ -484,7 +502,7 @@ def test_scaled_output_stays_in_unit_interval(
         )
         for scaled in (last_window, last_row):
             assert np.all((scaled >= 0.0) & (scaled <= 1.0))
-        raw = feature_matrix(smooth_trajectory(test, 0.1), result.scaler.columns)
+        raw = smooth_trajectory(test, 0.1).values[:, result.scaler.columns]
         unclamped = (raw - result.scaler.mins) / (result.scaler.maxs - result.scaler.mins)
         assert np.any((unclamped < 0.0) | (unclamped > 1.0))
 
@@ -533,9 +551,7 @@ def _split(*engines):
     for engine_id, features in engines:
         raw = np.zeros((len(features), N_SETTINGS + N_SENSORS))
         raw[:, :n] = features
-        trajectories.append(EngineTrajectory(
-            engine_id, np.arange(1, len(features) + 1), raw[:, :N_SETTINGS], raw[:, N_SETTINGS:]
-        ))
+        trajectories.append(EngineTrajectory(engine_id, np.arange(1, len(features) + 1), raw))
     return trajectories, ScalerParams(FEATURE_NAMES[:n], np.zeros(n), np.ones(n))
 
 
@@ -572,7 +588,7 @@ def test_make_rows_copies_data():
     assert rs.rows.tolist() == feats.tolist()
     assert rs.rul.tolist() == [2.0, 1.0, 0.0]
     rs.rows[0, 0] = 99.0
-    assert trajectories[0].settings_matrix[0, 0] == 0.0
+    assert trajectories[0].values[0, 0] == 0.0
 
 
 def test_make_rows_concatenates_a_split_in_input_order():
@@ -632,6 +648,16 @@ def test_final_features_slices_or_pads():
     assert (padded[:, 0] * 16).tolist() == [5.0, 5.0, 5.0, 5.0, 6.0]
     row = final_features(traj, scaler, window=None)
     assert row.shape == (1,) and row[0] * 16 == 9.0
+
+
+@pytest.mark.parametrize("window", [0, -2])
+def test_final_features_and_prepare_test_engine_reject_a_window_below_one(window):
+    scaler = ScalerParams(("sensor_1",), np.array([0.0]), np.array([1.0]))
+    traj = random_traj(1, 131, seed=16)
+    with pytest.raises(ConfigError, match=rf"^window must be >= 1, got {window}$"):
+        final_features(traj, scaler, window=window)
+    with pytest.raises(ConfigError, match=rf"^window must be >= 1, got {window}$"):
+        prepare_test_engine(traj, scaler, scaler.feature_names, window=window)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rulkit import simdata
-from rulkit.dataset_io import parse_rul_file, parse_trajectory_file
+from rulkit.dataset_io import N_SETTINGS, parse_rul_file, parse_trajectory_file
 from rulkit.errors import ConfigError
 from rulkit.simdata import CONSTANT_SENSOR_IDS, MIN_TEST_LENGTH, SimConfig, TEST_RUL_RANGE
 
@@ -55,17 +55,16 @@ def test_constant_channels_are_exactly_constant(small_corpus):
     (train_text, test_text, _), _ = small_corpus
     for text in (train_text, test_text):
         for traj in parse_trajectory_file(text):
-            sensors = traj.sensors_matrix
+            settings, sensors = traj.values[:, :N_SETTINGS], traj.values[:, N_SETTINGS:]
             for sid in CONSTANT_SENSOR_IDS:
                 column = sensors[:, sid - 1]
                 assert np.all(column == column[0]), f"sensor {sid} drifts"
-            settings = traj.settings_matrix
             assert np.all(settings[:, 2] == settings[0, 2])
 
 
 def test_informative_channels_vary(small_corpus):
     (train_text, _, _), _ = small_corpus
-    stacked = np.vstack([t.sensors_matrix for t in parse_trajectory_file(train_text)])
+    stacked = np.vstack([t.values[:, N_SETTINGS:] for t in parse_trajectory_file(train_text)])
     for sid in range(1, 22):
         spread = np.ptp(stacked[:, sid - 1])
         if sid in CONSTANT_SENSOR_IDS:
@@ -79,7 +78,7 @@ def test_degradation_rises_toward_failure(small_corpus):
     # mean on run-to-failure engines.
     (train_text, _, _), _ = small_corpus
     for traj in parse_trajectory_file(train_text):
-        s2 = traj.sensors_matrix[:, 1]
+        s2 = traj.values[:, N_SETTINGS + 1]
         assert s2[-10:].mean() > s2[:10].mean()
 
 
