@@ -4,12 +4,15 @@ Runs, in a temporary directory and with `--src` first on PYTHONPATH:
 
     simulate (default corpus) -> preprocess --seed 1
     -> train --epochs 2 --seed 1 (mlp and lstm) -> evaluate -> predict
+    verify
 
-and prints one `<sha256>  <artifact>` line for each of 21 artifacts: the 3
+and prints one `<sha256>  <artifact>` line for each of 22 artifacts: the 3
 corpus files, the 8 bundle files, then history.csv, checkpoint.json,
 eval_report.json, predictions.csv and the stdout of `predict` for each
-model kind. A refactor that should leave the numbers alone leaves every
-line unchanged, so compare a change against its parent with
+model kind, and last the stdout of `verify` at its defaults, which prints
+each worst gradient error to four significant digits. A refactor that
+should leave the numbers alone leaves every line unchanged, so compare a
+change against its parent with
 
     python benchmarks/artifact_digest.py --against <parent>
 
@@ -83,6 +86,7 @@ def digests(src: Path, work: Path) -> list[tuple[str, str]]:
         out += [(f"{kind}/{name}", (run / name).read_bytes()) for name in RUN_FILES]
         out += [(f"{kind}/{name}", (report / name).read_bytes()) for name in REPORT_FILES]
         out.append((f"{kind}/predict.stdout", stdout))
+    out.append(("verify.stdout", _rulkit(src, "verify")))
     return [(name, hashlib.sha256(data).hexdigest()) for name, data in out]
 
 

@@ -30,8 +30,14 @@ def canonical_json(obj: Any) -> str:
 
 def read_json(path: Path | str) -> Any:
     """Decode a JSON file; malformed content raises ValidationError naming it."""
+    return read_json_text(path)[0]
+
+
+def read_json_text(path: Path | str) -> tuple[Any, str]:
+    """read_json's value and the text it was decoded from, from one read."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
+        return json.loads(text), text
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"{path}: not valid JSON ({exc})") from None
 

@@ -20,7 +20,9 @@ import numpy as np
 from . import models
 from .dataset_io import EngineTrajectory, RulLabelFile
 from .errors import ConfigError, ShapeError, TrainingError, ValidationError
-from .ioutil import atomic_write_text, canonical_json, fmt_double, read_json, sha256_text
+from .ioutil import (
+    atomic_write_text, canonical_json, fmt_double, read_json_text, sha256_text,
+)
 from .numerics import SeededRng
 from .optim import AdamState, adam_step, clip_gradients, flatten_params, init_adam, unflatten
 from .preprocess import (
@@ -342,8 +344,10 @@ def final_inputs(model: TrainedModel, trajectories: Sequence[EngineTrajectory],
 
 def numeric_gradients(
     params_obj, x: np.ndarray, y: np.ndarray, eps: float = FD_EPS
-) -> dict[str, np.ndarray]:
-    """Central finite differences of the batch MSE w.r.t. every parameter.
+) -> np.ndarray:
+    """Central finite differences of the batch MSE w.r.t. every parameter, as
+    one flat vector in flatten_params' order of `params_obj.to_dict()`
+    (optim.unflatten gives it per tensor).
 
     With theta the flat parameter vector, copy 2j of a stack holds theta
     with coordinate j moved to theta_j + eps and copy 2j + 1 to theta_j - eps;
@@ -360,20 +364,24 @@ def numeric_gradients(
         raise ShapeError(f"target shape {y.shape} does not match batch {len(x)}")
     tensors = params_obj.to_dict()
     flat, _ = flatten_params(tensors)
+    n = flat.size
     grad = np.empty_like(flat)
-    buffer = np.empty((min(FD_CHUNK, 2 * flat.size), flat.size))
-    for start in range(0, flat.size, FD_CHUNK // 2):
-        coords = np.arange(start, min(start + FD_CHUNK // 2, flat.size))
-        copies = 2 * np.arange(coords.size)
-        stack = buffer[: 2 * coords.size]
+    buffer = np.empty((min(FD_CHUNK, 2 * n), n))
+    for start in range(0, n, FD_CHUNK // 2):
+        stop = min(start + FD_CHUNK // 2, n)
+        stack = buffer[: 2 * (stop - start)]
         stack[...] = flat
-        stack[copies, coords] += eps
-        stack[copies + 1, coords] -= eps
+        # Copy 2k moves coordinate start + k: element start + k (2n + 1) of the
+        # flattened stack; copy 2k + 1 moves the same coordinate n places on.
+        cells = stack.reshape(-1)
+        cells[start :: 2 * n + 1] += eps
+        cells[start + n :: 2 * n + 1] -= eps
         pred = type(params_obj).from_dict(unflatten(stack, tensors)).forward(x)[0]
         err = pred - y
-        losses = np.mean(err * err, axis=-1)
-        grad[coords] = (losses[0::2] - losses[1::2]) / (2.0 * eps)
-    return unflatten(grad, tensors)
+        err *= err
+        losses = np.add.reduce(err, axis=-1) / len(y)  # mse_loss's arithmetic, per copy
+        grad[start:stop] = (losses[0::2] - losses[1::2]) / (2.0 * eps)
+    return grad
 
 
 def gradient_check_suite(model_kind: str, trials: int, rng: SeededRng) -> float:
@@ -381,8 +389,10 @@ def gradient_check_suite(model_kind: str, trials: int, rng: SeededRng) -> float:
 
     Each trial draws a feature count and a batch size, then the model
     class's draw_check_case (a small random architecture and inputs), then
-    targets, and compares every coordinate with denominator
-    max(1, |analytic|).
+    targets. The backward pass writes its gradients into views of one flat
+    vector, which is compared with numeric_gradients' vector in one pass,
+    every coordinate with denominator max(1, |analytic|). A non-finite gap
+    makes the result nan, which no tolerance accepts.
     """
     if model_kind not in MODEL_KINDS:
         raise ConfigError(f"model kind must be one of {MODEL_KINDS}, got {model_kind!r}")
@@ -396,13 +406,15 @@ def gradient_check_suite(model_kind: str, trials: int, rng: SeededRng) -> float:
         params_obj, x, pred, cache = models.MODELS[model_kind].draw_check_case(feats, batch, rng)
         y = rng.uniform(0.0, 5.0, (batch,))
         _, dpred = models.mse_loss(pred, y)
-        analytic = params_obj.backward(cache, dpred)
         numeric = numeric_gradients(params_obj, x, y)
-        for name in analytic:
-            ga = analytic[name].reshape(-1)
-            gn = numeric[name].reshape(-1)
-            rel = np.abs(ga - gn) / np.maximum(1.0, np.abs(ga))
-            worst = max(worst, float(rel.max()))
+        analytic = np.empty_like(numeric)
+        params_obj.backward(cache, dpred, unflatten(analytic, params_obj.to_dict()))
+        gap = np.abs(analytic - numeric)
+        gap /= np.maximum(np.abs(analytic), 1.0)
+        trial_worst = float(gap.max())
+        if np.isnan(trial_worst):  # max() below would drop it
+            return trial_worst
+        worst = max(worst, trial_worst)
     return worst
 
 
@@ -452,9 +464,15 @@ def load_checkpoint(path: Path | str) -> tuple[TrainedModel, dict, TrainConfig]:
     A file of another format, a missing or malformed entry, or a top-level
     model, window, seed or config_hash unequal to its config's, fails naming
     the file."""
-    d = read_json(path)
+    return read_checkpoint(path)[:3]
+
+
+def read_checkpoint(path: Path | str) -> tuple[TrainedModel, dict, TrainConfig, str]:
+    """load_checkpoint's model, optimizer entry and config, and the text they
+    were decoded from, from one read of the file."""
+    d, text = read_json_text(path)
     try:
-        return _checkpoint_from_dict(d)
+        return (*_checkpoint_from_dict(d), text)
     except KeyError as exc:
         raise ValidationError(f"{path}: checkpoint has no entry {exc}") from None
     except (TypeError, ValueError) as exc:

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -88,6 +89,25 @@ def test_evaluate_writes_report_and_prints_mse(workspace, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "engines evaluated: 4" in out
     assert "test mse:" in out
+
+
+def test_evaluate_reads_the_checkpoint_once(workspace, tmp_path, monkeypatch):
+    checkpoint = workspace.run / "checkpoint.json"
+    reads = []
+    real_read_text = Path.read_text
+
+    def counting_read_text(self, *args, **kwargs):
+        reads.append(self)
+        return real_read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counting_read_text)
+    assert _evaluate(workspace, tmp_path) == 0
+    assert reads.count(checkpoint) == 1
+    monkeypatch.undo()
+    report = json.loads((tmp_path / "eval_report.json").read_text())
+    assert report["checkpoint_hash"] == hashlib.sha256(checkpoint.read_bytes()).hexdigest()
+    assert ((tmp_path / "eval_report.json").read_bytes()
+            == (workspace.report / "eval_report.json").read_bytes())
 
 
 def test_predict_prints_per_engine_csv(workspace, capsys):

@@ -13,6 +13,7 @@ import pytest
 from rulkit import models
 from rulkit.errors import ShapeError
 from rulkit.numerics import SeededRng
+from rulkit.optim import unflatten
 from rulkit.train_eval import FD_CHUNK, FD_EPS, numeric_gradients
 
 
@@ -45,7 +46,7 @@ def assert_bits_equal(actual, expected):
 
 def assert_matches_reference(params_obj, x, y):
     before = {name: t.copy() for name, t in params_obj.to_dict().items()}
-    grads = numeric_gradients(params_obj, x, y)
+    grads = unflatten(numeric_gradients(params_obj, x, y), params_obj.to_dict())
     for name, tensor in params_obj.to_dict().items():
         assert_bits_equal(tensor, before[name])
     expected = reference_numeric_gradients(params_obj, x, y)

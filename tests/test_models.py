@@ -129,7 +129,7 @@ def test_mlp_gradients_match_finite_differences_fixed_instance():
     pred, cache = models.mlp_forward(params, x)
     _, dpred = models.mse_loss(pred, y)
     analytic = models.mlp_backward(params, cache, dpred)
-    numeric = numeric_gradients(params, x, y)
+    numeric = unflatten(numeric_gradients(params, x, y), params.to_dict())
     for name in analytic:
         np.testing.assert_allclose(analytic[name], numeric[name], rtol=1e-6, atol=1e-8)
 
@@ -238,7 +238,7 @@ def test_lstm_gradients_match_finite_differences_fixed_instance():
     pred, cache = models.lstm_forward(params, x)
     _, dpred = models.mse_loss(pred, y)
     analytic = models.lstm_backward(params, cache, dpred)
-    numeric = numeric_gradients(params, x, y)
+    numeric = unflatten(numeric_gradients(params, x, y), params.to_dict())
     for name in analytic:
         np.testing.assert_allclose(
             analytic[name], numeric[name], rtol=1e-6, atol=1e-8, err_msg=name
