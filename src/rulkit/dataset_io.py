@@ -9,10 +9,11 @@ File layout (train/test trajectory files):
 The companion RUL file holds one non-negative integer per line: the
 remaining life of the i-th test engine at its last recorded cycle.
 
-Each engine is held as a cycle-number vector and one (L, 24) value matrix,
-the file's columns 3-26: the settings, then the sensors. Both are
-read-only, so a head-trimmed trajectory can share its parent's arrays
-without copying.
+Each engine is held as its id and one read-only (L, 24) value matrix, the
+file's columns 3-26 (the settings, then the sensors), one row per cycle,
+oldest first. The parser checks the cycle column and keeps no copy of it:
+a cycle is its row's position, so a head-trimmed trajectory is a view of
+its parent's rows.
 
 Parsing is fail-fast: a malformed row raises ParseError with its line
 number, and structural violations (cycle gaps, duplicated engine blocks)
@@ -29,6 +30,7 @@ rules and raises the first fault (see parse_trajectory_file).
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 from math import isfinite
@@ -46,75 +48,46 @@ N_COLUMNS = 2 + N_VALUES
 _ID_LIMIT = 2.0**63
 
 
-def _read_only(values, dtype) -> np.ndarray:
-    """`values` as a read-only array; a writable input is copied first, so the
-    caller keeps no writable alias of the result."""
-    arr = np.asarray(values, dtype=dtype)
-    if arr.flags.writeable:
-        arr = arr.copy()
-        arr.flags.writeable = False
-    return arr
-
-
-def _non_finite(values: np.ndarray, cycle) -> str:
-    """Message naming the first non-finite entry of one cycle's values."""
-    return f"non-finite value {float(values[~np.isfinite(values)][0])!r} at cycle {int(cycle)}"
-
-
-def _check_contiguous(engine_id: int, cycles: np.ndarray) -> None:
-    steps = cycles[1:] - cycles[:-1]
-    if not (steps == 1).all():
-        i = int(np.argmax(steps != 1))
-        raise ValidationError(
-            f"engine {engine_id}: non-contiguous cycles "
-            f"{int(cycles[i])} -> {int(cycles[i + 1])}"
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class EngineTrajectory:
-    """One engine's cycles: cycle numbers (L,) int64 and values (L, 24)
-    float64, the 3 operating settings then the 21 sensor readings, in
-    preprocess.FEATURE_NAMES order.
+    """One engine: its integral id and its values (L, 24) float64, one row
+    per cycle, oldest first; the 3 operating settings then the 21 sensor
+    readings, in preprocess.FEATURE_NAMES order.
 
-    The arrays are read-only (writing raises ValueError): trimmed copies
+    The values are read-only (writing raises ValueError): trimmed copies
     are views that share them. A writable array passed in is copied.
-    Cycle numbers must be contiguous ascending integers. Freshly parsed
-    trajectories start at cycle 1; head-trimmed ones keep their original
-    numbering and start later.
     """
 
     engine_id: int
-    cycles: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        if self.engine_id < 1:
-            raise ValidationError(f"engine id must be positive, got {self.engine_id}")
-        object.__setattr__(self, "cycles", _read_only(self.cycles, np.int64))
-        object.__setattr__(self, "values", _read_only(self.values, np.float64))
-        cycles, values = self.cycles, self.values
-        if cycles.ndim != 1:
+        if not isinstance(self.engine_id, numbers.Integral) or isinstance(self.engine_id, bool):
+            raise ValidationError(f"engine id must be an integer, got {self.engine_id!r}")
+        engine_id = int(self.engine_id)
+        if not 1 <= engine_id < _ID_LIMIT:
+            raise ValidationError(f"engine id must be positive and below 2^63, got {engine_id}")
+        values = np.asarray(self.values, dtype=np.float64)
+        if values.flags.writeable:
+            values = values.copy()
+            values.flags.writeable = False
+        object.__setattr__(self, "engine_id", engine_id)
+        object.__setattr__(self, "values", values)
+        if values.ndim != 2 or values.shape[1] != N_VALUES:
             raise ValidationError(
-                f"engine {self.engine_id}: cycle numbers must be 1-D, got shape {cycles.shape}"
+                f"engine {engine_id}: expected {N_SETTINGS} operating settings and "
+                f"{N_SENSORS} sensor values per cycle, got values of shape {values.shape}"
             )
-        n = cycles.shape[0]
-        if n == 0:
-            raise ValidationError(f"engine {self.engine_id}: empty trajectory")
-        if values.shape != (n, N_VALUES):
-            raise ValidationError(
-                f"engine {self.engine_id}: expected {N_SETTINGS} operating settings and "
-                f"{N_SENSORS} sensor values for each of {n} cycles, got shape {values.shape}"
-            )
-        _check_contiguous(self.engine_id, cycles)
-        if cycles[0] < 1:
-            raise ValidationError(f"cycle must be positive, got {int(cycles[0])}")
-        if not np.isfinite(values).all():
-            row = int(np.argmin(np.isfinite(values).all(axis=1)))
-            raise ValidationError(_non_finite(values[row], cycles[row]))
+        if values.shape[0] == 0:
+            raise ValidationError(f"engine {engine_id}: empty trajectory")
+        finite = np.isfinite(values)
+        if not finite.all():
+            i = int(np.argmin(finite))  # flat index of the first non-finite entry
+            raise ValidationError(f"engine {engine_id}: non-finite value "
+                                  f"{float(values.flat[i])!r} in values[{i // N_VALUES}]")
 
     def __len__(self) -> int:
-        return self.cycles.shape[0]
+        return self.values.shape[0]
 
 
 @dataclass(frozen=True)
@@ -175,7 +148,8 @@ def _read_lines(lines: list[str]) -> np.ndarray:
             )
         seen.add(engine_id)
         if not all(map(isfinite, values[2:])):
-            raise ParseError(f"line {lineno}: {_non_finite(np.array(values[2:]), values[1])}")
+            bad = next(v for v in values[2:] if not isfinite(v))
+            raise ParseError(f"line {lineno}: non-finite value {bad!r} at cycle {int(values[1])}")
         rows.append(values)
     if not rows:
         raise ValidationError("trajectory file contains no data rows")
@@ -183,19 +157,24 @@ def _read_lines(lines: list[str]) -> np.ndarray:
 
 
 def _engine_blocks(rows: np.ndarray) -> list[EngineTrajectory]:
-    """Checked rows as one trajectory per engine block, in engine-id order."""
+    """Checked rows as one trajectory per engine block, in engine-id order.
+    Each block's cycles must run 1, 2, 3, ...; the first block to break
+    that raises."""
     starts = np.flatnonzero(np.diff(rows[:, 0], prepend=0.0))
     ends = np.append(starts[1:], rows.shape[0])
     trajectories = []
     for k in np.argsort(rows[starts, 0]):
         block = rows[starts[k] : ends[k]]
-        engine_id = int(block[0, 0])
-        if block[0, 1] != 1:
-            raise ValidationError(
-                f"engine {engine_id}: first cycle must be 1, got {int(block[0, 1])}"
-            )
-        trajectories.append(EngineTrajectory(engine_id, block[:, 1].astype(np.int64),
-                                             block[:, 2:]))
+        engine_id, cycles = int(block[0, 0]), block[:, 1]
+        if cycles[0] != 1:
+            raise ValidationError(f"engine {engine_id}: first cycle must be 1, "
+                                  f"got {int(cycles[0])}")
+        gaps = np.flatnonzero(np.diff(cycles) != 1)
+        if gaps.size:
+            i = gaps[0]
+            raise ValidationError(f"engine {engine_id}: non-contiguous cycles "
+                                  f"{int(cycles[i])} -> {int(cycles[i + 1])}")
+        trajectories.append(EngineTrajectory(engine_id, block[:, 2:]))
     return trajectories
 
 

@@ -145,10 +145,8 @@ def smooth_trajectories(
 
 
 def trim_head(traj: EngineTrajectory, n: int = DEFAULT_TRIM) -> EngineTrajectory:
-    """Drop the first n cycles; retained cycle numbers are preserved.
-
-    The result's arrays are read-only views of the input's.
-    """
+    """Drop the first n cycles (rows); the result's values are a read-only
+    view of the input's."""
     if n < 0:
         raise ConfigError(f"trim length must be >= 0, got {n}")
     if n == 0:
@@ -158,7 +156,7 @@ def trim_head(traj: EngineTrajectory, n: int = DEFAULT_TRIM) -> EngineTrajectory
             f"engine {traj.engine_id}: cannot trim {n} cycles from a "
             f"{len(traj)}-cycle trajectory"
         )
-    return EngineTrajectory(traj.engine_id, traj.cycles[n:], traj.values[n:])
+    return EngineTrajectory(traj.engine_id, traj.values[n:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,14 +254,13 @@ def apply_minmax(scaler: ScalerParams, traj: EngineTrajectory) -> np.ndarray:
 
 
 def label_rul(traj: EngineTrajectory, cap: int | None = None) -> np.ndarray:
-    """Per-cycle remaining life of a run-to-failure engine: last_cycle - cycle.
-
-    An optional cap clips large early-life labels.
+    """Per-cycle remaining life of a run-to-failure engine: the number of rows
+    after each row, L - 1 down to 0. An optional cap clips large early-life labels.
     """
-    rul = (traj.cycles[-1] - traj.cycles).astype(np.float64)
+    rul = np.arange(len(traj) - 1, -1, -1, dtype=np.float64)
     if cap is not None:
-        if cap <= 0:
-            raise ConfigError(f"RUL cap must be positive, got {cap}")
+        if type(cap) is not int or cap <= 0:
+            raise ConfigError(f"RUL cap must be a positive integer, got {cap!r}")
         np.minimum(rul, float(cap), out=rul)
     return rul
 
@@ -526,6 +523,14 @@ def _load_array(path: Path, dtype: type, shape: tuple) -> np.ndarray:
     return arr
 
 
+def _positional_rul(engine_ids: np.ndarray, cap: int | None) -> np.ndarray:
+    """label_rul of each run of `engine_ids` (one run per engine), concatenated."""
+    n = engine_ids.shape[0]
+    lasts = np.flatnonzero(np.r_[engine_ids[1:] != engine_ids[:-1], n > 0])
+    rul = (np.repeat(lasts, np.diff(np.r_[-1, lasts])) - np.arange(n)).astype(np.float64)
+    return rul if cap is None else np.minimum(rul, float(cap))
+
+
 def _stored_count(meta_path: Path, counts: dict, key: str) -> int:
     value = counts.get(key)
     if type(value) is not int or value < 0:
@@ -539,9 +544,11 @@ def load_bundle(bundle_dir: Path | str) -> PreprocessResult:
 
     scaler.json's hash must be meta.json's scaler_hash; arrays need write_bundle's
     dtypes, meta.json's row counts and finite values; a split's engine ids must be
-    its meta.json ids, one run of at least a window per engine. Every other entry
-    of meta.json must equal the result's `meta`. A mismatch raises ValidationError
-    naming the file.
+    its meta.json ids, one run of at least a window per engine. Scaled rows must
+    lie in [0, 1], and each run's labels must be label_rul's: the run's length - 1
+    down to 0, capped at the pipeline's rul_cap (null or a positive integer).
+    Every other entry of meta.json must equal the result's `meta`. A mismatch
+    raises ValidationError naming the file.
     """
     out = Path(bundle_dir)
     meta_path = out / "meta.json"
@@ -557,12 +564,16 @@ def load_bundle(bundle_dir: Path | str) -> PreprocessResult:
     try:
         counts, pipeline = meta["counts"], meta["pipeline"]
         window, _ = pipeline["window"], pipeline["seed"]  # the seed is meta's split_seed
+        rul_cap = pipeline["rul_cap"]
         split_ids = {split: tuple(meta[f"{split}_ids"]) for split in _SPLITS}
         meta_scaler_hash = meta["scaler_hash"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"{meta_path}: missing or malformed entry {exc}") from None
     if not isinstance(window, int) or window < 1:
         raise ValidationError(f"{meta_path}: pipeline window must be a positive integer")
+    if rul_cap is not None and not (type(rul_cap) is int and rul_cap > 0):
+        need = "positive" if type(rul_cap) is int else "an integer or null"
+        raise ValidationError(f"{meta_path}: pipeline rul_cap must be {need}, got {rul_cap!r}")
     if not isinstance(counts, dict):
         raise ValidationError(f"{meta_path}: counts is not a JSON object")
     scaler_path = out / "scaler.json"
@@ -575,9 +586,11 @@ def load_bundle(bundle_dir: Path | str) -> PreprocessResult:
     rows = {}
     for split in _SPLITS:
         n = _stored_count(meta_path, counts, f"{split}_rows")
-        split_rows = _load_array(out / f"{split}_rows.npy", np.float64,
-                                 (n, len(scaler.feature_names)))
-        rul = _load_array(out / f"{split}_rul.npy", np.float64, (n,))
+        rows_path, rul_path = out / f"{split}_rows.npy", out / f"{split}_rul.npy"
+        split_rows = _load_array(rows_path, np.float64, (n, len(scaler.feature_names)))
+        if not np.all((split_rows >= 0.0) & (split_rows <= 1.0)):
+            raise ValidationError(f"{rows_path}: scaled rows lie outside [0, 1]")
+        rul = _load_array(rul_path, np.float64, (n,))
         engines_path = out / f"{split}_engines.npy"
         engines = _load_array(engines_path, np.int64, (n,))
         if np.unique(engines).tolist() != sorted(split_ids[split]):
@@ -586,6 +599,9 @@ def load_bundle(bundle_dir: Path | str) -> PreprocessResult:
             rows[split] = SampleSet(split_rows, rul, engines)
         except ValidationError as exc:
             raise ValidationError(f"{engines_path}: {exc}") from None
+        if not np.array_equal(rul, _positional_rul(engines, rul_cap)):
+            raise ValidationError(f"{rul_path}: labels are not the cycles left in each "
+                                  f"engine's run (meta.json's rul_cap: {rul_cap})")
     result = PreprocessResult(pipeline, scaler, split_ids["train"], split_ids["val"],
                               rows["train"], rows["val"])
     for split in _SPLITS:

@@ -44,15 +44,15 @@ def serialize_trajectories(trajectories) -> str:
     """
     lines = []
     for traj in trajectories:
-        for cycle, values in zip(traj.cycles, traj.values):
+        for cycle, values in enumerate(traj.values, start=1):
             fields = [str(traj.engine_id), str(cycle)] + [repr(float(v)) for v in values]
             lines.append(" ".join(fields))
     return "\n".join(lines) + "\n"
 
 
-def _trajectory(cycles, values=None, engine_id=1):
-    values = np.zeros((len(cycles), N_VALUES)) if values is None else values
-    return EngineTrajectory(engine_id, np.asarray(cycles), values)
+def _trajectory(length, values=None, engine_id=1):
+    values = np.zeros((length, N_VALUES)) if values is None else values
+    return EngineTrajectory(engine_id, values)
 
 
 def test_parse_single_row_oracle():
@@ -67,13 +67,11 @@ def test_parse_single_row_oracle():
     traj = trajectories[0]
     assert traj.engine_id == 3
     assert len(traj) == 1
-    assert traj.cycles.tolist() == [1]
     assert traj.values[:, :N_SETTINGS].tolist() == [[-0.0007, 0.0003, 100.0]]
     assert traj.values[0, N_SETTINGS] == 518.67
     assert traj.values[0, N_SETTINGS + 1] == 641.82
     assert traj.values[0, N_SETTINGS + 20] == 23.419
     assert traj.values.shape == (1, N_VALUES)
-    assert traj.cycles.dtype == np.int64
 
 
 @pytest.mark.parametrize("line_by_line", [False, True])
@@ -133,6 +131,13 @@ def test_parse_rejects_cycle_gap():
     text = _file([_row(1, 1), _row(1, 3)])
     with pytest.raises(ValidationError, match="non-contiguous cycles 1 -> 3"):
         parse_trajectory_file(text)
+    text = _file([_row(1, 1), _row(1, 2), _row(1, 4)])
+    with pytest.raises(ValidationError, match="engine 1: non-contiguous cycles 2 -> 4"):
+        parse_trajectory_file(text)
+    # A repeated cycle number is a gap too.
+    text = _file([_row(2, 1), _row(2, 2), _row(2, 2)])
+    with pytest.raises(ValidationError, match="engine 2: non-contiguous cycles 2 -> 2"):
+        parse_trajectory_file(text)
 
 
 def test_parse_rejects_split_engine_block():
@@ -143,7 +148,17 @@ def test_parse_rejects_split_engine_block():
 
 def test_parse_rejects_first_cycle_not_one():
     text = _file([_row(1, 5), _row(1, 6)])
-    with pytest.raises(ValidationError, match="first cycle must be 1"):
+    with pytest.raises(ValidationError, match="engine 1: first cycle must be 1, got 5"):
+        parse_trajectory_file(text)
+    with pytest.raises(ParseError, match="line 1: cycle must be a positive integer"):
+        parse_trajectory_file(_file([_row(1, 0), _row(1, 1)]))
+
+
+def test_parse_reports_the_first_engine_with_a_cycle_fault():
+    # Engines are checked in id order, each for its first cycle and then
+    # for gaps, so engine 1's gap is reported before engine 3's first cycle.
+    text = _file([_row(3, 2), _row(1, 1), _row(1, 3), _row(2, 1)])
+    with pytest.raises(ValidationError, match="^engine 1: non-contiguous cycles 1 -> 3$"):
         parse_trajectory_file(text)
 
 
@@ -172,7 +187,6 @@ def test_serialize_parse_round_trip_is_exact():
     recovered = parse_trajectory_file(serialize_trajectories(original))
     assert [t.engine_id for t in recovered] == [t.engine_id for t in original]
     for got, want in zip(recovered, original):
-        assert np.array_equal(got.cycles, want.cycles)
         assert np.array_equal(got.values, want.values)
 
 
@@ -187,11 +201,10 @@ def test_serialize_parse_round_trip_property(data):
     for engine_id in sorted(ids):
         length = data.draw(st.integers(1, 6))
         matrix = data.draw(hnp.arrays(np.float64, (length, N_COLUMNS - 2), elements=values))
-        original.append(_trajectory(np.arange(1, length + 1), matrix, engine_id))
+        original.append(_trajectory(length, matrix, engine_id))
     recovered = parse_trajectory_file(serialize_trajectories(data.draw(st.permutations(original))))
     assert [t.engine_id for t in recovered] == sorted(ids)
     for got, want in zip(recovered, original):
-        assert np.array_equal(got.cycles, want.cycles)
         assert np.array_equal(got.values.view(np.uint64), want.values.view(np.uint64))
 
 
@@ -236,30 +249,40 @@ def test_rul_label_file_rejects_empty_and_negative():
 
 
 def test_cycle_record_validation():
-    with pytest.raises(ValidationError, match="cycle must be positive, got 0"):
-        _trajectory([0, 1])
-    width = "expected 3 operating settings and 21 sensor values for each of"
-    with pytest.raises(ValidationError, match=rf"{width} 1 cycles, got shape \(1, 22\)"):
-        _trajectory([1], np.zeros((1, N_VALUES - 2)))
-    with pytest.raises(ValidationError, match=rf"{width} 1 cycles, got shape \(24,\)"):
-        _trajectory([1], np.zeros(N_VALUES))
-    with pytest.raises(ValidationError, match=rf"{width} 2 cycles, got shape \(3, 24\)"):
-        _trajectory([1, 2], np.zeros((3, N_VALUES)))
+    width = "engine 1: expected 3 operating settings and 21 sensor values per cycle"
+    with pytest.raises(ValidationError, match=rf"{width}, got values of shape \(1, 22\)"):
+        _trajectory(1, np.zeros((1, N_VALUES - 2)))
+    with pytest.raises(ValidationError, match=rf"{width}, got values of shape \(24,\)"):
+        _trajectory(1, np.zeros(N_VALUES))
+    with pytest.raises(ValidationError, match=rf"{width}, got values of shape \(2, 3, 24\)"):
+        _trajectory(2, np.zeros((2, 3, N_VALUES)))
     values = np.zeros((2, N_VALUES))
     values[1, 1] = np.nan
-    with pytest.raises(ValidationError, match="non-finite value nan at cycle 2"):
-        _trajectory([1, 2], values)
+    with pytest.raises(ValidationError, match=r"engine 1: non-finite value nan in values\[1\]"):
+        _trajectory(2, values)
     values = np.zeros((2, N_VALUES))
     values[0, N_SETTINGS + 4] = -np.inf
     values[1, 0] = np.nan
-    with pytest.raises(ValidationError, match="non-finite value -inf at cycle 1"):
-        _trajectory([1, 2], values)
-    with pytest.raises(ValidationError, match="non-contiguous cycles 2 -> 4"):
-        _trajectory([1, 2, 4])
+    with pytest.raises(ValidationError, match=r"engine 4: non-finite value -inf in values\[0\]"):
+        _trajectory(2, values, engine_id=4)
     with pytest.raises(ValidationError, match="engine id must be positive"):
-        _trajectory([1], engine_id=0)
-    with pytest.raises(ValidationError, match="1-D"):
-        _trajectory(np.ones((1, 1)))
+        _trajectory(1, engine_id=0)
+    # make_rows stores ids as int64.
+    with pytest.raises(ValidationError, match=r"below 2\^63, got 9223372036854775808"):
+        _trajectory(1, engine_id=2**63)
+    assert _trajectory(1, engine_id=2**63 - 1).engine_id == 2**63 - 1
+
+
+@pytest.mark.parametrize("engine_id", [1.5, 1.0, True, "1", None, np.float64(2.0)])
+def test_trajectory_rejects_a_non_integral_engine_id(engine_id):
+    with pytest.raises(ValidationError, match="engine id must be an integer"):
+        EngineTrajectory(engine_id=engine_id, values=np.zeros((2, N_VALUES)))
+
+
+def test_trajectory_stores_an_integral_engine_id_as_int():
+    for engine_id in (3, np.int64(3), np.uint8(3), np.int64(2**63 - 1)):
+        traj = EngineTrajectory(engine_id=engine_id, values=np.zeros((2, N_VALUES)))
+        assert type(traj.engine_id) is int and traj.engine_id == engine_id
 
 
 def test_trajectory_matrices_have_expected_shape_and_values():
@@ -267,21 +290,19 @@ def test_trajectory_matrices_have_expected_shape_and_values():
     assert traj.values.shape == (3, N_VALUES)
     assert traj.values[0, :N_SETTINGS].tolist() == [0.1, 0.2, 0.30000000000000004]
     assert traj.values[0, N_SETTINGS] == 1.0
-    assert traj.cycles.tolist() == [1, 2, 3]
 
 
 def test_empty_trajectory_rejected():
     with pytest.raises(ValidationError, match="empty trajectory"):
-        _trajectory(np.zeros(0, dtype=np.int64))
+        _trajectory(0)
 
 
 def test_trajectory_arrays_are_read_only():
     traj = parse_trajectory_file(_file([_row(1, c) for c in range(1, 6)]))[0]
     trimmed = trim_head(traj, 2)
     for t in (traj, trimmed):
-        for arr in (t.cycles, t.values):
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            t.values[0] = 0
     assert np.shares_memory(trimmed.values, traj.values)
     replaced = dataclasses.replace(traj, values=np.ones((5, N_VALUES)))
     with pytest.raises(ValueError, match="read-only"):
@@ -290,7 +311,7 @@ def test_trajectory_arrays_are_read_only():
 
 def test_trajectory_copies_writable_input():
     values = np.ones((2, N_VALUES))
-    traj = _trajectory([1, 2], values)
+    traj = _trajectory(2, values)
     values[0, 0] = 5.0
     assert traj.values[0, 0] == 1.0
     assert values.flags.writeable

@@ -41,10 +41,13 @@ def _text(change):
     return fault
 
 
-def _set_nan(a):
-    a = a.copy()
-    a.flat[a.size // 2] = np.nan
-    return a
+def _set(value, at=None):
+    """A fault that sets one entry to `value`: flat index `at`, or the middle one."""
+    def change(a):
+        a = a.copy()
+        a.flat[a.size // 2 if at is None else at] = value
+        return a
+    return _npy(change)
 
 
 def _lines(change):
@@ -103,6 +106,10 @@ BUNDLE_JSON_FAULTS = {
          "pipeline trim must be >= 0, got -1"),
         ("zero pipeline rul_cap", _json(lambda d: d["pipeline"].update(rul_cap=0)),
          "pipeline rul_cap must be positive, got 0"),
+        ("pipeline rul_cap a float", _json(lambda d: d["pipeline"].update(rul_cap=20.5)),
+         "pipeline rul_cap must be an integer or null, got 20.5"),
+        ("pipeline rul_cap a string", _json(lambda d: d["pipeline"].update(rul_cap="20")),
+         "pipeline rul_cap must be an integer or null, got '20'"),
         ("null pipeline n_val", _json(lambda d: d["pipeline"].update(n_val=None)),
          "pipeline n_val must be an integer, got None"),
         ("pipeline missing alpha", _json(lambda d: d["pipeline"].pop("alpha")),
@@ -123,16 +130,27 @@ _ARRAY_FAULTS = [
 ]
 _FLOAT_FAULTS = _ARRAY_FAULTS + [
     ("wrong dtype", _npy(lambda a: a.astype(np.float32)), "expected float64"),
-    ("NaN", _npy(_set_nan), "non-finite values"),
+    ("NaN", _set(np.nan), "non-finite values"),
 ]
 _INT_FAULTS = _ARRAY_FAULTS + [
     ("wrong dtype", _npy(lambda a: a.astype(np.int32)), "expected int64"),
     ("wrong engine ids", _npy(lambda a: a + 1000), "engine ids are not meta.json's"),
 ]
+# Finite values of the right dtype and shape that no pipeline writes: transform
+# clips scaled rows into [0, 1], and label_rul counts the cycles left in a run.
+_ROWS_FAULTS = _FLOAT_FAULTS + [
+    ("entry above 1", _set(42.0), "scaled rows lie outside [0, 1]"),
+    ("entry below 0", _set(-1e-9, at=0), "scaled rows lie outside [0, 1]"),
+]
+_RUL_FAULTS = _FLOAT_FAULTS + [
+    ("every label 7", _npy(lambda a: np.full_like(a, 7.0)), "labels are not the cycles left"),
+    ("last label 1", _set(1.0, at=-1), "(meta.json's rul_cap: None)"),
+    ("labels reversed", _npy(lambda a: a[::-1].copy()), "labels are not the cycles left"),
+]
 BUNDLE_ARRAY_FAULTS = {
     f"{split}_{kind}.npy": faults
     for split in ("train", "val")
-    for kind, faults in (("rows", _FLOAT_FAULTS), ("rul", _FLOAT_FAULTS),
+    for kind, faults in (("rows", _ROWS_FAULTS), ("rul", _RUL_FAULTS),
                          ("engines", _INT_FAULTS))
 }
 

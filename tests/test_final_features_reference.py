@@ -29,7 +29,7 @@ def reference_trim_head(traj: EngineTrajectory, n: int) -> EngineTrajectory:
         raise ConfigError(f"trim length must be >= 0, got {n}")
     if n == 0:
         return traj
-    return EngineTrajectory(traj.engine_id, traj.cycles[n:], traj.values[n:])
+    return EngineTrajectory(traj.engine_id, traj.values[n:])
 
 
 def reference_final_window(features: np.ndarray, window: int) -> np.ndarray:
@@ -50,7 +50,7 @@ def reference_final_features(smoothed, scaler, selection, trim, window):
 
 
 def _engine(engine_id, length, gen):
-    return EngineTrajectory(engine_id, np.arange(1, length + 1), np.hstack([
+    return EngineTrajectory(engine_id, np.hstack([
         gen.uniform(-1.5, 1.5, (length, N_SETTINGS)),
         gen.uniform(-0.5, 1.5, (length, N_SENSORS)),
     ]))

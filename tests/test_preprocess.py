@@ -41,14 +41,12 @@ from rulkit.preprocess import (
 )
 
 
-def make_traj(engine_id, sensors, settings=None, start_cycle=1):
+def make_traj(engine_id, sensors, settings=None):
     """Trajectory from an (L, 21) sensor matrix (settings default to zeros)."""
     sensors = np.asarray(sensors, dtype=np.float64)
-    length = sensors.shape[0]
     if settings is None:
-        settings = np.zeros((length, N_SETTINGS))
-    cycles = np.arange(start_cycle, start_cycle + length)
-    return EngineTrajectory(engine_id, cycles, np.hstack([settings, sensors]))
+        settings = np.zeros((sensors.shape[0], N_SETTINGS))
+    return EngineTrajectory(engine_id, np.hstack([settings, sensors]))
 
 
 def random_traj(engine_id, length, seed, sensor_scale=1.0):
@@ -210,7 +208,6 @@ def test_smooth_trajectories_matches_per_engine_bit_for_bit(lengths, alpha, seed
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         settings = [np.ascontiguousarray(t.values[:, :N_SETTINGS]) for t in (smoothed, traj)]
         assert np.array_equal(*(s.view(np.int64) for s in settings))
-        assert smoothed.cycles is traj.cycles
 
 
 def test_smooth_trajectories_keeps_settings_bits_and_leaves_no_writable_alias():
@@ -240,11 +237,11 @@ def test_smooth_trajectories_rejects_empty_input():
 # ---------------------------------------------------------------------------
 
 
-def test_trim_head_drops_rows_and_keeps_cycle_numbers():
+def test_trim_head_drops_leading_rows():
     traj = random_traj(1, 15, seed=1)
     trimmed = trim_head(traj, 10)
     assert len(trimmed) == 5
-    assert trimmed.cycles.tolist() == list(range(11, 16))
+    assert trimmed.engine_id == 1
     assert np.array_equal(trimmed.values, traj.values[10:])
 
 
@@ -535,6 +532,48 @@ def test_label_rul_validation():
     traj = random_traj(1, 5, seed=14)
     with pytest.raises(ConfigError, match="cap"):
         label_rul(traj, cap=0)
+    # load_bundle takes only an integer cap, so no bundle may be cut with another.
+    for cap in (2.5, 3.0, True, "3"):
+        with pytest.raises(ConfigError, match=f"RUL cap must be a positive integer, got {cap!r}"):
+            label_rul(traj, cap=cap)
+    with pytest.raises(ConfigError, match="RUL cap must be a positive integer, got 20.5"):
+        run_pipeline([traj, random_traj(2, 5, seed=15)], trim=0, window=2, n_val=1, rul_cap=20.5)
+
+
+@pytest.mark.parametrize("trim", [0, 1, 10])
+def test_label_rul_is_last_cycle_minus_cycle_read_from_the_file(corpus_paths, trim):
+    # Labels are positional; on a parsed, smoothed, trimmed engine they must
+    # equal the cycles-to-failure of the file's own cycle column, bit for bit.
+    cycles = {}
+    for line in corpus_paths["train"].read_text().splitlines():
+        tokens = line.split()
+        if tokens:
+            cycles.setdefault(int(tokens[0]), []).append(int(tokens[1]))
+    engines = smooth_trajectories(dataset_io.read_trajectories(corpus_paths["train"]), 0.1)
+    assert sorted(cycles) == [t.engine_id for t in engines]
+    for traj in engines:
+        kept = np.array(cycles[traj.engine_id][trim:], dtype=np.int64)
+        want = (kept[-1] - kept).astype(np.float64)
+        for cap in (None, 1, 125, 10**6):
+            got = label_rul(trim_head(traj, trim), cap)
+            capped = want if cap is None else np.minimum(want, float(cap))
+            assert got.dtype == np.float64
+            assert got.tobytes() == capped.tobytes()
+
+
+def test_non_integral_engine_ids_cannot_merge_into_one_run():
+    # make_rows stores engine ids as int64, so engines 1.5 and 1.7 would both
+    # become engine 1, and windows would straddle the two engines.
+    gen = np.random.Generator(np.random.PCG64(15))
+    a, b = dataset_io.parse_trajectory_file("".join(
+        f"{engine_id} {cycle} " + " ".join(map(repr, gen.uniform(0.0, 1.0, 24).tolist())) + "\n"
+        for engine_id in (1, 2) for cycle in range(1, 41)
+    ))
+    for bad, traj in ((1.5, a), (1.7, b)):
+        with pytest.raises(ValidationError, match="engine id must be an integer"):
+            dataclasses.replace(traj, engine_id=bad)
+    result = run_pipeline([a, b], trim=2, window=5, n_val=1)
+    assert result.total_windows == 2 * (40 - 2 - 5 + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +590,7 @@ def _split(*engines):
     for engine_id, features in engines:
         raw = np.zeros((len(features), N_SETTINGS + N_SENSORS))
         raw[:, :n] = features
-        trajectories.append(EngineTrajectory(engine_id, np.arange(1, len(features) + 1), raw))
+        trajectories.append(EngineTrajectory(engine_id, raw))
     return trajectories, ScalerParams(FEATURE_NAMES[:n], np.zeros(n), np.ones(n))
 
 
@@ -906,6 +945,22 @@ def test_load_bundle_rejects_v1_bundle(tiny_corpus, tmp_path):
     (bundle / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
     with pytest.raises(ValidationError, match=r"meta\.json: bundle format 'rulkit-bundle-v1' "
                        r".*re-run `rulkit preprocess`"):
+        load_bundle(bundle)
+
+
+def test_load_bundle_checks_labels_against_the_rul_cap(tiny_corpus, tmp_path):
+    bundle = tmp_path / "bundle"
+    result = run_pipeline(tiny_corpus, trim=5, window=10, n_val=1, seed=2, rul_cap=20)
+    write_bundle(bundle, result)
+    loaded = load_bundle(bundle)
+    assert loaded.train_rows.rul.max() == 20.0
+    assert np.array_equal(loaded.train_rows.rul, result.train_rows.rul)
+    # The same labels under a cap they were not cut with.
+    meta = json.loads((bundle / "meta.json").read_text(encoding="utf-8"))
+    meta["pipeline"]["rul_cap"] = 30
+    (bundle / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+    with pytest.raises(ValidationError, match=r"train_rul\.npy: labels are not the cycles "
+                       r"left in each engine's run \(meta\.json's rul_cap: 30\)"):
         load_bundle(bundle)
 
 

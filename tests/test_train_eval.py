@@ -285,7 +285,7 @@ def test_final_inputs_stack_per_engine_prepare_test_engine(small_data, kind):
     assert len(longest) > config.window + config.trim
     # Shorter than the window (front-padded), as long as it, and up to a trim longer.
     cut = [
-        dataset_io.EngineTrajectory(100 + n, longest.cycles[:n], longest.values[:n])
+        dataset_io.EngineTrajectory(100 + n, longest.values[:n])
         for n in (1, 7, config.window - 1, config.window, config.window + config.trim - 1)
     ]
     engines = list(test_trajectories) + cut

@@ -68,7 +68,7 @@ def corpora(draw):
                             min_size=n_engines, max_size=n_engines))
     gen = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
     trajectories = [
-        EngineTrajectory(engine_id, np.arange(1, length + 1), np.hstack([
+        EngineTrajectory(engine_id, np.hstack([
             gen.uniform(-1.0, 1.0, (length, N_SETTINGS)),
             gen.uniform(0.0, 1.0, (length, N_SENSORS)),
         ]))
