@@ -9,16 +9,17 @@ The corpus is the default `simulate` corpus (seed 2014, 100 engines,
 which np.loadtxt reads, and with one value spelled with an underscore,
 which sends the whole file to the line-by-line reader.
 `prepare_test_engine` is timed on the longest test engine, the
-single-engine scoring path; `final_inputs` on all 100 test engines, the
-path of `evaluate` and `rulkit predict`. The bundle round trip times
-`write_bundle` followed by `load_bundle`.
+single-engine scoring path (perfbench's `predict_ms_p50` and
+`predict_ms_p99`); `final_inputs` on all 100 test engines, the path of
+`evaluate` and `rulkit predict` (perfbench's `score_engines_per_s`). Both
+run `final_features`, which smooths the scaler's columns of all its engines
+in one stacked pass. The bundle round trip times `write_bundle` followed by
+`load_bundle`.
 
-Smoothing is also timed on its own, as the two calls the pipeline makes:
-`smooth_trajectory` on the longest test engine, the smoothing inside every
-single-engine request (perfbench's `predict_ms_p50` and `predict_ms_p99`),
-and `smooth_trajectories` on the 100 training engines (perfbench's
-`ingest_rows_per_s`; the 100 test engines of `score_engines_per_s` are
-smoothed the same way).
+Smoothing is also timed on its own: `smooth_trajectories` on the 100
+training engines, the smoothing inside perfbench's `ingest_rows_per_s`, and
+`smooth_trajectory` on the longest test engine. No stage calls the latter
+any more, but perfbench's tracer still times it by name.
 """
 
 import pytest

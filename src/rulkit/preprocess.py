@@ -544,9 +544,10 @@ def load_bundle(bundle_dir: Path | str) -> PreprocessResult:
 
     scaler.json's hash must be meta.json's scaler_hash; arrays need write_bundle's
     dtypes, meta.json's row counts and finite values; a split's engine ids must be
-    its meta.json ids, one run of at least a window per engine. Scaled rows must
-    lie in [0, 1], and each run's labels must be label_rul's: the run's length - 1
-    down to 0, capped at the pipeline's rul_cap (null or a positive integer).
+    its meta.json ids (JSON integers, the pipeline's n_val of them for val), one
+    run of at least a window per engine. Scaled rows must lie in [0, 1], and each
+    run's labels must be label_rul's: the run's length - 1 down to 0, capped at
+    the pipeline's rul_cap (null or a positive integer).
     Every other entry of meta.json must equal the result's `meta`. A mismatch
     raises ValidationError naming the file.
     """
@@ -565,10 +566,18 @@ def load_bundle(bundle_dir: Path | str) -> PreprocessResult:
         counts, pipeline = meta["counts"], meta["pipeline"]
         window, _ = pipeline["window"], pipeline["seed"]  # the seed is meta's split_seed
         rul_cap = pipeline["rul_cap"]
-        split_ids = {split: tuple(meta[f"{split}_ids"]) for split in _SPLITS}
+        split_ids = {split: meta[f"{split}_ids"] for split in _SPLITS}
         meta_scaler_hash = meta["scaler_hash"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"{meta_path}: missing or malformed entry {exc}") from None
+    for split, ids in split_ids.items():
+        if not (isinstance(ids, list) and all(type(i) is int for i in ids)):
+            raise ValidationError(f"{meta_path}: {split}_ids must be a list of integers, "
+                                  f"got {ids!r}")
+        split_ids[split] = tuple(ids)
+    if type(pipeline.get("n_val")) is int and pipeline["n_val"] != len(split_ids["val"]):
+        raise ValidationError(f"{meta_path}: pipeline n_val is {pipeline['n_val']}, but "
+                              f"val_ids holds {len(split_ids['val'])} engines")
     if not isinstance(window, int) or window < 1:
         raise ValidationError(f"{meta_path}: pipeline window must be a positive integer")
     if rul_cap is not None and not (type(rul_cap) is int and rul_cap > 0):
@@ -630,35 +639,40 @@ def prepare_test_engine(
     trim: int = DEFAULT_TRIM,
     window: int = DEFAULT_WINDOW,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Test-time features for one engine: (final window (W, F), final row (F,)).
-
-    `selection`, the caller's feature names, must be the scaler's. Smooths, then
-    runs final_features for the window, whose last row is the row. `trim`
-    cannot change the result (see the module docstring); a negative one is
-    still rejected.
-    """
+    """final_features of one engine as (final window (W, F), final row (F,)).
+    `selection`, the caller's feature names, must be the scaler's. `trim` cannot
+    change the result (see the module docstring); a negative one is rejected."""
     if tuple(selection) != scaler.feature_names:
         raise ValidationError(f"feature order mismatch: selection {tuple(selection)} "
                               f"vs scaler {scaler.feature_names}")
-    smoothed = smooth_trajectory(traj, alpha)
     if trim < 0:
         raise ConfigError(f"trim length must be >= 0, got {trim}")
-    w = final_features(smoothed, scaler, window=window)
+    w = final_features([traj], scaler, alpha=alpha, window=window)[0]
     return w, w[-1].copy()
 
 
 def final_features(
-    smoothed: EngineTrajectory,
+    trajectories: Sequence[EngineTrajectory],
     scaler: ScalerParams,
     *,
+    alpha: float,
     window: int | None,
 ) -> np.ndarray:
-    """One smoothed engine's model input, scaling only the rows it needs:
-    with `window` None the final row (F,); with window W the final W rows
-    (W, F), front-padded with the earliest scaled row if the engine is shorter."""
+    """Every raw engine's model input: with `window` None each final row (E, F);
+    with window W each final W rows (E, W, F), front-padded with the engine's
+    earliest row if it is shorter. smooth_trajectories' stacking, on the
+    scaler's columns only, then only the rows each input needs are scaled."""
     if window is not None and window < 1:
         raise ConfigError(f"window must be >= 1, got {window}")
-    scaled = apply_minmax(scaler, trim_head(smoothed, max(len(smoothed) - (window or 1), 0)))
-    if window is None:
-        return scaled[0]
-    return np.vstack([np.repeat(scaled[:1], window - len(scaled), axis=0), scaled])
+    lengths, columns = [len(t) for t in trajectories], scaler.columns
+    stack = np.zeros((max(lengths, default=0), len(lengths), len(columns)))
+    for k, traj in enumerate(trajectories):
+        stack[: lengths[k], k] = traj.values[:, columns]
+    smoothed = ewma_smooth(stack, alpha)
+    n_settings = np.count_nonzero(columns < N_SETTINGS)  # columns increase
+    smoothed[..., :n_settings] = stack[..., :n_settings]
+    # Row j of engine k's input is its row max(L_k - W + j, 0).
+    width = window or 1
+    rows = np.maximum(np.array(lengths)[:, None] - width + np.arange(width), 0)
+    final = scaler.transform(smoothed[rows, np.arange(len(lengths))[:, None]])
+    return final if window is not None else final[:, 0]

@@ -27,7 +27,7 @@ from .numerics import SeededRng
 from .optim import AdamState, adam_step, clip_gradients, flatten_params, init_adam, unflatten
 from .preprocess import (
     DEFAULT_ALPHA, DEFAULT_N_VAL, DEFAULT_TRIM, DEFAULT_WINDOW, SampleSet, ScalerParams,
-    final_features, scaler_hash, smooth_trajectories,
+    final_features, scaler_hash,
 )
 from .preprocess import prepare_test_engine  # noqa: F401  perfbench's tracer wraps it here too
 
@@ -155,9 +155,9 @@ class EvalReport:
     checkpoint_hash: str = ""
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["engines"] = d.pop("rows")
-        return d
+        return {"engines": [dict(vars(r)) for r in self.rows], "mse": self.mse,
+                "seed": self.seed, "config_hash": self.config_hash,
+                "checkpoint_hash": self.checkpoint_hash}
 
 
 @dataclass
@@ -284,8 +284,8 @@ def evaluate(
     config: TrainConfig,
     checkpoint_hash: str = "",
 ) -> EvalReport:
-    """One prediction per test engine from its final_inputs, in float64 through
-    TrainedModel.predict as a single-engine request is (the two agree to rounding).
+    """One prediction per test engine: all final_inputs in one float64 TrainedModel.predict
+    call, which a single-engine request agrees with to rounding.
 
     The i-th label pairs with the i-th engine in id order. Negative
     predictions are reported raw (they drive the MSE) with a clamped
@@ -297,24 +297,10 @@ def evaluate(
             f"{len(test_trajectories)}"
         )
     preds = model.predict(final_inputs(model, test_trajectories, scaler, config))
-
-    rows_out = [
-        EngineEval(
-            engine_id=traj.engine_id,
-            true_rul=float(label),
-            predicted_rul=float(pred),
-            predicted_rul_clamped=float(max(pred, 0.0)),
-        )
-        for traj, label, pred in zip(test_trajectories, ruls.ruls, preds)
-    ]
-    mse = float(np.mean([(r.predicted_rul - r.true_rul) ** 2 for r in rows_out]))
-    return EvalReport(
-        rows=rows_out,
-        mse=mse,
-        seed=model.seed,
-        config_hash=model.config_hash,
-        checkpoint_hash=checkpoint_hash,
-    )
+    rows = [EngineEval(traj.engine_id, float(label), float(pred), float(max(pred, 0.0)))
+            for traj, label, pred in zip(test_trajectories, ruls.ruls, preds)]
+    mse = float(np.mean([(r.predicted_rul - r.true_rul) ** 2 for r in rows]))
+    return EvalReport(rows, mse, model.seed, model.config_hash, checkpoint_hash)
 
 
 def check_scaler(model: TrainedModel, scaler: ScalerParams) -> None:
@@ -330,11 +316,10 @@ def check_scaler(model: TrainedModel, scaler: ScalerParams) -> None:
 
 def final_inputs(model: TrainedModel, trajectories: Sequence[EngineTrajectory],
                  scaler: ScalerParams, config: TrainConfig) -> np.ndarray:
-    """Each engine's model input, final_features at config.input_window, stacked:
+    """Every engine's model input, final_features at config.alpha and input_window:
     (N, W, F) windows or (N, F) rows. The scaler must be the model's."""
     check_scaler(model, scaler)
-    return np.stack([final_features(smoothed, scaler, window=config.input_window)
-                     for smoothed in smooth_trajectories(trajectories, config.alpha)])
+    return final_features(trajectories, scaler, alpha=config.alpha, window=config.input_window)
 
 
 # ---------------------------------------------------------------------------

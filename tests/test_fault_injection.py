@@ -69,6 +69,15 @@ def _swap_two_feature_names(meta):
     names[0], names[1] = names[1], names[0]
 
 
+def _replace_id(old, new):
+    """A meta.json fault that writes `new` in place of engine id `old`, in
+    whichever of train_ids and val_ids holds it."""
+    def change(meta):
+        for split in ("train_ids", "val_ids"):
+            meta[split] = [new if i == old else i for i in meta[split]]
+    return _json(change)
+
+
 SCALER_FAULTS = [
     ("truncated", _truncate, "not valid JSON"),
     ("wrong JSON type", _text(lambda t: "[]"), "list indices"),
@@ -114,6 +123,15 @@ BUNDLE_JSON_FAULTS = {
          "pipeline n_val must be an integer, got None"),
         ("pipeline missing alpha", _json(lambda d: d["pipeline"].pop("alpha")),
          "pipeline has no entry 'alpha'"),
+        # JSON true equals 1 and 2.0 equals 2 in Python, so both used to load.
+        ("engine id null", _replace_id(1, None), "_ids must be a list of integers, got ["),
+        ("engine id a string", _replace_id(1, "x"), "_ids must be a list of integers, got ["),
+        ("engine id true", _replace_id(1, True), "_ids must be a list of integers, got ["),
+        ("engine id 2.0", _replace_id(2, 2.0), "_ids must be a list of integers, got ["),
+        ("train_ids an object", _json(lambda d: d.update(train_ids={"1": 1})),
+         "train_ids must be a list of integers, got {'1': 1}"),
+        ("pipeline n_val not the val_ids count", _json(lambda d: d["pipeline"].update(n_val=2)),
+         "pipeline n_val is 2, but val_ids holds 1 engines"),
         # Checkpoints take the feature order from scaler.json, so meta.json must agree.
         ("feature_names swapped", _json(_swap_two_feature_names), "feature_names is ["),
     ],

@@ -680,13 +680,17 @@ def test_final_features_slices_or_pads():
     scaler = ScalerParams(("sensor_1",), np.array([0.0]), np.array([1.0]))
     sensors = np.zeros((10, N_SENSORS))
     sensors[:, 0] = np.arange(10.0) / 16
-    traj = make_traj(1, sensors)
-    window = final_features(traj, scaler, window=4)
+    # alpha 1.0 leaves every row as it is.
+    traj, short = make_traj(1, sensors), make_traj(2, sensors[5:7])
+    window = final_features([traj], scaler, alpha=1.0, window=4)[0]
     assert (window[:, 0] * 16).tolist() == [6.0, 7.0, 8.0, 9.0]
-    padded = final_features(make_traj(1, sensors[5:7]), scaler, window=5)
+    padded = final_features([short], scaler, alpha=1.0, window=5)[0]
     assert (padded[:, 0] * 16).tolist() == [5.0, 5.0, 5.0, 5.0, 6.0]
-    row = final_features(traj, scaler, window=None)
+    row = final_features([traj], scaler, alpha=1.0, window=None)[0]
     assert row.shape == (1,) and row[0] * 16 == 9.0
+    both = final_features([traj, short], scaler, alpha=1.0, window=5)
+    assert (both[..., 0] * 16).tolist() == [[5.0, 6.0, 7.0, 8.0, 9.0],
+                                           [5.0, 5.0, 5.0, 5.0, 6.0]]
 
 
 @pytest.mark.parametrize("window", [0, -2])
@@ -694,7 +698,7 @@ def test_final_features_and_prepare_test_engine_reject_a_window_below_one(window
     scaler = ScalerParams(("sensor_1",), np.array([0.0]), np.array([1.0]))
     traj = random_traj(1, 131, seed=16)
     with pytest.raises(ConfigError, match=rf"^window must be >= 1, got {window}$"):
-        final_features(traj, scaler, window=window)
+        final_features([traj], scaler, alpha=0.1, window=window)
     with pytest.raises(ConfigError, match=rf"^window must be >= 1, got {window}$"):
         prepare_test_engine(traj, scaler, scaler.feature_names, window=window)
 
@@ -804,7 +808,7 @@ def test_final_features_row_is_prepare_test_engines_row(tiny_corpus, length):
     _, want = prepare_test_engine(
         traj, result.scaler, result.scaler.feature_names, alpha=0.1, trim=5, window=10
     )
-    got = final_features(smooth_trajectory(traj, 0.1), result.scaler, window=None)
+    got = final_features([traj], result.scaler, alpha=0.1, window=None)[0]
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 

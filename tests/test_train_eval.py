@@ -1,6 +1,7 @@
 """Training loop, evaluation, artifact round-trips, and the check suite."""
 
 import csv
+import dataclasses
 import json
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ import pytest
 
 from rulkit import dataset_io, models, preprocess, train_eval
 from rulkit.errors import ConfigError, ShapeError, TrainingError, ValidationError
+from rulkit.ioutil import canonical_json
 from rulkit.numerics import SeededRng
 from rulkit.train_eval import (
     EvalReport,
@@ -495,6 +497,31 @@ def test_eval_report_and_predictions_csv_round_trip(small_data, tmp_path):
         assert float(row["true_rul"]) == expected.true_rul
         assert float(row["predicted_rul"]) == expected.predicted_rul
         assert float(row["predicted_rul_clamped"]) == expected.predicted_rul_clamped
+
+
+def test_eval_report_dict_is_the_dataclass_form_byte_for_byte():
+    rows = [
+        train_eval.EngineEval(3, 112.0, -4.25, 0.0),
+        train_eval.EngineEval(2**62, 0.0, 1e300, 1e300),
+        train_eval.EngineEval(7, 5.0, 0.1 + 0.2, 0.1 + 0.2),
+    ]
+    for hash_kw in ({}, {"checkpoint_hash": "ab" * 32}):
+        report = EvalReport(rows, 1234.5678, 9, "cd" * 32, **hash_kw)
+        old = dataclasses.asdict(report)
+        old["engines"] = old.pop("rows")
+        d = report.to_dict()
+        assert canonical_json(d) == canonical_json(old)
+        d["engines"][0]["predicted_rul"] = 0.0  # a copy, as asdict's was
+        assert report.rows[0].predicted_rul == -4.25
+
+
+@pytest.mark.parametrize("kind", train_eval.MODEL_KINDS)
+def test_final_inputs_of_no_engines_is_a_validation_error(small_data, kind):
+    result, _, _ = small_data
+    config = _quick_config(model=kind)
+    params = models.MODELS[kind].init(len(result.scaler.feature_names), config, SeededRng(0))
+    with pytest.raises(ValidationError, match="cannot smooth an empty series"):
+        train_eval.final_inputs(_wrap(config, result, params), [], result.scaler, config)
 
 
 def test_artifact_writers_are_reproducible(small_data, tmp_path):
