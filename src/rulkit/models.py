@@ -154,8 +154,14 @@ class MlpParams:
             if min(np.abs(z).min() for z in cache.pre_acts) > KINK_MARGIN:
                 return params, x, pred, cache
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, MlpCache]:
-        return mlp_forward(self, x)
+    def workspace(self, rows: int) -> MlpCache:
+        """A cache of empty arrays for forward passes on batches of `rows`."""
+        hidden = [np.empty((*self.stack_shape, rows, b.shape[-1])) for b in self.biases[:-1]]
+        return MlpCache([None, *hidden], [np.empty_like(h) for h in hidden],
+                        np.empty((*self.stack_shape, rows, 1)))
+
+    def forward(self, x: np.ndarray, ws: MlpCache | None = None) -> tuple[np.ndarray, MlpCache]:
+        return mlp_forward(self, x, ws)
 
     def backward(self, cache: MlpCache, dpred: np.ndarray, out=None) -> dict[str, np.ndarray]:
         return mlp_backward(self, cache, dpred, out)
@@ -235,7 +241,10 @@ class LstmParams:
         x = rng.uniform(-1.0, 1.0, (batch, steps, feats))
         return params, x, *params.forward(x)
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, LstmCache]:
+    def workspace(self, rows: int) -> None:  # lstm_forward allocates once per call
+        return None
+
+    def forward(self, x: np.ndarray, ws: None = None) -> tuple[np.ndarray, LstmCache]:
         return lstm_forward(self, x)
 
     def backward(self, cache: LstmCache, dpred: np.ndarray, out=None) -> dict[str, np.ndarray]:
@@ -294,31 +303,38 @@ def init_lstm(input_size: int, hidden_size: int, rng: SeededRng) -> LstmParams:
 
 @dataclass
 class MlpCache:
+    """A forward pass's arrays; a workspace (MlpParams.workspace) is one reused."""
+
     inputs: list[np.ndarray]  # input to each layer, (B, in_l)
     pre_acts: list[np.ndarray]  # z of each hidden layer, (B, out_l)
+    out: np.ndarray | None = None  # z of the output layer, (B, 1)
 
 
-def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, MlpCache]:
-    """Batched forward over rows: x is (B, F), returns ((*stack, B), cache)."""
-    x = np.asarray(x, dtype=np.float64)
+def mlp_forward(params: MlpParams, x: np.ndarray,
+                ws: MlpCache | None = None) -> tuple[np.ndarray, MlpCache]:
+    """Batched forward over rows: x is (B, F), returns ((*stack, B), cache).
+    Given a workspace, it writes every array there and returns it as the cache."""
+    x = np.ascontiguousarray(x, dtype=np.float64)  # BLAS-ready, as ndarray.dot needs below
     if x.ndim != 2:
         raise ShapeError(f"mlp_forward expects (batch, features), got {x.shape}")
     if x.shape[1] != params.input_size:
         raise ShapeError(
             f"feature count {x.shape[1]} does not match model input {params.input_size}"
         )
-    inputs, pre_acts = [], []
-    h = x
-    for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        inputs.append(h)
-        z = h @ w.swapaxes(-1, -2)
-        z += b[..., None, :]
-        pre_acts.append(z)
-        h = np.maximum(z, 0.0)
-    inputs.append(h)
-    out = h @ params.weights[-1].swapaxes(-1, -2)
-    out += params.biases[-1][..., None, :]
-    return out[..., 0], MlpCache(inputs, pre_acts)
+    if ws is not None and x.shape[0] != ws.out.shape[-2]:
+        raise ShapeError(f"batch of {x.shape[0]} rows on a workspace of {ws.out.shape[-2]}")
+    last = len(params.weights) - 1
+    cache = MlpCache([None] * (last + 1), [None] * last) if ws is None else ws
+    cache.inputs[0] = x
+    # ndarray.dot gives matmul's bits on 2-D operands at a third of its call cost.
+    product = np.matmul if params.stack_shape else np.ndarray.dot
+    for l, w in enumerate(params.weights[:-1]):
+        z = cache.pre_acts[l] = product(cache.inputs[l], w.swapaxes(-1, -2), cache.pre_acts[l])
+        z += params.biases[l][..., None, :]
+        cache.inputs[l + 1] = np.maximum(z, 0.0, out=cache.inputs[l + 1])
+    cache.out = product(cache.inputs[last], params.weights[last].swapaxes(-1, -2), cache.out)
+    cache.out += params.biases[last][..., None, :]
+    return cache.out[..., 0], cache
 
 
 def mlp_backward(
@@ -327,7 +343,8 @@ def mlp_backward(
     """Gradients of the loss w.r.t. every weight and bias of one model, written
     into `out` (tensors of the parameters' names and shapes) or fresh tensors.
 
-    dpred is dLoss/dPrediction per sample, shape (B,).
+    dpred is dLoss/dPrediction per sample, shape (B,). `out`'s tensors must be
+    C-contiguous float64, as ndarray.dot writes them.
     """
     if params.stack_shape:
         raise ShapeError("mlp_backward takes one model, not a stack")
@@ -343,9 +360,10 @@ def mlp_backward(
     dz = np.asarray(dpred, dtype=np.float64)[:, None]  # (B, 1)
     for l in range(last, -1, -1):
         if l < last:
-            dz = (dz @ params.weights[l + 1]) * (cache.pre_acts[l] > 0.0)
-        np.matmul(dz.T, cache.inputs[l], out=out[f"w{l}"])
-        dz.sum(axis=0, out=out[f"b{l}"])
+            dz = dz.dot(params.weights[l + 1])
+            dz *= cache.pre_acts[l] > 0.0
+        dz.T.dot(cache.inputs[l], out[f"w{l}"])
+        np.add.reduce(dz, 0, None, out[f"b{l}"])
     return out
 
 

@@ -6,8 +6,8 @@ may compute on a float32 copy. The gradients live the same way, in one
 float64 vector with the same layout. The optimizer state mirrors it: `m`
 and `v` are flat vectors of the same length, and `layout` names each tensor
 and its shape, in vector order. A step updates the whole parameter vector
-from the whole gradient vector with one sequence of ufuncs, so its cost
-does not grow with the number of tensors.
+from the whole gradient vector with one sequence of ufuncs (temporaries in
+the state's `scratch`), so its cost does not grow with the number of tensors.
 
 Update rule per step t (canonical constants unless overridden):
 
@@ -28,7 +28,7 @@ uninterrupted run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,6 +84,10 @@ class AdamState:
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
+    scratch: np.ndarray = field(init=False, repr=False, compare=False)  # (2, n), adam_step's
+
+    def __post_init__(self):
+        self.scratch = np.empty((2, self.m.size))
 
 
 def init_adam(
@@ -124,12 +128,15 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> None:
     t = state.step
     bc1 = 1.0 - state.beta1**t
     bc2 = 1.0 - state.beta2**t
-    m, v = state.m, state.v
+    m, v, (tmp, den) = state.m, state.v, state.scratch
     m *= state.beta1
-    m += (1.0 - state.beta1) * grad
+    m += np.multiply(1.0 - state.beta1, grad, out=tmp)
     v *= state.beta2
-    v += (1.0 - state.beta2) * (grad * grad)
-    params -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    v += np.multiply(1.0 - state.beta2, np.multiply(grad, grad, out=tmp), out=tmp)
+    # lr * (m / bc1) / (sqrt(v / bc2) + eps), each operation in that order.
+    tmp = np.multiply(state.lr, np.divide(m, bc1, out=tmp), out=tmp)
+    tmp /= np.add(np.sqrt(np.divide(v, bc2, out=den), out=den), state.eps, out=den)
+    params -= tmp
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:

@@ -10,6 +10,7 @@ squared cycles. Everything is deterministic given (seed, config, data).
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -125,12 +126,15 @@ class TrainConfig:
 
 @dataclass
 class TrainHistory:
-    """Per-epoch loss curves; wall-clock (epoch, validation) stays out of the CSV artifact."""
+    """Per-epoch loss curves; wall-clock (epoch, validation) stays out of the CSV artifact,
+    as do the clip counts and largest pre-clip gradient norms, kept only with grad_clip."""
 
     train_mse: list[float] = field(default_factory=list)
     val_mse: list[float] = field(default_factory=list)
     epoch_seconds: list[float] = field(default_factory=list)
     val_seconds: list[float] = field(default_factory=list)
+    clip_counts: list[int] = field(default_factory=list)
+    max_grad_norms: list[float] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.train_mse)
@@ -209,11 +213,12 @@ def train(
     fixes the whole trajectory.
 
     The parameters live in one flat float64 vector; the returned tensors are
-    views of it. Each batch and validation pass runs on a fresh copy of it in
-    the class's compute_dtype, and Adam updates it from the upcast gradients.
+    views of it. A float32 model (the LSTM) runs each batch and validation
+    pass on a fresh copy of it, and Adam updates it from the upcast gradients;
+    a float64 one (the MLP) runs on it, with one workspace per batch size.
 
-    A non-finite training or validation loss raises TrainingError. An empty
-    validation split has no loss: its history entry is nan.
+    A non-finite training loss or gradient, or validation loss, raises
+    TrainingError. An empty validation split has no loss: its history entry is nan.
     """
     train_set, val_set = (replace(s, window=config.input_window) for s in (train_set, val_set))
     n = len(train_set)
@@ -229,28 +234,34 @@ def train(
     work, work_grad = (a.astype(init.compute_dtype, copy=False) for a in (flat, grad))
     work_obj = type(init).from_dict(unflatten(work, views))
     work_grad_views = unflatten(work_grad, views)
+    spaces = {rows: work_obj.workspace(rows) for rows in {min(config.batch_size, n),
+                                                           n % config.batch_size} - {0}}
     history = TrainHistory()
 
     for epoch in range(1, config.epochs + 1):
         started = time.perf_counter()
         order = rng.shuffle(n)
-        sq_sum = 0.0
+        sq_sum, clips, top_norm = 0.0, 0, 0.0
         for b, start in enumerate(range(0, n, config.batch_size)):
             idx = order[start : start + config.batch_size]
-            xb = train_set.inputs(idx)
-            yb = train_set.targets[idx]
-            np.copyto(work, flat, casting="same_kind")
-            pred, cache = work_obj.forward(xb)
-            loss, dpred = models.mse_loss(pred, yb)
-            if not np.isfinite(loss):
+            if work is not flat:
+                np.copyto(work, flat, casting="same_kind")
+            pred, cache = work_obj.forward(train_set.inputs(idx), spaces[len(idx)])
+            loss, dpred = models.mse_loss(pred, train_set.targets[idx])
+            if not math.isfinite(loss):
                 raise TrainingError(
                     f"epoch {epoch} batch {b}: non-finite training loss {loss}"
                 )
             work_obj.backward(cache, dpred, work_grad_views)
-            np.copyto(grad, work_grad)
+            if work is not flat:
+                np.copyto(grad, work_grad)
             if config.grad_clip is not None:
-                clip_gradients(grad_views, config.grad_clip)
-            adam_step(state, flat, grad)
+                norm = clip_gradients(grad_views, config.grad_clip)
+                clips, top_norm = clips + (norm > config.grad_clip), max(top_norm, norm)
+            try:
+                adam_step(state, flat, grad)
+            except TrainingError as exc:
+                raise TrainingError(f"epoch {epoch} batch {b}: {exc}") from None
             sq_sum += loss * len(idx)
 
         history.train_mse.append(sq_sum / n)
@@ -267,10 +278,14 @@ def train(
             history.val_mse.append(float("nan"))
         history.val_seconds.append(time.perf_counter() - val_started)
         history.epoch_seconds.append(time.perf_counter() - started)
+        if config.grad_clip is not None:
+            history.clip_counts.append(clips)
+            history.max_grad_norms.append(top_norm)
         logger.info(
-            "epoch %d/%d train_mse=%.4f val_mse=%.4f (%.1fs, validation %.2fs)",
+            "epoch %d/%d train_mse=%.4f val_mse=%.4f (%.1fs, validation %.2fs)%s",
             epoch, config.epochs, history.train_mse[-1], history.val_mse[-1],
-            history.epoch_seconds[-1], history.val_seconds[-1],
+            history.epoch_seconds[-1], history.val_seconds[-1], "" if config.grad_clip is None
+            else f", {clips} batches clipped, max grad norm {top_norm:.4g}",
         )
 
     return params_obj, state, history

@@ -6,10 +6,11 @@ keep. Valid files must give bit-identical arrays (sign bits included),
 and malformed ones the same exception class and message, which carries
 the line number of the first fault a line-by-line reader meets.
 
-Unit ids and cycles written as nan or inf are left out of the fault
-mix: the reference lets int() raise a bare ValueError or OverflowError
-there, with no line number, where the columnar parser reports the line
-(see test_dataset_io).
+Like the parser, the reference takes unit ids and cycles only as finite
+integers in [1, 2^63), the int64 bound, and reports any other value with
+its line (see test_dataset_io). The unit-id and cycle faults write finite
+values, but a column fault can shift a non-finite or large value from a
+sensor column into either column.
 """
 
 import random
@@ -87,11 +88,11 @@ def ref_parse_trajectory_file(text):
             values = [float(t) for t in tokens]
         except ValueError as exc:
             raise ParseError(f"line {lineno}: non-numeric token ({exc})") from None
-        engine_id = int(values[0])
-        if engine_id != values[0] or engine_id < 1:
+        engine_id = int(values[0]) if isfinite(values[0]) else 0
+        if engine_id != values[0] or not 1 <= engine_id < 2**63:
             raise ParseError(f"line {lineno}: unit id must be a positive integer")
-        cycle = int(values[1])
-        if cycle != values[1] or cycle < 1:
+        cycle = int(values[1]) if isfinite(values[1]) else 0
+        if cycle != values[1] or not 1 <= cycle < 2**63:
             raise ParseError(f"line {lineno}: cycle must be a positive integer")
         if engine_id in rows_by_engine and engine_id != last_engine:
             raise ValidationError(
@@ -316,6 +317,9 @@ def test_reference_error_examples():
         "repeated_block": [good[0], good[2], good[1]],
         "first_cycle": [["1", "2"] + good[0][2:]],
         "cycle_gap": [good[0], ["1", "3"] + good[1][2:]],
+        "unit_id_past_int64": [good[0], ["1e19"] + good[1][1:]],
+        "cycle_past_int64": [good[0], ["1", "9223372036854775808"] + good[1][2:]],
+        "non_finite_cycle": [good[0], ["1", "inf"] + good[1][2:]],
         "empty": [],
     }
     for kind, rows in cases.items():

@@ -222,6 +222,57 @@ def test_train_cuts_rows_and_windows_alike(small_data, kind):
             assert params.to_dict()[name].tobytes() == tensor.tobytes(), name
 
 
+def test_non_finite_gradient_names_epoch_and_batch(small_data, monkeypatch):
+    real_backward = models.mlp_backward
+    calls = []
+
+    def broken(params, cache, dpred, out=None):
+        grads = real_backward(params, cache, dpred, out)
+        calls.append(len(dpred))
+        if len(calls) == 3:
+            grads["w0"][0, 0] = np.inf
+        return grads
+
+    monkeypatch.setattr(models, "mlp_backward", broken)
+    with pytest.raises(TrainingError, match="^epoch 1 batch 2: non-finite gradient in tensor 'w0'$"):
+        _fit(_quick_config(model="mlp", epochs=1), small_data[0])
+
+
+def test_clipping_is_counted_per_epoch_logged_and_kept_out_of_the_csv(
+    small_data, monkeypatch, caplog, tmp_path
+):
+    real_clip = train_eval.clip_gradients
+    norms = []
+
+    def spy(grads, max_norm):
+        norms.append(real_clip(grads, max_norm))
+        return norms[-1]
+
+    monkeypatch.setattr(train_eval, "clip_gradients", spy)
+    result = small_data[0]
+    config = _quick_config(model="mlp", grad_clip=210.0)
+    with caplog.at_level("INFO", logger="rulkit.train_eval"):
+        _, _, history = _fit(config, result)
+    batches = -(-len(result.train_rows) // config.batch_size)
+    assert len(norms) == 2 * batches
+    for epoch, epoch_norms in enumerate((norms[:batches], norms[batches:])):
+        assert history.clip_counts[epoch] == sum(n > config.grad_clip for n in epoch_norms)
+        assert history.max_grad_norms[epoch] == max(epoch_norms)
+        assert (f"{history.clip_counts[epoch]} batches clipped, "
+                f"max grad norm {history.max_grad_norms[epoch]:.4g}") in caplog.text
+    assert 0 < sum(history.clip_counts) < 2 * batches  # the bound binds on some batches only
+
+    write_history_csv(tmp_path / "clipped.csv", history)
+    write_history_csv(tmp_path / "plain.csv", replace(history, clip_counts=[], max_grad_norms=[]))
+    assert (tmp_path / "clipped.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+    caplog.clear()
+    with caplog.at_level("INFO", logger="rulkit.train_eval"):
+        _, _, unclipped = _fit(_quick_config(model="mlp"), result)
+    assert unclipped.clip_counts == [] and unclipped.max_grad_norms == []
+    assert "clipped" not in caplog.text
+
+
 def test_input_window_follows_the_model_kind():
     assert TrainConfig(model="lstm", window=12).input_window == 12
     assert TrainConfig(model="mlp", window=12).input_window is None
