@@ -8,8 +8,7 @@ Shapes follow the default MLP recipe on the default corpus: a batch of 64
 rows of 16 features through hidden layers (64, 32), 3,201 parameters in six
 tensors. As in `train`, the tensors are views of one flat vector, which
 `adam_step` updates from one flat gradient vector, allocated once, whose
-views the backward pass writes into, and the forward pass writes into a
-workspace made once for the batch size. Inputs are uniform on [0, 1], the
+views the backward pass writes into. Inputs are uniform on [0, 1], the
 range of min-max scaled features.
 """
 
@@ -35,8 +34,8 @@ def mlp_batch():
     return flat, grad, models.MlpParams.from_dict(views), init_adam(views), x, y
 
 
-def _train_step(flat, grad, grad_views, params, ws, state, x, y):
-    pred, cache = models.mlp_forward(params, x, ws)
+def _train_step(flat, grad, grad_views, params, state, x, y):
+    pred, cache = models.mlp_forward(params, x)
     loss, dpred = models.mse_loss(pred, y)
     if not math.isfinite(loss):
         raise AssertionError(f"non-finite loss {loss}")
@@ -49,8 +48,7 @@ def test_mlp_train_step(benchmark, mlp_batch):
     flat, grad, params, state, x, y = mlp_batch
     assert flat.size == 3201
     grad_views = unflatten(grad, params.to_dict())
-    ws = params.workspace(BATCH)
-    loss = benchmark(_train_step, flat, grad, grad_views, params, ws, state, x, y)
+    loss = benchmark(_train_step, flat, grad, grad_views, params, state, x, y)
     assert np.isfinite(loss) and state.step > 0
 
 

@@ -10,7 +10,8 @@ float32 ones) without a copy. A model computes in its tensors' dtype: `train`
 runs it in its class's `compute_dtype`, prediction in float64.
 
 The parameter object is the model: `params.forward(x)` gives (predictions,
-cache) and `params.backward(cache, dpred, out)` the gradients, through this
+cache), allocating a fresh cache on every call, and
+`params.backward(cache, dpred, out)` the gradients, through this
 module's mlp_* / lstm_* functions. The backward pass writes each gradient
 into the tensor of the same name in `out` (training passes views of one
 flat gradient vector) and returns `out`; without `out` it returns fresh
@@ -154,14 +155,8 @@ class MlpParams:
             if min(np.abs(z).min() for z in cache.pre_acts) > KINK_MARGIN:
                 return params, x, pred, cache
 
-    def workspace(self, rows: int) -> MlpCache:
-        """A cache of empty arrays for forward passes on batches of `rows`."""
-        hidden = [np.empty((*self.stack_shape, rows, b.shape[-1])) for b in self.biases[:-1]]
-        return MlpCache([None, *hidden], [np.empty_like(h) for h in hidden],
-                        np.empty((*self.stack_shape, rows, 1)))
-
-    def forward(self, x: np.ndarray, ws: MlpCache | None = None) -> tuple[np.ndarray, MlpCache]:
-        return mlp_forward(self, x, ws)
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, MlpCache]:
+        return mlp_forward(self, x)
 
     def backward(self, cache: MlpCache, dpred: np.ndarray, out=None) -> dict[str, np.ndarray]:
         return mlp_backward(self, cache, dpred, out)
@@ -241,10 +236,7 @@ class LstmParams:
         x = rng.uniform(-1.0, 1.0, (batch, steps, feats))
         return params, x, *params.forward(x)
 
-    def workspace(self, rows: int) -> None:  # lstm_forward allocates once per call
-        return None
-
-    def forward(self, x: np.ndarray, ws: None = None) -> tuple[np.ndarray, LstmCache]:
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, LstmCache]:
         return lstm_forward(self, x)
 
     def backward(self, cache: LstmCache, dpred: np.ndarray, out=None) -> dict[str, np.ndarray]:
@@ -303,17 +295,14 @@ def init_lstm(input_size: int, hidden_size: int, rng: SeededRng) -> LstmParams:
 
 @dataclass
 class MlpCache:
-    """A forward pass's arrays; a workspace (MlpParams.workspace) is one reused."""
+    """What the backward pass needs of a forward pass."""
 
     inputs: list[np.ndarray]  # input to each layer, (B, in_l)
     pre_acts: list[np.ndarray]  # z of each hidden layer, (B, out_l)
-    out: np.ndarray | None = None  # z of the output layer, (B, 1)
 
 
-def mlp_forward(params: MlpParams, x: np.ndarray,
-                ws: MlpCache | None = None) -> tuple[np.ndarray, MlpCache]:
-    """Batched forward over rows: x is (B, F), returns ((*stack, B), cache).
-    Given a workspace, it writes every array there and returns it as the cache."""
+def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, MlpCache]:
+    """Batched forward over rows: x is (B, F), returns ((*stack, B), cache)."""
     x = np.ascontiguousarray(x, dtype=np.float64)  # BLAS-ready, as ndarray.dot needs below
     if x.ndim != 2:
         raise ShapeError(f"mlp_forward expects (batch, features), got {x.shape}")
@@ -321,20 +310,17 @@ def mlp_forward(params: MlpParams, x: np.ndarray,
         raise ShapeError(
             f"feature count {x.shape[1]} does not match model input {params.input_size}"
         )
-    if ws is not None and x.shape[0] != ws.out.shape[-2]:
-        raise ShapeError(f"batch of {x.shape[0]} rows on a workspace of {ws.out.shape[-2]}")
-    last = len(params.weights) - 1
-    cache = MlpCache([None] * (last + 1), [None] * last) if ws is None else ws
-    cache.inputs[0] = x
+    cache = MlpCache([x], [])
     # ndarray.dot gives matmul's bits on 2-D operands at a third of its call cost.
     product = np.matmul if params.stack_shape else np.ndarray.dot
-    for l, w in enumerate(params.weights[:-1]):
-        z = cache.pre_acts[l] = product(cache.inputs[l], w.swapaxes(-1, -2), cache.pre_acts[l])
-        z += params.biases[l][..., None, :]
-        cache.inputs[l + 1] = np.maximum(z, 0.0, out=cache.inputs[l + 1])
-    cache.out = product(cache.inputs[last], params.weights[last].swapaxes(-1, -2), cache.out)
-    cache.out += params.biases[last][..., None, :]
-    return cache.out[..., 0], cache
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        z = product(cache.inputs[-1], w.swapaxes(-1, -2))
+        z += b[..., None, :]
+        cache.pre_acts.append(z)
+        cache.inputs.append(np.maximum(z, 0.0))
+    out = product(cache.inputs[-1], params.weights[-1].swapaxes(-1, -2))
+    out += params.biases[-1][..., None, :]
+    return out[..., 0], cache
 
 
 def mlp_backward(

@@ -84,7 +84,13 @@ class AdamState:
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    scratch: np.ndarray = field(init=False, repr=False, compare=False)  # (2, n), adam_step's
+    # adam_step's two (n,) temporaries, allocated once. At the LSTM's 20,801
+    # parameters, a step that allocates them took 261-359 us against 144-154 us
+    # in the 4 of 8 processes that timed it first (the extra time in the kernel,
+    # as for fresh pages each call), and 134-155 against 138-177 us in the
+    # others; at the MLP's 3,201 the two are equal (27-39 against 30-38 us).
+    # timeit, best of 7 x 2,000 calls, one BLAS thread on 2 cores.
+    scratch: np.ndarray = field(init=False, repr=False, compare=False)  # (2, n)
 
     def __post_init__(self):
         self.scratch = np.empty((2, self.m.size))

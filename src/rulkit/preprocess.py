@@ -125,21 +125,27 @@ def smooth_trajectory(traj: EngineTrajectory, alpha: float) -> EngineTrajectory:
     return smooth_trajectories([traj], alpha)[0]
 
 
+def _smoothed_stack(values: Sequence[np.ndarray], width: int, n_settings: int,
+                    alpha: float) -> np.ndarray:
+    """Every engine's (L_k, width) values smoothed as one zero-padded
+    (L_max, E, width) array, with its first n_settings columns (operating
+    settings) kept bit for bit. One ewma_smooth call runs one time loop for
+    all engines; padding only follows an engine's last row, so engine k's
+    rows [:L_k, k] are bit-identical to ewma_smooth of its own."""
+    stack = np.zeros((max(map(len, values), default=0), len(values), width))
+    for k, v in enumerate(values):
+        stack[: len(v), k] = v
+    smoothed = ewma_smooth(stack, alpha)
+    smoothed[..., :n_settings] = stack[..., :n_settings]
+    return smoothed
+
+
 def smooth_trajectories(
     trajectories: Sequence[EngineTrajectory], alpha: float
 ) -> list[EngineTrajectory]:
-    """Every engine with its sensors smoothed and its settings kept bit for bit.
-
-    The values are stacked into a zero-padded (L_max, E, 24) array, so one
-    ewma_smooth call runs one time loop for all engines. Padding only follows
-    an engine's last row, so its sensors are bit-identical to ewma_smooth of
-    its own. Each engine's values are a view of the read-only result.
-    """
-    stack = np.zeros((max(map(len, trajectories), default=0), len(trajectories), N_VALUES))
-    for k, traj in enumerate(trajectories):
-        stack[: len(traj), k] = traj.values
-    smoothed = ewma_smooth(stack, alpha)
-    smoothed[..., :N_SETTINGS] = stack[..., :N_SETTINGS]
+    """Every engine with its sensors smoothed and its settings kept bit for bit,
+    by _smoothed_stack. Each engine's values are a view of its read-only result."""
+    smoothed = _smoothed_stack([t.values for t in trajectories], N_VALUES, N_SETTINGS, alpha)
     smoothed.flags.writeable = False
     return [replace(traj, values=smoothed[: len(traj), k]) for k, traj in enumerate(trajectories)]
 
@@ -578,8 +584,9 @@ def load_bundle(bundle_dir: Path | str) -> PreprocessResult:
     if type(pipeline.get("n_val")) is int and pipeline["n_val"] != len(split_ids["val"]):
         raise ValidationError(f"{meta_path}: pipeline n_val is {pipeline['n_val']}, but "
                               f"val_ids holds {len(split_ids['val'])} engines")
-    if not isinstance(window, int) or window < 1:
-        raise ValidationError(f"{meta_path}: pipeline window must be a positive integer")
+    if type(window) is not int or window < 1:
+        raise ValidationError(f"{meta_path}: pipeline window must be a positive integer, "
+                              f"got {window!r}")
     if rul_cap is not None and not (type(rul_cap) is int and rul_cap > 0):
         need = "positive" if type(rul_cap) is int else "an integer or null"
         raise ValidationError(f"{meta_path}: pipeline rul_cap must be {need}, got {rul_cap!r}")
@@ -624,7 +631,7 @@ def load_bundle(bundle_dir: Path | str) -> PreprocessResult:
             raise ValidationError(f"{meta_path}: counts.{key} is {counts[key]}, "
                                   f"but the arrays hold {actual}")
     for key, value in expected.items():
-        if meta.get(key) != value:
+        if type(meta.get(key)) is not type(value) or meta.get(key) != value:  # JSON false == 0
             raise ValidationError(f"{meta_path}: {key} is {meta.get(key)!r}, "
                                   f"but the rest of the bundle gives {value!r}")
     return result
@@ -660,17 +667,14 @@ def final_features(
 ) -> np.ndarray:
     """Every raw engine's model input: with `window` None each final row (E, F);
     with window W each final W rows (E, W, F), front-padded with the engine's
-    earliest row if it is shorter. smooth_trajectories' stacking, on the
+    earliest row if it is shorter. smooth_trajectories' _smoothed_stack, on the
     scaler's columns only, then only the rows each input needs are scaled."""
     if window is not None and window < 1:
         raise ConfigError(f"window must be >= 1, got {window}")
     lengths, columns = [len(t) for t in trajectories], scaler.columns
-    stack = np.zeros((max(lengths, default=0), len(lengths), len(columns)))
-    for k, traj in enumerate(trajectories):
-        stack[: lengths[k], k] = traj.values[:, columns]
-    smoothed = ewma_smooth(stack, alpha)
     n_settings = np.count_nonzero(columns < N_SETTINGS)  # columns increase
-    smoothed[..., :n_settings] = stack[..., :n_settings]
+    smoothed = _smoothed_stack([t.values[:, columns] for t in trajectories], len(columns),
+                               n_settings, alpha)
     # Row j of engine k's input is its row max(L_k - W + j, 0).
     width = window or 1
     rows = np.maximum(np.array(lengths)[:, None] - width + np.arange(width), 0)

@@ -214,8 +214,9 @@ def train(
 
     The parameters live in one flat float64 vector; the returned tensors are
     views of it. A float32 model (the LSTM) runs each batch and validation
-    pass on a fresh copy of it, and Adam updates it from the upcast gradients;
-    a float64 one (the MLP) runs on it, with one workspace per batch size.
+    pass on a float32 copy of it, refreshed before each pass, and Adam updates
+    it from the upcast gradients; a float64 one (the MLP) runs on it. Every
+    forward pass allocates its own cache.
 
     A non-finite training loss or gradient, or validation loss, raises
     TrainingError. An empty validation split has no loss: its history entry is nan.
@@ -234,8 +235,6 @@ def train(
     work, work_grad = (a.astype(init.compute_dtype, copy=False) for a in (flat, grad))
     work_obj = type(init).from_dict(unflatten(work, views))
     work_grad_views = unflatten(work_grad, views)
-    spaces = {rows: work_obj.workspace(rows) for rows in {min(config.batch_size, n),
-                                                           n % config.batch_size} - {0}}
     history = TrainHistory()
 
     for epoch in range(1, config.epochs + 1):
@@ -246,7 +245,7 @@ def train(
             idx = order[start : start + config.batch_size]
             if work is not flat:
                 np.copyto(work, flat, casting="same_kind")
-            pred, cache = work_obj.forward(train_set.inputs(idx), spaces[len(idx)])
+            pred, cache = work_obj.forward(train_set.inputs(idx))
             loss, dpred = models.mse_loss(pred, train_set.targets[idx])
             if not math.isfinite(loss):
                 raise TrainingError(
@@ -508,7 +507,7 @@ def _checkpoint_from_dict(d: dict) -> tuple[TrainedModel, dict, TrainConfig]:
     expected = {"model": config.model, "window": config.window, "seed": config.seed,
                 "config_hash": config.config_hash()}
     for key, want in expected.items():
-        if d[key] != want:
+        if type(d[key]) is not type(want) or d[key] != want:  # JSON false == 0 in Python
             raise ValidationError(
                 f"checkpoint {key} {d[key]!r} does not match its config's {want!r}"
             )

@@ -119,6 +119,11 @@ BUNDLE_JSON_FAULTS = {
          "pipeline rul_cap must be an integer or null, got 20.5"),
         ("pipeline rul_cap a string", _json(lambda d: d["pipeline"].update(rul_cap="20")),
          "pipeline rul_cap must be an integer or null, got '20'"),
+        ("pipeline window true", _json(lambda d: d["pipeline"].update(window=True)),
+         "pipeline window must be a positive integer, got True"),
+        # The chain splits with seed 0, which JSON false equals in Python.
+        ("pipeline seed false", _json(lambda d: d["pipeline"].update(seed=False)),
+         "split_seed is 0, but the rest of the bundle gives False"),
         ("null pipeline n_val", _json(lambda d: d["pipeline"].update(n_val=None)),
          "pipeline n_val must be an integer, got None"),
         ("pipeline missing alpha", _json(lambda d: d["pipeline"].pop("alpha")),
@@ -191,6 +196,9 @@ CHECKPOINT_FAULTS = [
      "'b_head'"),
     ("seed of wrong JSON type", _json(lambda d: d.update(seed="x")),
      "checkpoint seed 'x' does not match"),
+    # The chain trains with seed 0, which JSON false equals in Python.
+    ("seed false", _json(lambda d: d.update(seed=False)),
+     "checkpoint seed False does not match its config's 0"),
     ("window not the config's", _json(lambda d: d.update(window=19)),
      "checkpoint window 19 does not match"),
     ("config window a float", _json(lambda d: d["config"].update(window=20.0)),

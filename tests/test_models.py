@@ -357,56 +357,6 @@ def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-@pytest.mark.parametrize("batch", [1, 7, 64])
-def test_mlp_workspace_path_matches_the_allocating_path_bit_for_bit(batch):
-    rng = SeededRng(batch)
-    params = models.init_mlp((14, 64, 32, 1), rng)
-    for t in params.to_dict().values():
-        t += rng.uniform(-0.5, 0.5, t.shape)
-    x = rng.uniform(0.0, 1.0, (batch, 14))
-    y = rng.uniform(0.0, 125.0, (batch,))
-    pred, cache = params.forward(x)
-    loss, dpred = models.mse_loss(pred, y)
-    grads = params.backward(cache, dpred)
-    assert any((z <= 0.0).any() for z in cache.pre_acts)  # relu masks cut something
-
-    ws = params.workspace(batch)
-    for _ in range(2):  # a reused workspace gives the same bits again
-        ws_pred, ws_cache = params.forward(x, ws)
-        assert ws_cache is ws
-        ws_loss, ws_dpred = models.mse_loss(ws_pred, y)
-        ws_grads = params.backward(ws_cache, ws_dpred)
-        assert _same_bits(ws_pred, pred) and ws_loss.hex() == loss.hex()
-        assert _same_bits(ws_dpred, dpred)
-        for got, want in zip(ws_cache.inputs + ws_cache.pre_acts, cache.inputs + cache.pre_acts):
-            assert _same_bits(got, want)
-        for name, g in grads.items():
-            assert _same_bits(ws_grads[name], g), name
-
-
-def test_mlp_workspace_serves_a_stack_forward():
-    rng = SeededRng(3)
-    singles = [models.init_mlp((5, 4, 3, 1), rng) for _ in range(3)]
-    for p in singles:
-        for t in p.to_dict().values():
-            t += rng.uniform(-0.5, 0.5, t.shape)
-    stacked = _stack(singles)
-    x = rng.uniform(-2.0, 2.0, (7, 5))
-    ws = stacked.workspace(7)
-    pred, cache = stacked.forward(x, ws)
-    assert cache is ws and pred.shape == (3, 7)
-    assert _same_bits(pred, stacked.forward(x)[0])
-    for row, single in zip(pred, singles):
-        assert _same_bits(row, single.forward(x)[0])
-
-
-def test_mlp_workspace_rejects_another_batch_size():
-    params = models.init_mlp((3, 4, 1), SeededRng(4))
-    for ws in (params.workspace(8), _stack([params, params]).workspace(8)):
-        with pytest.raises(ShapeError, match="batch of 7 rows on a workspace of 8"):
-            params.forward(np.zeros((7, 3)), ws)
-
-
 def test_mlp_forward_takes_strided_rows_as_their_contiguous_copy():
     # A model without hidden layers multiplies the caller's rows directly; a
     # strided array must give the bits of its copy, alone and in a stack.
