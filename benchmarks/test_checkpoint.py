@@ -29,10 +29,9 @@ def lstm_checkpoint(tmp_path):
     state = init_adam(views)
     adam_step(state, flat, rng.uniform(-1.0, 1.0, flat.size))
     config = train_eval.TrainConfig()
-    model = train_eval.TrainedModel(
-        kind="lstm", params=models.LstmParams.from_dict(views), window=config.window,
-        feature_names=preprocess.FEATURE_NAMES[:FEATURES], scaler_hash="0" * 64,
-        config_hash=config.config_hash(), seed=config.seed,
+    model = train_eval.TrainedModel.from_config(
+        models.LstmParams.from_dict(views), config, preprocess.FEATURE_NAMES[:FEATURES],
+        "0" * 64,
     )
     return tmp_path / "checkpoint.json", model, state, config
 

@@ -93,11 +93,8 @@ def test_final_inputs(benchmark, prepared, kind):
     _, test, result = prepared
     config = train_eval.TrainConfig(model=kind)
     params = models.MODELS[kind].init(len(result.scaler.feature_names), config, SeededRng(0))
-    model = train_eval.TrainedModel(
-        kind=kind, params=params, window=config.window,
-        feature_names=result.scaler.feature_names,
-        scaler_hash=train_eval.scaler_hash(result.scaler),
-        config_hash=config.config_hash(), seed=config.seed,
+    model = train_eval.TrainedModel.from_config(
+        params, config, result.scaler.feature_names, train_eval.scaler_hash(result.scaler)
     )
     inputs = benchmark(train_eval.final_inputs, model, test, result.scaler, config)
     assert inputs.shape[0] == len(test) == 100

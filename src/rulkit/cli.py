@@ -28,7 +28,6 @@ from .numerics import SeededRng
 logger = logging.getLogger(__name__)
 
 _CONFIG_KEYS = {f.name for f in fields(train_eval.TrainConfig)}
-_PIPELINE_KEYS = ("alpha", "trim", "window", "n_val", "rul_cap")
 
 
 def _read_config_file(path: str | None) -> dict:
@@ -83,10 +82,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_preprocess(args: argparse.Namespace) -> int:
-    keys = _PIPELINE_KEYS + ("seed",)
+    keys = preprocess.PIPELINE_KEYS + ("seed",)
     merged = _merge_config(args, keys)
     pipeline = {key: merged[key] for key in keys if key in merged}  # unset: run_pipeline default
-    train_eval.check_field_types(pipeline)
+    preprocess.check_field_types(pipeline)
     trajectories = dataset_io.read_trajectories(args.train_file)
     result = preprocess.run_pipeline(trajectories, **pipeline)
     preprocess.write_bundle(args.out, result)
@@ -104,14 +103,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         ("model", "epochs", "batch_size", "lr", "seed",
          "grad_clip", "lstm_hidden", "mlp_hidden"),
     )
-    meta_path = Path(args.bundle) / "meta.json"
-    try:
-        pipeline = {key: bundle.pipeline[key] for key in _PIPELINE_KEYS}
-        train_eval.TrainConfig(**pipeline)  # TrainConfig's own rules, on the bundle's values
-    except KeyError as exc:
-        raise ValidationError(f"{meta_path}: pipeline has no entry {exc}") from None
-    except ConfigError as exc:
-        raise ValidationError(f"{meta_path}: pipeline {exc}") from None
+    pipeline = {key: bundle.pipeline[key] for key in preprocess.PIPELINE_KEYS}
     for key, bundle_value in pipeline.items():
         if key in merged and merged[key] != bundle_value:
             raise ConfigError(
@@ -124,14 +116,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         config, bundle.train_rows, bundle.val_rows, SeededRng(config.seed)
     )
 
-    model = train_eval.TrainedModel(
-        kind=config.model,
-        params=params,
-        window=config.window,
-        feature_names=bundle.scaler.feature_names,
-        scaler_hash=preprocess.scaler_hash(bundle.scaler),
-        config_hash=config.config_hash(),
-        seed=config.seed,
+    model = train_eval.TrainedModel.from_config(
+        params, config, bundle.scaler.feature_names, preprocess.scaler_hash(bundle.scaler)
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

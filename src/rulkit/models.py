@@ -121,20 +121,12 @@ class MlpParams:
         return self.weights[0].shape[:-2]
 
     @property
-    def layer_sizes(self) -> tuple[int, ...]:
-        return (self.input_size,) + tuple(w.shape[-2] for w in self.weights)
-
-    @property
     def input_size(self) -> int:
         return self.weights[0].shape[-1]
 
     @property
     def row_width(self) -> int:  # floats in the widest per-sample activation row
         return max(b.shape[-1] for b in self.biases)
-
-    @property
-    def arch(self) -> dict:
-        return {"layer_sizes": list(self.layer_sizes)}
 
     @classmethod
     def init(cls, n_features: int, config, rng: SeededRng) -> "MlpParams":
@@ -217,10 +209,6 @@ class LstmParams:
     def row_width(self) -> int:  # the gate block is the widest per-sample row
         return 4 * self.hidden_size
 
-    @property
-    def arch(self) -> dict:
-        return {"hidden_size": self.hidden_size, "input_size": self.input_size}
-
     @classmethod
     def init(cls, n_features: int, config, rng: SeededRng) -> "LstmParams":
         """A fresh model for n_features inputs and config.lstm_hidden units."""
@@ -259,14 +247,15 @@ class LstmParams:
 MODELS = {"mlp": MlpParams, "lstm": LstmParams}
 
 
-def init_mlp(layer_sizes: tuple[int, ...], rng: SeededRng) -> MlpParams:
-    """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights, zero biases."""
-    if len(layer_sizes) < 2:
-        raise ConfigError(f"need at least input and output sizes, got {layer_sizes}")
-    if any(s < 1 for s in layer_sizes):
-        raise ConfigError(f"layer sizes must be positive, got {layer_sizes}")
+def init_mlp(sizes: tuple[int, ...], rng: SeededRng) -> MlpParams:
+    """Layers of these sizes, input first: Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in))
+    weights, zero biases."""
+    if len(sizes) < 2:
+        raise ConfigError(f"need at least input and output sizes, got {sizes}")
+    if any(s < 1 for s in sizes):
+        raise ConfigError(f"layer sizes must be positive, got {sizes}")
     weights, biases = [], []
-    for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
+    for fan_in, fan_out in zip(sizes, sizes[1:]):
         bound = 1.0 / np.sqrt(fan_in)
         weights.append(rng.uniform(-bound, bound, (fan_out, fan_in)))
         biases.append(np.zeros(fan_out))

@@ -43,6 +43,42 @@ DEFAULT_ALPHA = 0.1
 DEFAULT_TRIM = 10
 DEFAULT_WINDOW = 20
 DEFAULT_N_VAL = 20
+# The pipeline arguments a TrainConfig shares with the bundle it trains on;
+# the pipeline's seed only splits the engines.
+PIPELINE_KEYS = ("alpha", "trim", "window", "n_val", "rul_cap")
+
+
+def _is_int(value) -> bool:
+    """A Python int that is not a bool (JSON true would otherwise pass as 1)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_field_types(values: dict) -> None:
+    """Raise ConfigError if a TrainConfig field in `values` has the wrong type: JSON can
+    hold 20.0 or true where an int belongs. rul_cap and grad_clip may be None."""
+    for name in ("epochs", "batch_size", "window", "lstm_hidden", "trim", "n_val",
+                 "seed", "rul_cap"):
+        value = values.get(name, 0)
+        if not (_is_int(value) or (value is None and name == "rul_cap")):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+    hidden = values.get("mlp_hidden", ())
+    if not (isinstance(hidden, tuple) and all(map(_is_int, hidden))):
+        raise ConfigError(f"mlp hidden sizes must be a tuple of integers, got {hidden!r}")
+    for name in ("lr", "alpha", "grad_clip"):
+        value = values.get(name, 0)
+        if not (_is_int(value) or (isinstance(value, float) and np.isfinite(value))
+                or (value is None and name == "grad_clip")):
+            raise ConfigError(f"{name} must be a finite real number, got {value!r}")
+
+
+def check_pipeline_values(values: dict) -> None:
+    """check_field_types, then the ranges that a TrainConfig and a bundle's pipeline
+    share: alpha in (0, 1] and trim >= 0. An absent entry passes."""
+    check_field_types(values)
+    if not 0.0 < values.get("alpha", DEFAULT_ALPHA) <= 1.0:
+        raise ConfigError(f"alpha must be in (0, 1], got {values['alpha']}")
+    if values.get("trim", 0) < 0:
+        raise ConfigError(f"trim must be >= 0, got {values['trim']}")
 
 
 # Every setting and sensor, in the settings-then-sensors order of the raw
@@ -398,7 +434,8 @@ class PreprocessResult:
 
     @property
     def meta(self) -> dict:
-        """meta.json's content: write_bundle writes it, load_bundle checks a stored one."""
+        """meta.json's content: write_bundle writes it, load_bundle checks a stored one.
+        pipeline_hash is the sha256 of the pipeline's canonical JSON."""
         return {
             "format": BUNDLE_FORMAT,
             "pipeline": self.pipeline,
@@ -407,6 +444,7 @@ class PreprocessResult:
             "val_ids": list(self.val_ids),
             "split_seed": self.pipeline["seed"],
             "scaler_hash": scaler_hash(self.scaler),
+            "pipeline_hash": sha256_text(canonical_json(self.pipeline)),
             "counts": {
                 "engines": len(set(self.train_ids) | set(self.val_ids)),
                 "train_windows": len(self.train_windows),
@@ -478,7 +516,7 @@ def invariant_failures(
     return failures
 
 
-BUNDLE_FORMAT = "rulkit-bundle-v2"
+BUNDLE_FORMAT = "rulkit-bundle-v3"
 _SPLITS = ("train", "val")
 
 
@@ -548,13 +586,15 @@ def _stored_count(meta_path: Path, counts: dict, key: str) -> int:
 def load_bundle(bundle_dir: Path | str) -> PreprocessResult:
     """Read a bundle back as the PreprocessResult it was written from.
 
+    The pipeline's window and rul_cap (null or a positive integer), then its
+    PIPELINE_KEYS values by check_pipeline_values, must pass TrainConfig's rules.
     scaler.json's hash must be meta.json's scaler_hash; arrays need write_bundle's
     dtypes, meta.json's row counts and finite values; a split's engine ids must be
     its meta.json ids (JSON integers, the pipeline's n_val of them for val), one
     run of at least a window per engine. Scaled rows must lie in [0, 1], and each
     run's labels must be label_rul's: the run's length - 1 down to 0, capped at
-    the pipeline's rul_cap (null or a positive integer).
-    Every other entry of meta.json must equal the result's `meta`. A mismatch
+    the pipeline's rul_cap. Every other entry of meta.json must equal the result's
+    `meta`; its pipeline_hash binds alpha and trim, which no array shows. A mismatch
     raises ValidationError naming the file.
     """
     out = Path(bundle_dir)
@@ -581,15 +621,21 @@ def load_bundle(bundle_dir: Path | str) -> PreprocessResult:
             raise ValidationError(f"{meta_path}: {split}_ids must be a list of integers, "
                                   f"got {ids!r}")
         split_ids[split] = tuple(ids)
-    if type(pipeline.get("n_val")) is int and pipeline["n_val"] != len(split_ids["val"]):
-        raise ValidationError(f"{meta_path}: pipeline n_val is {pipeline['n_val']}, but "
-                              f"val_ids holds {len(split_ids['val'])} engines")
     if type(window) is not int or window < 1:
         raise ValidationError(f"{meta_path}: pipeline window must be a positive integer, "
                               f"got {window!r}")
     if rul_cap is not None and not (type(rul_cap) is int and rul_cap > 0):
         need = "positive" if type(rul_cap) is int else "an integer or null"
         raise ValidationError(f"{meta_path}: pipeline rul_cap must be {need}, got {rul_cap!r}")
+    try:
+        check_pipeline_values({key: pipeline[key] for key in PIPELINE_KEYS})
+    except KeyError as exc:
+        raise ValidationError(f"{meta_path}: pipeline has no entry {exc}") from None
+    except ConfigError as exc:
+        raise ValidationError(f"{meta_path}: pipeline {exc}") from None
+    if pipeline["n_val"] != len(split_ids["val"]):
+        raise ValidationError(f"{meta_path}: pipeline n_val is {pipeline['n_val']}, but "
+                              f"val_ids holds {len(split_ids['val'])} engines")
     if not isinstance(counts, dict):
         raise ValidationError(f"{meta_path}: counts is not a JSON object")
     scaler_path = out / "scaler.json"

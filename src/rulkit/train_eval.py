@@ -28,7 +28,7 @@ from .numerics import SeededRng
 from .optim import AdamState, adam_step, clip_gradients, flatten_params, init_adam, unflatten
 from .preprocess import (
     DEFAULT_ALPHA, DEFAULT_N_VAL, DEFAULT_TRIM, DEFAULT_WINDOW, SampleSet, ScalerParams,
-    final_features, scaler_hash,
+    check_pipeline_values, final_features, scaler_hash,
 )
 from .preprocess import prepare_test_engine  # noqa: F401  perfbench's tracer wraps it here too
 
@@ -44,29 +44,6 @@ FD_EPS = 1e-5
 FD_CHUNK = 512
 # Widest-row floats (not bytes) per validation forward pass: an LSTM step's gates fit in L2.
 BLOCK_FLOATS = 2**15
-
-
-def _is_int(value) -> bool:
-    """A Python int that is not a bool (JSON true would otherwise pass as 1)."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def check_field_types(values: dict) -> None:
-    """Raise ConfigError if a TrainConfig field in `values` has the wrong type: JSON can
-    hold 20.0 or true where an int belongs. rul_cap and grad_clip may be None."""
-    for name in ("epochs", "batch_size", "window", "lstm_hidden", "trim", "n_val",
-                 "seed", "rul_cap"):
-        value = values.get(name, 0)
-        if not (_is_int(value) or (value is None and name == "rul_cap")):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
-    hidden = values.get("mlp_hidden", ())
-    if not (isinstance(hidden, tuple) and all(map(_is_int, hidden))):
-        raise ConfigError(f"mlp hidden sizes must be a tuple of integers, got {hidden!r}")
-    for name in ("lr", "alpha", "grad_clip"):
-        value = values.get(name, 0)
-        if not (_is_int(value) or (isinstance(value, float) and np.isfinite(value))
-                or (value is None and name == "grad_clip")):
-            raise ConfigError(f"{name} must be a finite real number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -89,7 +66,7 @@ class TrainConfig:
     mlp_hidden: tuple[int, ...] = (64, 32)
 
     def __post_init__(self):
-        check_field_types(vars(self))  # types first, so the range checks see numbers
+        check_pipeline_values(vars(self))  # types first, so the range checks see numbers
         if self.model not in MODEL_KINDS:
             raise ConfigError(f"model must be one of {MODEL_KINDS}, got {self.model!r}")
         for name in ("epochs", "batch_size", "window", "lstm_hidden"):
@@ -97,10 +74,6 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.lr <= 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ConfigError(f"alpha must be in (0, 1], got {self.alpha}")
-        if self.trim < 0:
-            raise ConfigError(f"trim must be >= 0, got {self.trim}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.rul_cap is not None and self.rul_cap <= 0:
@@ -175,6 +148,14 @@ class TrainedModel:
     scaler_hash: str
     config_hash: str
     seed: int
+
+    @classmethod
+    def from_config(cls, params, config: TrainConfig, feature_names: Sequence[str],
+                    scaler_hash: str) -> "TrainedModel":
+        """`params` as trained under `config`, which gives its kind, window, seed and
+        config hash, on the scaler of these feature names and hash."""
+        return cls(config.model, params, config.window, tuple(feature_names), scaler_hash,
+                   config.config_hash(), config.seed)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Predictions for a batch: (N, W, F) windows or (N, F) rows, in float64 as
@@ -421,7 +402,7 @@ def gradient_check_suite(model_kind: str, trials: int, rng: SeededRng) -> float:
 # Artifacts
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_FORMAT = "rulkit-checkpoint-v2"
+CHECKPOINT_FORMAT = "rulkit-checkpoint-v3"
 
 
 def write_history_csv(path: Path | str, history: TrainHistory) -> None:
@@ -432,17 +413,15 @@ def write_history_csv(path: Path | str, history: TrainHistory) -> None:
 
 
 def checkpoint_dict(model: TrainedModel, adam_state: AdamState, config: TrainConfig) -> dict:
+    """A checkpoint's entries. The model's kind, window and seed are its config's and its
+    architecture is its tensors' shapes; config_hash catches an edit of the config."""
     return {
         "format": CHECKPOINT_FORMAT,
-        "model": model.kind,
         "gate_order": list(models.GATE_ORDER),
-        "arch": model.params.arch,
-        "window": model.window,
         "feature_names": list(model.feature_names),
         "scaler_hash": model.scaler_hash,
         "config": config.to_dict(),
         "config_hash": model.config_hash,
-        "seed": model.seed,
         "params": {k: v.tolist() for k, v in model.params.to_dict().items()},
         "optimizer": {"lr": adam_state.lr, "beta1": adam_state.beta1, "beta2": adam_state.beta2,
                       "eps": adam_state.eps, "step": adam_state.step},
@@ -457,18 +436,19 @@ def write_checkpoint(
 
 
 def load_checkpoint(path: Path | str) -> tuple[TrainedModel, dict, TrainConfig]:
-    """Read a checkpoint: the model, the `optimizer` entry (Adam's lr, beta1,
-    beta2, eps and step; the moments are not saved) and the config.
+    """Read a checkpoint: the model (TrainedModel.from_config of its params and
+    config), the `optimizer` entry (Adam's lr, beta1, beta2, eps and step; the
+    moments are not saved) and the config.
 
-    A file of another format, a missing or malformed entry, or a top-level
-    model, window, seed or config_hash unequal to its config's, fails naming
-    the file."""
+    A file of another format (v1 and v2 included), a missing or malformed entry,
+    params that are not one model of the config's kind, or a config_hash unequal
+    to its config's, fails naming the file."""
     return read_checkpoint(path)[:3]
 
 
 def read_checkpoint(path: Path | str) -> tuple[TrainedModel, dict, TrainConfig, str]:
     """load_checkpoint's model, optimizer entry and config, and the text they
-    were decoded from, from one read of the file."""
+    were decoded from, from one read of the file, with load_checkpoint's checks."""
     d, text = read_json_text(path)
     try:
         return (*_checkpoint_from_dict(d), text)
@@ -490,36 +470,25 @@ def _checkpoint_from_dict(d: dict) -> tuple[TrainedModel, dict, TrainConfig]:
             f"checkpoint gate order {d.get('gate_order')} does not match "
             f"this build's {list(models.GATE_ORDER)}"
         )
-    if d["model"] not in models.MODELS:
-        raise ValidationError(f"unknown model kind {d['model']!r} in checkpoint")
     for key in ("params", "config", "optimizer"):
         if not isinstance(d[key], dict):
             raise ValidationError(f"checkpoint entry {key!r} is not a JSON object")
+    cfg_dict = dict(d["config"])
+    cfg_dict["mlp_hidden"] = tuple(cfg_dict["mlp_hidden"])
+    config = TrainConfig(**cfg_dict)
     tensors = {k: np.array(v, dtype=np.float64) for k, v in d["params"].items()}
-    params = models.MODELS[d["model"]].from_dict(tensors)
+    try:
+        params = models.MODELS[config.model].from_dict(tensors)
+    except KeyError as exc:
+        raise ValidationError(f"checkpoint params have no {config.model} tensor {exc}") from None
     if params.stack_shape:
         raise ValidationError(
             f"parameters hold a stack of shape {params.stack_shape}, not one model"
         )
-    cfg_dict = dict(d["config"])
-    cfg_dict["mlp_hidden"] = tuple(cfg_dict["mlp_hidden"])
-    config = TrainConfig(**cfg_dict)
-    expected = {"model": config.model, "window": config.window, "seed": config.seed,
-                "config_hash": config.config_hash()}
-    for key, want in expected.items():
-        if type(d[key]) is not type(want) or d[key] != want:  # JSON false == 0 in Python
-            raise ValidationError(
-                f"checkpoint {key} {d[key]!r} does not match its config's {want!r}"
-            )
-    model = TrainedModel(
-        kind=d["model"],
-        params=params,
-        window=d["window"],
-        feature_names=tuple(d["feature_names"]),
-        scaler_hash=d["scaler_hash"],
-        config_hash=d["config_hash"],
-        seed=d["seed"],
-    )
+    model = TrainedModel.from_config(params, config, d["feature_names"], d["scaler_hash"])
+    if d["config_hash"] != model.config_hash:
+        raise ValidationError(f"checkpoint config_hash {d['config_hash']!r} does not match "
+                              f"its config's {model.config_hash!r}")
     return model, d["optimizer"], config
 
 

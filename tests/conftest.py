@@ -132,14 +132,8 @@ def reference_runs(train_trajectories, test_trajectories, rul_labels):
             params, state, history = train_eval.train(
                 config, result.train_rows, result.val_rows, SeededRng(config.seed)
             )
-            model = train_eval.TrainedModel(
-                kind=kind,
-                params=params,
-                window=config.window,
-                feature_names=result.scaler.feature_names,
-                scaler_hash=scaler_hash,
-                config_hash=config.config_hash(),
-                seed=seed,
+            model = train_eval.TrainedModel.from_config(
+                params, config, result.scaler.feature_names, scaler_hash
             )
             report = train_eval.evaluate(
                 model, test_trajectories, rul_labels, result.scaler, config

@@ -35,7 +35,7 @@ def test_preprocess_reports_counts(workspace, tmp_path, capsys):
 # default simulated corpus (the bundle/* lines of benchmarks/artifact_digest.py):
 # a change to the preprocessing code that should keep its numbers keeps these.
 DEFAULT_BUNDLE_SHA256 = {
-    "meta.json": "f49c80fa089183f2a37747651cf82c5d381ab1cd7f924e7b4030f8d7024182ca",
+    "meta.json": "aa43d5f9cc44286fc80425a0ac5d5fdcf476c39618eadbdbb577563008bed75e",
     "scaler.json": "73eed6bfa3d94af5e804ac3e494f21241013576577976254a245f8fe7b961aca",
     "train_rows.npy": "0476eb1c24efe7de836772208136c70970527022c474ee4e22f9d017ba4e1a59",
     "train_rul.npy": "c64ab371765f1c49b52c0865e71658cdf2ab145b1f43a9853e88014f8f93a10e",
@@ -72,7 +72,7 @@ def test_train_writes_artifacts(workspace):
     assert history[0] == "epoch,train_mse,val_mse"
     assert len(history) == 3  # header + one line per epoch
     checkpoint = json.loads((workspace.run / "checkpoint.json").read_text())
-    assert checkpoint["model"] == "lstm"
+    assert checkpoint["config"]["model"] == "lstm"
     assert checkpoint["config"]["epochs"] == 2
 
 
@@ -235,7 +235,7 @@ def test_train_mlp_via_flags(workspace, tmp_path):
     model, _, config = train_eval.load_checkpoint(out / "checkpoint.json")
     assert model.kind == "mlp"
     assert config.mlp_hidden == (8, 4)
-    assert model.params.layer_sizes == (16, 8, 4, 1)
+    assert [w.shape for w in model.params.weights] == [(8, 16), (4, 8), (1, 4)]
 
 
 def test_config_file_merges_with_flag_priority(workspace, tmp_path):
@@ -385,11 +385,16 @@ def _on_params(change, run="run"):
          "checkpoint entry 'config' is not a JSON object"),
         (lambda d: d.update(optimizer=list(d["optimizer"].values())),
          "checkpoint entry 'optimizer' is not a JSON object"),
-        # Top-level copies of config values that disagree with the config.
-        (lambda d: d.update(seed="x"), "checkpoint seed 'x' does not match its config's 0"),
-        (lambda d: d.update(window=19), "checkpoint window 19 does not match its config's 20"),
-        (lambda d: d["config"].update(model="mlp"),
-         "checkpoint model 'lstm' does not match its config's 'mlp'"),
+        # The config is the one record of the model's seed, window and kind; config_hash
+        # catches an edit that leaves it valid.
+        pytest.param(lambda d: d["config"].update(seed="x"), "seed must be an integer, got 'x'",
+                     id="config seed 'x'"),
+        pytest.param(lambda d: d["config"].update(seed=False),
+                     "seed must be an integer, got False", id="config seed false"),
+        pytest.param(lambda d: d["config"].update(window=19), "checkpoint config_hash '",
+                     id="config window 19"),
+        pytest.param(lambda d: d["config"].update(model="mlp"),
+                     "checkpoint params have no mlp tensor 'w0'", id="config model mlp"),
     ],
 )
 def test_evaluate_with_incomplete_checkpoint_names_the_file(
@@ -420,7 +425,7 @@ def test_evaluate_rejects_a_v1_checkpoint(workspace, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.count("error:") == 1 and captured.out == ""
     assert (f"error: {old}: unrecognized checkpoint format 'rulkit-checkpoint-v1', "
-            "expected 'rulkit-checkpoint-v2'; re-run `rulkit train`") in captured.err
+            "expected 'rulkit-checkpoint-v3'; re-run `rulkit train`") in captured.err
     assert not (tmp_path / "report").exists()
 
 

@@ -7,6 +7,7 @@ raise nothing past main: an escaped exception would be a traceback.
 """
 
 import json
+import os
 import shutil
 
 import numpy as np
@@ -78,6 +79,16 @@ def _replace_id(old, new):
     return _json(change)
 
 
+def _as_v2(checkpoint):
+    """A v2 checkpoint's entries: v3's, with top-level copies of the config's model,
+    window and seed, and the LSTM's sizes under `arch`."""
+    config = checkpoint["config"]
+    checkpoint.update(format="rulkit-checkpoint-v2", model=config["model"],
+                      window=config["window"], seed=config["seed"],
+                      arch={"hidden_size": config["lstm_hidden"],
+                            "input_size": len(checkpoint["feature_names"])})
+
+
 SCALER_FAULTS = [
     ("truncated", _truncate, "not valid JSON"),
     ("wrong JSON type", _text(lambda t: "[]"), "list indices"),
@@ -96,7 +107,11 @@ BUNDLE_JSON_FAULTS = {
         ("wrong JSON type", _text(lambda t: "[]"), "bundle format None"),
         ("missing key", _json(lambda d: d.pop("pipeline")), "missing or malformed"),
         ("wrong format string", _json(lambda d: d.update(format="rulkit-bundle-v1")),
-         "is not 'rulkit-bundle-v2'"),
+         "is not 'rulkit-bundle-v3'"),
+        ("v2 bundle",
+         _json(lambda d: (d.pop("pipeline_hash"), d.update(format="rulkit-bundle-v2"))),
+         "bundle format 'rulkit-bundle-v2' is not 'rulkit-bundle-v3'; "
+         "re-run `rulkit preprocess`"),
         ("counts of wrong JSON type", _json(lambda d: d.update(counts=[])),
          "counts is not a JSON object"),
         ("counts missing train_windows",
@@ -137,6 +152,13 @@ BUNDLE_JSON_FAULTS = {
          "train_ids must be a list of integers, got {'1': 1}"),
         ("pipeline n_val not the val_ids count", _json(lambda d: d["pipeline"].update(n_val=2)),
          "pipeline n_val is 2, but val_ids holds 1 engines"),
+        # Valid values that no array shows: pipeline_hash binds them.
+        ("pipeline alpha 0.9", _json(lambda d: d["pipeline"].update(alpha=0.9)),
+         "pipeline_hash is '"),
+        ("pipeline trim 5", _json(lambda d: d["pipeline"].update(trim=5)), "pipeline_hash is '"),
+        ("pipeline seed and split_seed 1",
+         _json(lambda d: (d["pipeline"].update(seed=1), d.update(split_seed=1))),
+         "pipeline_hash is '"),
         # Checkpoints take the feature order from scaler.json, so meta.json must agree.
         ("feature_names swapped", _json(_swap_two_feature_names), "feature_names is ["),
     ],
@@ -194,13 +216,17 @@ CHECKPOINT_FAULTS = [
      "non-finite values"),
     ("wrong shape", _json(lambda d: d["params"].update(b_head=[0.0, 0.0])),
      "'b_head'"),
-    ("seed of wrong JSON type", _json(lambda d: d.update(seed="x")),
-     "checkpoint seed 'x' does not match"),
-    # The chain trains with seed 0, which JSON false equals in Python.
-    ("seed false", _json(lambda d: d.update(seed=False)),
-     "checkpoint seed False does not match its config's 0"),
-    ("window not the config's", _json(lambda d: d.update(window=19)),
-     "checkpoint window 19 does not match"),
+    # The config alone records the seed and window. The chain trains with seed 0,
+    # which JSON false equals in Python; config_hash catches a valid edit.
+    ("seed of wrong JSON type", _json(lambda d: d["config"].update(seed="x")),
+     "seed must be an integer, got 'x'"),
+    ("seed false", _json(lambda d: d["config"].update(seed=False)),
+     "seed must be an integer, got False"),
+    ("window not the config's hash", _json(lambda d: d["config"].update(window=19)),
+     "checkpoint config_hash '"),
+    ("v2 checkpoint", _json(_as_v2),
+     "unrecognized checkpoint format 'rulkit-checkpoint-v2', expected "
+     "'rulkit-checkpoint-v3'; re-run `rulkit train`"),
     ("config window a float", _json(lambda d: d["config"].update(window=20.0)),
      "window must be an integer, got 20.0"),
     ("config_hash not the config's", _json(lambda d: d.update(config_hash="0" * 64)),
@@ -294,3 +320,48 @@ def test_scoring_on_a_broken_input(workspace, tmp_path, capsys, command, flag, l
     assert code != 0
     assert f"error: {broken}" in captured.err and detail in captured.err
     assert captured.out == "" and not out.exists()
+
+
+def _null_each_entry(path, run):
+    """Run `run(key)` once per top-level entry of the JSON file at `path`, with that
+    entry set to null and the rest as written; restore the file after each run."""
+    written = path.read_text()
+    for key in json.loads(written):
+        _json(lambda d: d.update({key: None}))(path)
+        run(key)
+        path.write_text(written)
+
+
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+def test_scoring_reads_every_checkpoint_entry(workspace, tmp_path, capsys, command):
+    """An entry that nothing reads would load as null: each key that train writes,
+    set to null, fails naming the checkpoint."""
+    checkpoint = tmp_path / "checkpoint.json"
+    shutil.copyfile(workspace.run / "checkpoint.json", checkpoint)
+    out = tmp_path / "report"
+    argv = [command, "--checkpoint", str(checkpoint), "--test-file", str(workspace.test_file),
+            "--scaler", str(workspace.bundle / "scaler.json")]
+    if command == "evaluate":
+        argv += ["--rul-file", str(workspace.rul_file), "--out", str(out)]
+
+    def run(key):
+        code, captured = _run_cleanly(argv, capsys)
+        assert code != 0 and f"error: {checkpoint}" in captured.err, key
+        assert captured.out == "" and not out.exists(), key
+
+    _null_each_entry(checkpoint, run)
+
+
+def test_train_reads_every_meta_entry(workspace, tmp_path, capsys):
+    """Each key of a written meta.json, set to null, fails `rulkit train` naming a
+    file of the bundle (a null scaler_hash is reported against scaler.json)."""
+    bundle, out = tmp_path / "bundle", tmp_path / "run"
+    shutil.copytree(workspace.bundle, bundle)
+
+    def run(key):
+        code, captured = _run_cleanly(
+            ["train", "--bundle", str(bundle), "--out", str(out), "--epochs", "1"], capsys)
+        assert code != 0 and captured.err.startswith(f"error: {bundle}{os.sep}"), key
+        assert not out.exists(), key
+
+    _null_each_entry(bundle / "meta.json", run)

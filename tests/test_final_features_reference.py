@@ -105,9 +105,8 @@ def test_test_time_chain_equals_the_trimming_reference(fitted, lengths, trim, wi
         config = train_eval.TrainConfig(model=kind, window=window, trim=trim, alpha=alpha,
                                         lstm_hidden=2, mlp_hidden=(2,))
         params = models.MODELS[kind].init(len(selection), config, SeededRng(0))
-        model = train_eval.TrainedModel(
-            kind=kind, params=params, window=window, feature_names=selection,
-            scaler_hash=train_eval.scaler_hash(scaler), config_hash="", seed=0,
+        model = train_eval.TrainedModel.from_config(
+            params, config, selection, train_eval.scaler_hash(scaler)
         )
         got = train_eval.final_inputs(model, engines, scaler, config)
         want = np.stack([w if kind == "lstm" else r for w, r in expected])
@@ -155,10 +154,9 @@ def test_stacked_scoring_equals_the_per_engine_reference(case):
     kind = "mlp" if window is None else "lstm"
     config = train_eval.TrainConfig(model=kind, window=window or 1, alpha=alpha,
                                     lstm_hidden=2, mlp_hidden=(2,))
-    model = train_eval.TrainedModel(
-        kind=kind, params=models.MODELS[kind].init(len(selection), config, SeededRng(0)),
-        window=config.window, feature_names=selection,
-        scaler_hash=train_eval.scaler_hash(scaler), config_hash="", seed=0,
+    model = train_eval.TrainedModel.from_config(
+        models.MODELS[kind].init(len(selection), config, SeededRng(0)), config, selection,
+        train_eval.scaler_hash(scaler),
     )
     got = train_eval.final_inputs(model, engines, scaler, config)
     want = np.stack([w if window is not None else r for w, r in expected])

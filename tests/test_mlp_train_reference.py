@@ -2,7 +2,7 @@
 
 `ref_mlp_forward`, `ref_mlp_backward`, `ref_mse_loss`, `ref_adam_step`,
 `ref_clip_gradients` and `ref_train` are frozen copies of the MLP's
-training path from before it ran on a reused workspace: every product is a
+training path from before it multiplied with `ndarray.dot`: every product is a
 fresh `@` or matmul and every elementwise result a fresh array. `train` must
 reproduce them bit for bit, sign bits included: the loss curves (compared
 with float.hex), the final parameters, and Adam's moments and step count. The cases cover

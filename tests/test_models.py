@@ -23,7 +23,6 @@ from rulkit.train_eval import numeric_gradients
 
 def test_init_mlp_shapes_bounds_and_zero_biases():
     params = models.init_mlp((16, 64, 32, 1), SeededRng(0))
-    assert params.layer_sizes == (16, 64, 32, 1)
     shapes = [w.shape for w in params.weights]
     assert shapes == [(64, 16), (32, 64), (1, 32)]
     for w, fan_in in zip(params.weights, (16, 64, 32)):

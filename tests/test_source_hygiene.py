@@ -118,3 +118,52 @@ def test_definition_scan_on_a_snippet():
     assert {"g", "C", "m", "c"} <= used
     assert not {"f", "inner", "h", "x", "unused", "a"} & used
     assert "unused" in referenced_names(tree, strings=True)
+
+
+# Lower layers first: a module may import only modules listed before it.
+LAYERS = ("errors", "ioutil", "numerics", "dataset_io", "simdata", "preprocess", "models",
+          "optim", "train_eval", "cli")
+
+
+def imported_modules(tree: ast.Module, package: str = "rulkit") -> list[str]:
+    """The sibling modules that `tree` imports from its package, at any depth of
+    the tree (inside functions too), in the order ast.walk meets them:
+    `from . import a`, `from .a import x`, `import rulkit.a`, `from rulkit import a`."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [a.name.split(".")[1] for a in node.names
+                      if a.name.startswith(f"{package}.")]
+        elif isinstance(node, ast.ImportFrom):
+            relative = node.level > 0
+            parts = (node.module or "").split(".")
+            if not relative and parts[0] != package:
+                continue
+            parts = parts[0 if relative else 1:]
+            found += [parts[0]] if parts and parts[0] else [a.name for a in node.names]
+    return found
+
+
+@pytest.mark.parametrize("name", LAYERS)
+def test_module_imports_only_lower_layers(name):
+    lower = LAYERS[: LAYERS.index(name)]
+    upward = [m for m in imported_modules(_parse(SRC / f"{name}.py")) if m not in lower]
+    assert not upward, (
+        f"{name}.py imports {upward}, which are not below it in {LAYERS}. Move what "
+        f"both need into the lower module instead."
+    )
+
+
+def test_every_module_has_a_layer():
+    assert {p.stem for p in SRC.glob("*.py")} - {"__init__"} == set(LAYERS)
+
+
+def test_imported_modules_on_a_snippet():
+    tree = ast.parse(
+        "import os\nimport rulkit.models\nfrom . import cli, errors\n"
+        "from .preprocess import x\nfrom rulkit import optim\nfrom rulkit.simdata import y\n"
+        "from numpy import z\nfrom rulkitx import w\n"
+        "def f():\n    from .train_eval import g\n"
+    )
+    assert sorted(imported_modules(tree)) == sorted(
+        ["models", "cli", "errors", "preprocess", "optim", "simdata", "train_eval"])

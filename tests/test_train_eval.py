@@ -48,14 +48,8 @@ def _fit(config, result):
 
 
 def _wrap(config, result, params):
-    return TrainedModel(
-        kind=config.model,
-        params=params,
-        window=config.window,
-        feature_names=result.scaler.feature_names,
-        scaler_hash=scaler_hash(result.scaler),
-        config_hash=config.config_hash(),
-        seed=config.seed,
+    return TrainedModel.from_config(
+        params, config, result.scaler.feature_names, scaler_hash(result.scaler)
     )
 
 
@@ -183,7 +177,8 @@ def test_train_mlp_on_rows(small_data):
     result, _, _ = small_data
     config = _quick_config(model="mlp", mlp_hidden=(16, 8))
     params, _, history = _fit(config, result)
-    assert params.layer_sizes == (len(result.scaler.feature_names), 16, 8, 1)
+    n_features = len(result.scaler.feature_names)
+    assert [w.shape for w in params.weights] == [(16, n_features), (8, 16), (1, 8)]
     assert history.train_mse[-1] < history.train_mse[0]
 
 
@@ -496,9 +491,9 @@ def test_checkpoint_holds_parameters_and_optimizer_scalars_only(small_data, tmp_
     path = tmp_path / "checkpoint.json"
     write_checkpoint(path, _wrap(config, result, params), state, config)
     blob = json.loads(path.read_text())
-    assert set(blob) == {"format", "model", "gate_order", "arch", "window", "feature_names",
-                         "scaler_hash", "config", "config_hash", "seed", "params", "optimizer"}
-    assert blob["format"] == "rulkit-checkpoint-v2"
+    assert set(blob) == {"format", "gate_order", "feature_names", "scaler_hash", "config",
+                         "config_hash", "params", "optimizer"}
+    assert blob["format"] == "rulkit-checkpoint-v3"
     assert _count_numbers(blob["params"]) == sum(t.size for t in params.to_dict().values())
     assert blob["optimizer"] == {"lr": config.lr, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8,
                                  "step": state.step}
