@@ -85,7 +85,6 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     keys = preprocess.PIPELINE_KEYS + ("seed",)
     merged = _merge_config(args, keys)
     pipeline = {key: merged[key] for key in keys if key in merged}  # unset: run_pipeline default
-    preprocess.check_field_types(pipeline)
     trajectories = dataset_io.read_trajectories(args.train_file)
     result = preprocess.run_pipeline(trajectories, **pipeline)
     preprocess.write_bundle(args.out, result)

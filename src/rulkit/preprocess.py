@@ -24,6 +24,7 @@ single-condition files ship constant sensors and one constant setting.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -48,37 +49,40 @@ DEFAULT_N_VAL = 20
 PIPELINE_KEYS = ("alpha", "trim", "window", "n_val", "rul_cap")
 
 
-def _is_int(value) -> bool:
-    """A Python int that is not a bool (JSON true would otherwise pass as 1)."""
-    return isinstance(value, int) and not isinstance(value, bool)
+def check_int(name: str, value, low: int, optional: bool = False) -> None:
+    """Raise ConfigError unless `value` is an int of at least `low` (or None, if
+    optional). A bool is not an int here: JSON true would otherwise pass as 1."""
+    if value is None and optional:
+        return
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ConfigError(f"{name} must be >= {low}, got {value}")
 
 
-def check_field_types(values: dict) -> None:
-    """Raise ConfigError if a TrainConfig field in `values` has the wrong type: JSON can
-    hold 20.0 or true where an int belongs. rul_cap and grad_clip may be None."""
-    for name in ("epochs", "batch_size", "window", "lstm_hidden", "trim", "n_val",
-                 "seed", "rul_cap"):
-        value = values.get(name, 0)
-        if not (_is_int(value) or (value is None and name == "rul_cap")):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
-    hidden = values.get("mlp_hidden", ())
-    if not (isinstance(hidden, tuple) and all(map(_is_int, hidden))):
-        raise ConfigError(f"mlp hidden sizes must be a tuple of integers, got {hidden!r}")
-    for name in ("lr", "alpha", "grad_clip"):
-        value = values.get(name, 0)
-        if not (_is_int(value) or (isinstance(value, float) and np.isfinite(value))
-                or (value is None and name == "grad_clip")):
-            raise ConfigError(f"{name} must be a finite real number, got {value!r}")
+def check_real(name: str, value, high: float = math.inf, optional: bool = False) -> None:
+    """Raise ConfigError unless `value` is a finite int or float (not a bool) in
+    (0, high], or None if optional."""
+    if value is None and optional:
+        return
+    finite = isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+    if isinstance(value, bool) or not finite:
+        raise ConfigError(f"{name} must be a finite real number, got {value!r}")
+    if not 0 < value <= high:
+        bound = "positive" if high == math.inf else f"in (0, {high:g}]"
+        raise ConfigError(f"{name} must be {bound}, got {value}")
 
 
 def check_pipeline_values(values: dict) -> None:
-    """check_field_types, then the ranges that a TrainConfig and a bundle's pipeline
-    share: alpha in (0, 1] and trim >= 0. An absent entry passes."""
-    check_field_types(values)
-    if not 0.0 < values.get("alpha", DEFAULT_ALPHA) <= 1.0:
-        raise ConfigError(f"alpha must be in (0, 1], got {values['alpha']}")
-    if values.get("trim", 0) < 0:
-        raise ConfigError(f"trim must be >= 0, got {values['trim']}")
+    """The one rule for each of run_pipeline's six arguments, which a TrainConfig
+    and a bundle's pipeline hold too: alpha in (0, 1] by check_real; trim, n_val
+    and seed >= 0, window >= 1 and rul_cap null or >= 1 by check_int. A missing
+    entry raises KeyError."""
+    check_real("alpha", values["alpha"], 1.0)
+    for name in ("trim", "n_val", "seed"):
+        check_int(name, values[name], 0)
+    check_int("window", values["window"], 1)
+    check_int("rul_cap", values["rul_cap"], 1, optional=True)
 
 
 # Every setting and sensor, in the settings-then-sensors order of the raw
@@ -132,8 +136,7 @@ def ewma_smooth(series: np.ndarray, alpha: float) -> np.ndarray:
 
     s[0] = x[0]; s[t] = alpha * x[t] + (1 - alpha) * s[t-1].
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ConfigError(f"alpha must be in (0, 1], got {alpha}")
+    check_real("alpha", alpha, 1.0)
     x = np.asarray(series, dtype=np.float64)
     if x.shape[0] == 0:
         raise ValidationError("cannot smooth an empty series")
@@ -189,8 +192,7 @@ def smooth_trajectories(
 def trim_head(traj: EngineTrajectory, n: int = DEFAULT_TRIM) -> EngineTrajectory:
     """Drop the first n cycles (rows); the result's values are a read-only
     view of the input's."""
-    if n < 0:
-        raise ConfigError(f"trim length must be >= 0, got {n}")
+    check_int("trim", n, 0)
     if n == 0:
         return traj
     if len(traj) <= n:
@@ -299,10 +301,9 @@ def label_rul(traj: EngineTrajectory, cap: int | None = None) -> np.ndarray:
     """Per-cycle remaining life of a run-to-failure engine: the number of rows
     after each row, L - 1 down to 0. An optional cap clips large early-life labels.
     """
+    check_int("rul_cap", cap, 1, optional=True)
     rul = np.arange(len(traj) - 1, -1, -1, dtype=np.float64)
     if cap is not None:
-        if type(cap) is not int or cap <= 0:
-            raise ConfigError(f"RUL cap must be a positive integer, got {cap!r}")
         np.minimum(rul, float(cap), out=rul)
     return rul
 
@@ -335,8 +336,7 @@ class SampleSet:
         run_ids, runs = np.unique(ids[firsts], return_counts=True)
         if np.any(runs > 1):
             raise ValidationError(f"engine {run_ids[runs > 1][0]}: rows are not one run")
-        if self.window is not None and self.window < 1:
-            raise ConfigError(f"window must be >= 1, got {self.window}")
+        check_int("window", self.window, 1, optional=True)
         width = self.window or 1
         lengths = np.diff(np.r_[firsts, n])
         if np.any(lengths < width):
@@ -393,8 +393,7 @@ def split_by_engine(
     ids = sorted(engine_ids)
     if len(set(ids)) != len(ids):
         raise ValidationError("duplicate engine ids in split input")
-    if n_val < 0:
-        raise ConfigError(f"n_val must be >= 0, got {n_val}")
+    check_int("n_val", n_val, 0)
     if n_val >= len(ids):
         raise ConfigError(f"n_val={n_val} must be smaller than engine count {len(ids)}")
     order = SeededRng(seed).shuffle(len(ids))
@@ -467,7 +466,11 @@ def run_pipeline(
     seed: int = 0,
     rul_cap: int | None = None,
 ) -> PreprocessResult:
-    """Run the full training-side chain on parsed training trajectories."""
+    """Run the full training-side chain on parsed training trajectories, once
+    check_pipeline_values passes its arguments."""
+    pipeline = dict(alpha=alpha, trim=trim, window=window, n_val=n_val, seed=seed,
+                    rul_cap=rul_cap)
+    check_pipeline_values(pipeline)
     if not train_trajectories:
         raise ValidationError("no training trajectories")
     prepared = [trim_head(t, trim) for t in smooth_trajectories(train_trajectories, alpha)]
@@ -477,10 +480,7 @@ def run_pipeline(
         make_rows([t for t in prepared if t.engine_id in ids], scaler, rul_cap)
         for ids in (set(train_ids), set(val_ids))
     )
-    result = PreprocessResult(
-        dict(alpha=alpha, trim=trim, window=window, n_val=n_val, seed=seed, rul_cap=rul_cap),
-        scaler, train_ids, val_ids, train_rows, val_rows,
-    )
+    result = PreprocessResult(pipeline, scaler, train_ids, val_ids, train_rows, val_rows)
     # Cutting the windows rejects an engine shorter than one.
     logger.info("%d training windows", result.total_windows)
     return result
@@ -586,16 +586,16 @@ def _stored_count(meta_path: Path, counts: dict, key: str) -> int:
 def load_bundle(bundle_dir: Path | str) -> PreprocessResult:
     """Read a bundle back as the PreprocessResult it was written from.
 
-    The pipeline's window and rul_cap (null or a positive integer), then its
-    PIPELINE_KEYS values by check_pipeline_values, must pass TrainConfig's rules.
-    scaler.json's hash must be meta.json's scaler_hash; arrays need write_bundle's
-    dtypes, meta.json's row counts and finite values; a split's engine ids must be
-    its meta.json ids (JSON integers, the pipeline's n_val of them for val), one
-    run of at least a window per engine. Scaled rows must lie in [0, 1], and each
-    run's labels must be label_rul's: the run's length - 1 down to 0, capped at
-    the pipeline's rul_cap. Every other entry of meta.json must equal the result's
-    `meta`; its pipeline_hash binds alpha and trim, which no array shows. A mismatch
-    raises ValidationError naming the file.
+    The pipeline must be a JSON object whose six values pass check_pipeline_values,
+    the rules of run_pipeline and TrainConfig. scaler.json's hash must be
+    meta.json's scaler_hash; arrays need write_bundle's dtypes, meta.json's row
+    counts and finite values; a split's engine ids must be its meta.json ids (JSON
+    integers, the pipeline's n_val of them for val), one run of at least a window
+    per engine. Scaled rows must lie in [0, 1], and each run's labels must be
+    label_rul's: the run's length - 1 down to 0, capped at the pipeline's rul_cap.
+    Every other entry of meta.json must equal the result's `meta`; its
+    pipeline_hash binds alpha and trim, which no array shows. A mismatch raises
+    ValidationError naming the file.
     """
     out = Path(bundle_dir)
     meta_path = out / "meta.json"
@@ -610,8 +610,6 @@ def load_bundle(bundle_dir: Path | str) -> PreprocessResult:
         )
     try:
         counts, pipeline = meta["counts"], meta["pipeline"]
-        window, _ = pipeline["window"], pipeline["seed"]  # the seed is meta's split_seed
-        rul_cap = pipeline["rul_cap"]
         split_ids = {split: meta[f"{split}_ids"] for split in _SPLITS}
         meta_scaler_hash = meta["scaler_hash"]
     except (KeyError, TypeError) as exc:
@@ -621,14 +619,11 @@ def load_bundle(bundle_dir: Path | str) -> PreprocessResult:
             raise ValidationError(f"{meta_path}: {split}_ids must be a list of integers, "
                                   f"got {ids!r}")
         split_ids[split] = tuple(ids)
-    if type(window) is not int or window < 1:
-        raise ValidationError(f"{meta_path}: pipeline window must be a positive integer, "
-                              f"got {window!r}")
-    if rul_cap is not None and not (type(rul_cap) is int and rul_cap > 0):
-        need = "positive" if type(rul_cap) is int else "an integer or null"
-        raise ValidationError(f"{meta_path}: pipeline rul_cap must be {need}, got {rul_cap!r}")
+    for key, value in (("counts", counts), ("pipeline", pipeline)):
+        if not isinstance(value, dict):
+            raise ValidationError(f"{meta_path}: {key} is not a JSON object")
     try:
-        check_pipeline_values({key: pipeline[key] for key in PIPELINE_KEYS})
+        check_pipeline_values(pipeline)
     except KeyError as exc:
         raise ValidationError(f"{meta_path}: pipeline has no entry {exc}") from None
     except ConfigError as exc:
@@ -636,8 +631,6 @@ def load_bundle(bundle_dir: Path | str) -> PreprocessResult:
     if pipeline["n_val"] != len(split_ids["val"]):
         raise ValidationError(f"{meta_path}: pipeline n_val is {pipeline['n_val']}, but "
                               f"val_ids holds {len(split_ids['val'])} engines")
-    if not isinstance(counts, dict):
-        raise ValidationError(f"{meta_path}: counts is not a JSON object")
     scaler_path = out / "scaler.json"
     scaler = load_scaler(scaler_path)
     if scaler_hash(scaler) != meta_scaler_hash:
@@ -661,9 +654,10 @@ def load_bundle(bundle_dir: Path | str) -> PreprocessResult:
             rows[split] = SampleSet(split_rows, rul, engines)
         except ValidationError as exc:
             raise ValidationError(f"{engines_path}: {exc}") from None
-        if not np.array_equal(rul, _positional_rul(engines, rul_cap)):
+        cap = pipeline["rul_cap"]
+        if not np.array_equal(rul, _positional_rul(engines, cap)):
             raise ValidationError(f"{rul_path}: labels are not the cycles left in each "
-                                  f"engine's run (meta.json's rul_cap: {rul_cap})")
+                                  f"engine's run (meta.json's rul_cap: {cap})")
     result = PreprocessResult(pipeline, scaler, split_ids["train"], split_ids["val"],
                               rows["train"], rows["val"])
     for split in _SPLITS:
@@ -698,8 +692,7 @@ def prepare_test_engine(
     if tuple(selection) != scaler.feature_names:
         raise ValidationError(f"feature order mismatch: selection {tuple(selection)} "
                               f"vs scaler {scaler.feature_names}")
-    if trim < 0:
-        raise ConfigError(f"trim length must be >= 0, got {trim}")
+    check_int("trim", trim, 0)
     w = final_features([traj], scaler, alpha=alpha, window=window)[0]
     return w, w[-1].copy()
 
@@ -715,8 +708,7 @@ def final_features(
     with window W each final W rows (E, W, F), front-padded with the engine's
     earliest row if it is shorter. smooth_trajectories' _smoothed_stack, on the
     scaler's columns only, then only the rows each input needs are scaled."""
-    if window is not None and window < 1:
-        raise ConfigError(f"window must be >= 1, got {window}")
+    check_int("window", window, 1, optional=True)
     lengths, columns = [len(t) for t in trajectories], scaler.columns
     n_settings = np.count_nonzero(columns < N_SETTINGS)  # columns increase
     smoothed = _smoothed_stack([t.values[:, columns] for t in trajectories], len(columns),

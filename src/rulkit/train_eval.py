@@ -28,7 +28,7 @@ from .numerics import SeededRng
 from .optim import AdamState, adam_step, clip_gradients, flatten_params, init_adam, unflatten
 from .preprocess import (
     DEFAULT_ALPHA, DEFAULT_N_VAL, DEFAULT_TRIM, DEFAULT_WINDOW, SampleSet, ScalerParams,
-    check_pipeline_values, final_features, scaler_hash,
+    check_int, check_pipeline_values, check_real, final_features, scaler_hash,
 )
 from .preprocess import prepare_test_engine  # noqa: F401  perfbench's tracer wraps it here too
 
@@ -49,7 +49,10 @@ BLOCK_FLOATS = 2**15
 @dataclass(frozen=True)
 class TrainConfig:
     """Run configuration; defaults mirror the reference training recipe, and
-    the pipeline's are run_pipeline's."""
+    the pipeline's are run_pipeline's. The six pipeline values (the seed both
+    splits and trains) pass check_pipeline_values; the model's own fields pass
+    check_int (epochs, batch_size, lstm_hidden and each mlp_hidden size >= 1) or
+    check_real (lr, and grad_clip or null, positive)."""
 
     model: str = "lstm"
     epochs: int = 35
@@ -66,22 +69,21 @@ class TrainConfig:
     mlp_hidden: tuple[int, ...] = (64, 32)
 
     def __post_init__(self):
-        check_pipeline_values(vars(self))  # types first, so the range checks see numbers
+        check_pipeline_values(vars(self))
         if self.model not in MODEL_KINDS:
             raise ConfigError(f"model must be one of {MODEL_KINDS}, got {self.model!r}")
-        for name in ("epochs", "batch_size", "window", "lstm_hidden"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.rul_cap is not None and self.rul_cap <= 0:
-            raise ConfigError(f"rul_cap must be positive, got {self.rul_cap}")
-        if self.grad_clip is not None and self.grad_clip <= 0:
-            raise ConfigError(f"grad_clip must be positive, got {self.grad_clip}")
-        if any(h < 1 for h in self.mlp_hidden):
-            raise ConfigError(f"mlp hidden sizes must be >= 1, got {self.mlp_hidden}")
+        for name in ("epochs", "batch_size", "lstm_hidden"):
+            check_int(name, getattr(self, name), 1)
+        check_real("lr", self.lr)
+        check_real("grad_clip", self.grad_clip, optional=True)
+        wrong = f"mlp hidden sizes must be a tuple of integers, got {self.mlp_hidden!r}"
+        if not isinstance(self.mlp_hidden, tuple):
+            raise ConfigError(wrong)
+        try:
+            for size in self.mlp_hidden:
+                check_int("each size", size, 1)
+        except ConfigError as exc:
+            raise ConfigError(f"{wrong}: {exc}") from None
 
     @property
     def input_window(self) -> int | None:
@@ -376,8 +378,7 @@ def gradient_check_suite(model_kind: str, trials: int, rng: SeededRng) -> float:
     """
     if model_kind not in MODEL_KINDS:
         raise ConfigError(f"model kind must be one of {MODEL_KINDS}, got {model_kind!r}")
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
+    check_int("trials", trials, 1)
     worst = 0.0
     gen = rng.generator
     for _ in range(trials):
@@ -440,9 +441,10 @@ def load_checkpoint(path: Path | str) -> tuple[TrainedModel, dict, TrainConfig]:
     config), the `optimizer` entry (Adam's lr, beta1, beta2, eps and step; the
     moments are not saved) and the config.
 
-    A file of another format (v1 and v2 included), a missing or malformed entry,
-    params that are not one model of the config's kind, or a config_hash unequal
-    to its config's, fails naming the file."""
+    A file of another format (v1 and v2 included), a missing or malformed entry
+    (the config by TrainConfig's rules, the optimizer's by check_real and
+    check_int), params that are not one model of the config's kind, or a
+    config_hash unequal to its config's, fails naming the file."""
     return read_checkpoint(path)[:3]
 
 
@@ -473,6 +475,9 @@ def _checkpoint_from_dict(d: dict) -> tuple[TrainedModel, dict, TrainConfig]:
     for key in ("params", "config", "optimizer"):
         if not isinstance(d[key], dict):
             raise ValidationError(f"checkpoint entry {key!r} is not a JSON object")
+    for key, high in (("lr", math.inf), ("beta1", 1.0), ("beta2", 1.0), ("eps", math.inf)):
+        check_real(f"optimizer {key}", d["optimizer"][key], high)
+    check_int("optimizer step", d["optimizer"]["step"], 0)
     cfg_dict = dict(d["config"])
     cfg_dict["mlp_hidden"] = tuple(cfg_dict["mlp_hidden"])
     config = TrainConfig(**cfg_dict)

@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from rulkit import train_eval
+from rulkit import dataset_io, preprocess, train_eval
 from rulkit.cli import main
+from rulkit.errors import ConfigError
 
 
 def test_simulate_writes_three_files(workspace):
@@ -200,6 +201,40 @@ def test_preprocess_config_value_of_wrong_type_rejected(workspace, tmp_path, cap
     ]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("alpha", 0.0, "alpha must be in (0, 1], got 0.0"),
+    ("alpha", 1.5, "alpha must be in (0, 1], got 1.5"),
+    ("alpha", True, "alpha must be a finite real number, got True"),
+    ("alpha", None, "alpha must be a finite real number, got None"),
+    ("trim", -1, "trim must be >= 0, got -1"),
+    ("trim", 2.5, "trim must be an integer, got 2.5"),
+    ("window", 0, "window must be >= 1, got 0"),
+    ("window", True, "window must be an integer, got True"),
+    ("n_val", -1, "n_val must be >= 0, got -1"),
+    ("n_val", "1", "n_val must be an integer, got '1'"),
+    ("seed", False, "seed must be an integer, got False"),
+    ("seed", -1, "seed must be >= 0, got -1"),
+    ("rul_cap", 20.5, "rul_cap must be an integer, got 20.5"),
+    ("rul_cap", 0, "rul_cap must be >= 1, got 0"),
+])
+def test_each_pipeline_setting_has_one_rule(workspace, tmp_path, capsys, key, value, message):
+    """run_pipeline, TrainConfig and `rulkit train` on a bundle whose meta.json holds
+    the value all reject it in the same words."""
+    with pytest.raises(ConfigError) as from_pipeline:
+        preprocess.run_pipeline(dataset_io.read_trajectories(workspace.train_file),
+                                **{key: value})
+    with pytest.raises(ConfigError) as from_config:
+        train_eval.TrainConfig(**{key: value})
+    assert str(from_pipeline.value) == str(from_config.value) == message
+    bundle = tmp_path / "bundle"
+    shutil.copytree(workspace.bundle, bundle)
+    meta = json.loads((bundle / "meta.json").read_text())
+    meta["pipeline"][key] = value
+    (bundle / "meta.json").write_text(json.dumps(meta))
+    assert main(["train", "--bundle", str(bundle), "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == f"error: {bundle / 'meta.json'}: pipeline {message}\n"
 
 
 @pytest.mark.parametrize("hidden", [[8.7, 4], 5, "8,4", [8, True]])

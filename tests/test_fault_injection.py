@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from rulkit.cli import main
+from rulkit.ioutil import canonical_json, sha256_text
 
 
 def _truncate(path):
@@ -79,6 +80,15 @@ def _replace_id(old, new):
     return _json(change)
 
 
+def _config_with(**changes):
+    """A checkpoint fault that edits its config and writes that config's hash, so
+    only the config's own rules can catch the edit."""
+    def change(checkpoint):
+        checkpoint["config"].update(changes)
+        checkpoint["config_hash"] = sha256_text(canonical_json(checkpoint["config"]))
+    return _json(change)
+
+
 def _as_v2(checkpoint):
     """A v2 checkpoint's entries: v3's, with top-level copies of the config's model,
     window and seed, and the LSTM's sizes under `arch`."""
@@ -123,26 +133,28 @@ BUNDLE_JSON_FAULTS = {
          "counts.val_rows must be a non-negative integer, got nan"),
         ("negative count", _json(lambda d: d["counts"].update(engines=-6)),
          "counts.engines must be a non-negative integer, got -6"),
-        # The pipeline values go through TrainConfig's own checks.
+        # The pipeline values go through check_pipeline_values, as run_pipeline's do.
         ("pipeline alpha a string", _json(lambda d: d["pipeline"].update(alpha="x")),
          "pipeline alpha must be a finite real number, got 'x'"),
         ("negative pipeline trim", _json(lambda d: d["pipeline"].update(trim=-1)),
          "pipeline trim must be >= 0, got -1"),
         ("zero pipeline rul_cap", _json(lambda d: d["pipeline"].update(rul_cap=0)),
-         "pipeline rul_cap must be positive, got 0"),
+         "pipeline rul_cap must be >= 1, got 0"),
         ("pipeline rul_cap a float", _json(lambda d: d["pipeline"].update(rul_cap=20.5)),
-         "pipeline rul_cap must be an integer or null, got 20.5"),
+         "pipeline rul_cap must be an integer, got 20.5"),
         ("pipeline rul_cap a string", _json(lambda d: d["pipeline"].update(rul_cap="20")),
-         "pipeline rul_cap must be an integer or null, got '20'"),
+         "pipeline rul_cap must be an integer, got '20'"),
         ("pipeline window true", _json(lambda d: d["pipeline"].update(window=True)),
-         "pipeline window must be a positive integer, got True"),
+         "pipeline window must be an integer, got True"),
         # The chain splits with seed 0, which JSON false equals in Python.
         ("pipeline seed false", _json(lambda d: d["pipeline"].update(seed=False)),
-         "split_seed is 0, but the rest of the bundle gives False"),
+         "pipeline seed must be an integer, got False"),
         ("null pipeline n_val", _json(lambda d: d["pipeline"].update(n_val=None)),
          "pipeline n_val must be an integer, got None"),
         ("pipeline missing alpha", _json(lambda d: d["pipeline"].pop("alpha")),
          "pipeline has no entry 'alpha'"),
+        ("pipeline a list", _json(lambda d: d.update(pipeline=list(d["pipeline"].values()))),
+         "pipeline is not a JSON object"),
         # JSON true equals 1 and 2.0 equals 2 in Python, so both used to load.
         ("engine id null", _replace_id(1, None), "_ids must be a list of integers, got ["),
         ("engine id a string", _replace_id(1, "x"), "_ids must be a list of integers, got ["),
@@ -231,6 +243,12 @@ CHECKPOINT_FAULTS = [
      "window must be an integer, got 20.0"),
     ("config_hash not the config's", _json(lambda d: d.update(config_hash="0" * 64)),
      f"checkpoint config_hash '{'0' * 64}' does not match its config's"),
+    ("config n_val -1 with its hash", _config_with(n_val=-1), "n_val must be >= 0, got -1"),
+    # Nothing reads the optimizer entry, so only its own rules catch a corrupt one.
+    ("optimizer lr a string", _json(lambda d: d["optimizer"].update(lr="x")),
+     "optimizer lr must be a finite real number, got 'x'"),
+    ("optimizer step negative", _json(lambda d: d["optimizer"].update(step=-3)),
+     "optimizer step must be >= 0, got -3"),
     # An empty hash must not pass for any scaler.
     ("blank scaler_hash", _json(lambda d: d.update(scaler_hash="")), "hash mismatch"),
 ]

@@ -28,7 +28,7 @@ def reference_effective_trim(length: int, trim: int, window: int) -> int:
 
 def reference_trim_head(traj: EngineTrajectory, n: int) -> EngineTrajectory:
     if n < 0:
-        raise ConfigError(f"trim length must be >= 0, got {n}")
+        raise ConfigError(f"trim must be >= 0, got {n}")
     if n == 0:
         return traj
     return EngineTrajectory(traj.engine_id, traj.values[n:])

@@ -534,9 +534,9 @@ def test_label_rul_validation():
         label_rul(traj, cap=0)
     # load_bundle takes only an integer cap, so no bundle may be cut with another.
     for cap in (2.5, 3.0, True, "3"):
-        with pytest.raises(ConfigError, match=f"RUL cap must be a positive integer, got {cap!r}"):
+        with pytest.raises(ConfigError, match=f"rul_cap must be an integer, got {cap!r}"):
             label_rul(traj, cap=cap)
-    with pytest.raises(ConfigError, match="RUL cap must be a positive integer, got 20.5"):
+    with pytest.raises(ConfigError, match="rul_cap must be an integer, got 20.5"):
         run_pipeline([traj, random_traj(2, 5, seed=15)], trim=0, window=2, n_val=1, rul_cap=20.5)
 
 
